@@ -83,12 +83,12 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
 
 
-def _frame_config(cfg: dict, frame_idx: int, mask_default=None) -> sampler.GuidanceConfig:
+def _frame_config(cfg: dict, frame_idx: int) -> sampler.GuidanceConfig:
     return sampler.GuidanceConfig(
         gamma=cfg["gamma"], cov_scale=cfg["cov_scale"], cov_rotate=cfg["cov_rotate"],
         renoise_variant=cfg["renoise"], num_hypotheses=cfg["M"], seed=cfg["seed"],
         grad_space=cfg.get("grad_space") or sampler.GRAD_X0HAT,
-        stream_offset=frame_idx << _FRAME_SHIFT, workers=cfg.get("workers"),
+        stream_offset=frame_idx << _FRAME_SHIFT,
     )
 
 
@@ -117,15 +117,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_and_obs(model_path, obs_path):
+def _load_model_for(model_path, records):
     model = dataio.load_checkpoint(model_path)
-    records = dataio.load_observations(obs_path)
     for rec in records:
         if rec.keypoints.num_joints != model.joints:
             raise SchemaError(
                 f"observation file has {rec.keypoints.num_joints} joints, "
                 f"checkpoint expects {model.joints}")
-    return model, records
+    return model
 
 
 def _write_hypotheses(path, joint_names, per_frame, header_meta):
@@ -154,17 +153,16 @@ def _mean_reprojection(hyp, keypoints, cam):
     return total / count if count else float("nan")
 
 
-def _frame_metrics(rec, hyp):
-    """Best-of-M metrics for one frame with ground truth available."""
-    gt = rec.gt_pose
-    errors = [metrics.mpjpe(p, gt) for p in hyp.poses]
+def _metric_row(poses, gt, reprojection_px):
+    """Best-of-M metrics for one frame: the row written by `_write_metrics_csv`."""
+    errors = [metrics.mpjpe(p, gt) for p in poses]
     best = int(np.argmin(errors))
     return {
         "mpjpe": min(errors),
-        "pa_mpjpe": min(metrics.pa_mpjpe(p, gt) for p in hyp.poses),
-        "pck150": metrics.pck(hyp.poses[best], gt),
-        "auc": metrics.auc(hyp.poses[best], gt),
-        "reprojection_px": _mean_reprojection(hyp, rec.keypoints, rec.camera),
+        "pa_mpjpe": min(metrics.pa_mpjpe(p, gt) for p in poses),
+        "pck150": metrics.pck(poses[best], gt),
+        "auc": metrics.auc(poses[best], gt),
+        "reprojection_px": reprojection_px,
     }
 
 
@@ -183,9 +181,9 @@ def _write_metrics_csv(path, rows, m):
                             ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")])
 
 
-def _run_estimation(args, mask_indices=None) -> int:
+def _run_estimation(args, records, mask_indices=None) -> int:
     cfg = _resolve(args)
-    model, records = _load_model_and_obs(args.model, args.obs)
+    model = _load_model_for(args.model, records)
     per_frame, metric_rows = [], []
     for idx, rec in enumerate(records):
         keypoints = rec.keypoints
@@ -198,8 +196,8 @@ def _run_estimation(args, mask_indices=None) -> int:
                                     rec.root, gcfg)
         per_frame.append((rec.frame_id, hyp))
         if rec.gt_pose is not None:
-            rec_for_metrics = rec if mask_indices is None else replace(rec, keypoints=keypoints)
-            metric_rows.append((rec.frame_id, _frame_metrics(rec_for_metrics, hyp)))
+            reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
+            metric_rows.append((rec.frame_id, _metric_row(hyp.poses, rec.gt_pose, reprojection)))
 
     header_meta = {"seed": cfg["seed"], "gamma": cfg["gamma"],
                    "cov_scale": cfg["cov_scale"], "cov_rotate": cfg["cov_rotate"],
@@ -221,7 +219,7 @@ def _run_estimation(args, mask_indices=None) -> int:
 
 
 def cmd_estimate(args) -> int:
-    return _run_estimation(args)
+    return _run_estimation(args, dataio.load_observations(args.obs))
 
 
 def cmd_complete(args) -> int:
@@ -245,7 +243,7 @@ def cmd_complete(args) -> int:
             else:
                 raise PosePriorError(f"unknown joint name {token!r}")
             mask.add(idx)
-    return _run_estimation(args, mask_indices=mask or None)
+    return _run_estimation(args, records, mask_indices=mask or None)
 
 
 def cmd_sample(args) -> int:
@@ -269,7 +267,8 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    model, records = _load_model_and_obs(args.model, args.obs)
+    records = dataio.load_observations(args.obs)
+    model = _load_model_for(args.model, records)
     values = [float(v) for v in args.values.split(",")]
     rows = []
     if args.sweep == "cov-scale":
@@ -338,15 +337,7 @@ def cmd_evaluate(args) -> int:
         if frame_id not in by_frame:
             raise dataio.SchemaError(f"no hypotheses for frame {frame_id}")
         poses = [p for _, p in sorted(by_frame[frame_id], key=lambda kv: kv[0])]
-        errors = [metrics.mpjpe(p, gt_pose) for p in poses]
-        best = int(np.argmin(errors))
-        rows.append((frame_id, {
-            "mpjpe": min(errors),
-            "pa_mpjpe": min(metrics.pa_mpjpe(p, gt_pose) for p in poses),
-            "pck150": metrics.pck(poses[best], gt_pose),
-            "auc": metrics.auc(poses[best], gt_pose),
-            "reprojection_px": float("nan"),
-        }))
+        rows.append((frame_id, _metric_row(poses, gt_pose, float("nan"))))
     m = max(len(v) for v in by_frame.values()) if by_frame else 0
     _write_metrics_csv(args.out, rows, m)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -404,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grad-space", dest="grad_space",
                        choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT], default=None,
                        help="apply guidance to the clean estimate (default) or the noisy iterate")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--report", default=None)
         _add_common(p)
 

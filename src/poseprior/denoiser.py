@@ -378,12 +378,20 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     return model
 
 
+def _rowwise(a, w):
+    """``a @ w`` computed one row at a time, so a row's result does not
+    depend on the other rows in the block (a GEMM over the block does)."""
+    return (a[:, None, :] @ w)[:, 0, :]
+
+
 def make_eval_forward(model: DenoiserModel, use_ema: bool = True):
     """Fast eval-mode forward for sampling loops.
 
     Precomputes the projected step embeddings for every t and the
-    batch-norm scale/shift pairs. The arithmetic is identical to
-    ``forward(mode="eval")``, so results agree bit for bit.
+    batch-norm scale/shift pairs. A block of rows is evaluated row by
+    row with stacked products, so each row equals its own 1-row call
+    bit for bit, and a single row equals ``forward(mode="eval")`` bit
+    for bit.
     """
     params = model.ema_params if use_ema else model.params
     temb = np.empty((model.sched.T + 1, model.hidden_dim))
@@ -400,15 +408,15 @@ def make_eval_forward(model: DenoiserModel, use_ema: bool = True):
     def eval_forward(x, t: int):
         x2d, squeeze = _as_batch(x, model.dim)
         e = temb[t]
-        h = x2d @ params["in_w"] + params["in_b"]
+        h = _rowwise(x2d, params["in_w"]) + params["in_b"]
         for blk in _BLOCKS:
             h_skip = h
             for lin, key in (("l1", "bn1"), ("l2", "bn2")):
-                z = (h + e) @ params[f"{blk}_{lin}_w"] + params[f"{blk}_{lin}_b"]
+                z = _rowwise(h + e, params[f"{blk}_{lin}_w"]) + params[f"{blk}_{lin}_b"]
                 scale, shift = bn[f"{blk}_{key}"]
                 h = np.maximum(z * scale + shift, 0.0)
             h = h_skip + h
-        out = (h + e) @ params["out_w"] + params["out_b"]
+        out = _rowwise(h + e, params["out_w"]) + params["out_b"]
         return out[0] if squeeze else out
 
     return eval_forward

@@ -279,6 +279,17 @@ class TestEvalForwardClosure:
             x = rng.standard_normal(12)
             assert np.array_equal(fast(x, t), forward(model, x, t))
 
+    @pytest.mark.parametrize("rows", [2, 5, 50, 65])
+    def test_block_equals_rows_bitwise(self, rows):
+        # the sampler advances all hypotheses as one block; each row must
+        # come out exactly as if it had been evaluated alone
+        model = small_model(joints=17, hidden=64, t_steps=20)
+        fast = make_eval_forward(model, use_ema=False)
+        block = RngStream(26, rows).standard_normal((rows, 51))
+        for t in (1, 20):
+            one_by_one = np.stack([fast(row, t) for row in block])
+            assert np.array_equal(fast(block, t), one_by_one)
+
     def test_ema_closure_uses_shadow_weights(self):
         model = small_model()
         model.ema_params = {k: np.zeros_like(v) for k, v in model.params.items()}

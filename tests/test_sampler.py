@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from poseprior import dataio, denoiser, metrics, sampler
+from poseprior.errors import DivergenceError
 from poseprior.geometry import RootEstimate
 from poseprior.numeric import RngStream
 from poseprior.schedule import cosine_schedule
@@ -45,28 +48,65 @@ class TestGuided:
         for g, u in zip(guided.poses, uncond.poses):
             assert np.array_equal(g.joints, u.joints)
 
-    def test_deterministic_and_thread_invariant(self, toy_world):
+    def test_hypotheses_independent_of_batch(self, toy_world):
+        # reruns are identical, and hypothesis m of a batch equals the lone
+        # hypothesis drawn on stream m: a row never depends on its batch
         rec = toy_world.records[0]
-        runs = []
-        for workers in (1, 1, 3):
-            cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=6, seed=902,
-                                         workers=workers)
-            hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
-                                        rec.camera, rec.root, cfg)
-            runs.append(np.stack([p.joints for p in hyp.poses]))
-        assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], runs[2])
+        tight = rec.keypoints.with_covariances(
+            np.tile([0.5, 0.1, 0.7], (toy_world.skel.num_joints, 1)))
+        cases = {
+            "x0hat": (rec.keypoints, {}),
+            "xt": (rec.keypoints, {"grad_space": sampler.GRAD_XT}),
+            "alg1": (rec.keypoints, {"renoise_variant": sampler.RENOISE_ALG1}),
+            "two sources": ([rec.keypoints, tight], {}),
+        }
 
-    def test_threads_env_cap(self, toy_world, monkeypatch):
+        def run(obs, extra, m, offset=0):
+            cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=m, seed=902,
+                                         stream_offset=offset, **extra)
+            hyp = sampler.sample_guided(toy_world.model, None, obs, rec.camera,
+                                        rec.root, cfg)
+            return np.stack([p.joints for p in hyp.poses]), hyp.roots
+
+        for name, (obs, extra) in cases.items():
+            poses, roots = run(obs, extra, 6)
+            rerun_poses, rerun_roots = run(obs, extra, 6)
+            assert np.array_equal(poses, rerun_poses), name
+            assert np.array_equal(roots, rerun_roots), name
+            for m in range(6):
+                lone_poses, lone_roots = run(obs, extra, 1, offset=m)
+                assert np.array_equal(poses[m], lone_poses[0]), (name, m)
+                assert np.array_equal(roots[m], lone_roots[0]), (name, m)
+
+    def test_divergence_raised_with_step(self, toy_world):
+        model = copy.deepcopy(toy_world.model)
+        model.ema_params["out_w"] = np.full_like(model.ema_params["out_w"], np.inf)
         rec = toy_world.records[0]
-        cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=4, seed=903)
-        base = sampler.sample_guided(toy_world.model, None, rec.keypoints,
-                                     rec.camera, rec.root, cfg)
-        monkeypatch.setenv(sampler.THREADS_ENV, "2")
-        capped = sampler.sample_guided(toy_world.model, None, rec.keypoints,
-                                       rec.camera, rec.root, cfg)
-        for a, b in zip(base.poses, capped.poses):
-            assert np.array_equal(a.joints, b.joints)
+        cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=3, seed=914)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            sampler.sample_guided(model, None, rec.keypoints, rec.camera, rec.root, cfg)
+        assert exc.value.step == model.sched.T
+        assert exc.value.diagnostics["hypothesis"] == 0
+
+    def test_divergence_names_lowest_nonfinite_row(self, toy_world, monkeypatch):
+        make_eval = sampler.make_eval_forward
+
+        def poisoned(model, use_ema=True):
+            eval_fn = make_eval(model, use_ema)
+
+            def eval_forward(x, t):
+                out = eval_fn(x, t)
+                if t == 50:
+                    out[[4, 2], 0] = np.nan
+                return out
+            return eval_forward
+
+        monkeypatch.setattr(sampler, "make_eval_forward", poisoned)
+        cfg = sampler.GuidanceConfig(gamma=0.0, num_hypotheses=6, seed=915)
+        with pytest.raises(DivergenceError) as exc:
+            sampler.sample_guided(toy_world.model, None, None, None, None, cfg)
+        assert exc.value.step == 49
+        assert exc.value.diagnostics["hypothesis"] == 2
 
     def test_guidance_pulls_reprojection_down(self, toy_world):
         from poseprior.geometry import to_absolute
