@@ -229,6 +229,8 @@ def load_observations(path) -> list:
                 valid[i] = bool(kp.get("valid", False))
                 if "mean" in kp:
                     means[i] = kp["mean"]
+                elif valid[i]:
+                    raise SchemaError(f"line {lineno}: keypoint {i} is valid but has no mean")
                 if "cov" in kp:
                     covs[i] = kp["cov"]
                 elif valid[i]:

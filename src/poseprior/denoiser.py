@@ -8,6 +8,12 @@ feed-forward net and added to the hidden activation entering every
 hidden-to-hidden linear (the four block linears and the output linear).
 That is eight linears in total.
 
+One network body, ``_forward_core``, serves training and eval. The
+training forward uses batch statistics and one GEMM per linear over the
+batch. The eval forward (``forward``, ``make_eval_forward``) uses the
+running statistics and multiplies row by row, so rows are independent:
+a row's output does not depend on the other rows of its block.
+
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
 after every update) so checkpoints, which store them as float32, round
@@ -148,13 +154,19 @@ def sinusoidal_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _project_temb(params, t_arr) -> tuple:
+def _rowwise(a, w):
+    """``a @ w`` computed one row at a time, so a row's result does not
+    depend on the other rows in the block (a GEMM over the block does)."""
+    return (a[:, None, :] @ w)[:, 0, :]
+
+
+def _project_temb(params, t_arr, matmul=np.matmul) -> tuple:
     """Two-layer feed-forward projection of the sinusoidal encoding."""
     dim = params["te1_w"].shape[0]
     e_sin = sinusoidal_embedding(t_arr, dim)
-    z1 = e_sin @ params["te1_w"] + params["te1_b"]
+    z1 = matmul(e_sin, params["te1_w"]) + params["te1_b"]
     r1 = np.maximum(z1, 0.0)
-    e = r1 @ params["te2_w"] + params["te2_b"]
+    e = matmul(r1, params["te2_w"]) + params["te2_b"]
     return e, (e_sin, z1, r1)
 
 
@@ -171,10 +183,18 @@ def _bn_eval(z, gamma, beta, rm, rv):
     return z * scale + (beta - rm * scale)
 
 
-def _forward_core(params, bn_stats, x, t_arr, train: bool):
-    """Shared forward pass. Returns (out, cache); cache is None in eval mode."""
-    e, temb_cache = _project_temb(params, t_arr)
-    h = x @ params["in_w"] + params["in_b"]
+def _forward_core(params, bn_stats, x, t_arr, train: bool, temb=None):
+    """The network body for training and eval. Returns (out, cache).
+
+    Training multiplies the whole batch with one GEMM and keeps a cache
+    for the backward pass. Eval multiplies row by row and returns no
+    cache, so each output row equals its own 1-row call bit for bit.
+    ``temb`` is a precomputed step embedding that replaces the one
+    projected from ``t_arr``.
+    """
+    matmul = np.matmul if train else _rowwise
+    e, temb_cache = (temb, None) if temb is not None else _project_temb(params, t_arr, matmul)
+    h = matmul(x, params["in_w"]) + params["in_b"]
     cache = {"x": x, "temb": temb_cache, "e": e, "h_in": h, "blocks": []} if train else None
 
     for blk in _BLOCKS:
@@ -182,7 +202,7 @@ def _forward_core(params, bn_stats, x, t_arr, train: bool):
         blk_cache = {"h_skip": h_skip}
         for i, (lin, bn) in enumerate((("l1", "bn1"), ("l2", "bn2"))):
             a = h + e
-            z = a @ params[f"{blk}_{lin}_w"] + params[f"{blk}_{lin}_b"]
+            z = matmul(a, params[f"{blk}_{lin}_w"]) + params[f"{blk}_{lin}_b"]
             if train:
                 n, bn_cache = _bn_train(z, params[f"{blk}_{bn}_g"], params[f"{blk}_{bn}_b"])
                 blk_cache[f"a{i}"] = a
@@ -196,7 +216,7 @@ def _forward_core(params, bn_stats, x, t_arr, train: bool):
         if train:
             cache["blocks"].append(blk_cache)
     a_out = h + e
-    out = a_out @ params["out_w"] + params["out_b"]
+    out = matmul(a_out, params["out_w"]) + params["out_b"]
     if train:
         cache["a_out"] = a_out
     return out, cache
@@ -255,16 +275,14 @@ def _as_batch(x, dim):
     raise ValueError(f"expected shape ({dim},) or (B, {dim}), got {x.shape}")
 
 
-def forward(model: DenoiserModel, x_t, t, mode: str = "eval",
-            use_ema: bool = False) -> np.ndarray:
+def forward(model: DenoiserModel, x_t, t, use_ema: bool = False) -> np.ndarray:
     """Predict the noise in x_t (normalized space) at step t.
 
-    Eval mode uses batch-norm running statistics and is a pure,
-    deterministic function of (params, input, t). Train mode uses the
-    batch statistics of x_t and does not touch the running statistics.
+    Uses batch-norm running statistics and is a pure, deterministic
+    function of (params, input, t). Rows are independent: a row of a
+    batch equals its own 1-row call bit for bit. There is no train-mode
+    option: the batch-statistics forward runs only in ``loss_and_grads``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x2d, squeeze = _as_batch(x_t, model.dim)
     if not np.all(np.isfinite(x2d)):
         raise ValueError("non-finite input to denoiser")
@@ -276,7 +294,7 @@ def forward(model: DenoiserModel, x_t, t, mode: str = "eval",
     if t_arr.shape == (1,) and x2d.shape[0] > 1:
         t_arr = np.repeat(t_arr, x2d.shape[0])
     params = model.ema_params if use_ema else model.params
-    out, _ = _forward_core(params, model.bn_stats, x2d, t_arr, train=(mode == "train"))
+    out, _ = _forward_core(params, model.bn_stats, x2d, t_arr, train=False)
     return out[0] if squeeze else out
 
 
@@ -378,45 +396,22 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     return model
 
 
-def _rowwise(a, w):
-    """``a @ w`` computed one row at a time, so a row's result does not
-    depend on the other rows in the block (a GEMM over the block does)."""
-    return (a[:, None, :] @ w)[:, 0, :]
-
-
 def make_eval_forward(model: DenoiserModel, use_ema: bool = True):
-    """Fast eval-mode forward for sampling loops.
+    """Eval forward for sampling loops: ``eval_fn(x, t)`` for one step t.
 
-    Precomputes the projected step embeddings for every t and the
-    batch-norm scale/shift pairs. A block of rows is evaluated row by
-    row with stacked products, so each row equals its own 1-row call
-    bit for bit, and a single row equals ``forward(mode="eval")`` bit
-    for bit.
+    Runs the same network body as ``forward``, so rows are independent
+    and each equals ``forward`` on that row bit for bit. The projected
+    step embedding of every t is computed once per closure.
     """
     params = model.ema_params if use_ema else model.params
     temb = np.empty((model.sched.T + 1, model.hidden_dim))
     for t in range(1, model.sched.T + 1):
-        e, _ = _project_temb(params, np.array([t], dtype=np.int64))
+        e, _ = _project_temb(params, np.array([t], dtype=np.int64), _rowwise)
         temb[t] = e[0]
-    bn = {}
-    for blk in _BLOCKS:
-        for key in ("bn1", "bn2"):
-            scale = params[f"{blk}_{key}_g"] / np.sqrt(model.bn_stats[f"{blk}_{key}_v"] + BN_EPS)
-            shift = params[f"{blk}_{key}_b"] - model.bn_stats[f"{blk}_{key}_m"] * scale
-            bn[f"{blk}_{key}"] = (scale, shift)
 
     def eval_forward(x, t: int):
         x2d, squeeze = _as_batch(x, model.dim)
-        e = temb[t]
-        h = _rowwise(x2d, params["in_w"]) + params["in_b"]
-        for blk in _BLOCKS:
-            h_skip = h
-            for lin, key in (("l1", "bn1"), ("l2", "bn2")):
-                z = _rowwise(h + e, params[f"{blk}_{lin}_w"]) + params[f"{blk}_{lin}_b"]
-                scale, shift = bn[f"{blk}_{key}"]
-                h = np.maximum(z * scale + shift, 0.0)
-            h = h_skip + h
-        out = _rowwise(h + e, params["out_w"]) + params["out_b"]
+        out, _ = _forward_core(params, model.bn_stats, x2d, None, train=False, temb=temb[t])
         return out[0] if squeeze else out
 
     return eval_forward

@@ -110,8 +110,11 @@ def pck(pred: Pose, gt: Pose, threshold_mm: float = PCK_THRESHOLD_MM) -> float:
 def auc(pred: Pose, gt: Pose, max_threshold_mm: float = PCK_THRESHOLD_MM,
         n_steps: int = AUC_STEPS) -> float:
     """Mean PCK over an evenly spaced threshold grid from 0 to the maximum."""
+    p, g = _paired_joints(pred, gt)
+    dist = np.linalg.norm(p - g, axis=1)
     thresholds = np.linspace(0.0, max_threshold_mm, n_steps)
-    return float(np.mean([pck(pred, gt, th) for th in thresholds]))
+    hits = (dist < thresholds[:, None]) | (dist == 0.0)  # (n_steps, J), as in pck
+    return float(np.mean(100.0 * np.mean(hits, axis=1)))
 
 
 def best_of_m(hypotheses, gt: Pose, metric=mpjpe) -> float:

@@ -18,7 +18,6 @@ __all__ = [
     "spd_inverse_2x2",
     "eig_2x2",
     "svd_3x3",
-    "gauss_sample",
 ]
 
 
@@ -137,31 +136,3 @@ def svd_3x3(m):
     u, s, vh = np.linalg.svd(m)
     return u, s, vh.T
 
-
-def gauss_sample(rng: RngStream, mean, cov) -> np.ndarray:
-    """Draw one Gaussian sample around `mean`.
-
-    `cov` is a scalar variance, a vector of per-coordinate variances, or
-    a SymMat2 (2-d case). Zero covariance returns the mean exactly.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    z = rng.standard_normal(mean.shape)
-    if isinstance(cov, SymMat2):
-        if mean.shape != (2,):
-            raise ValueError("SymMat2 covariance requires a 2-vector mean")
-        if cov.a < 0.0 or cov.det < -1e-12 * max(cov.a * cov.c, 1.0):
-            raise DefinitenessError(f"covariance not positive semi-definite: {cov}")
-        if cov.a == 0.0:
-            if cov.b != 0.0 or cov.c < 0.0:
-                raise DefinitenessError(f"covariance not positive semi-definite: {cov}")
-            l11, l21, l22 = 0.0, 0.0, np.sqrt(cov.c)
-        else:
-            l11 = np.sqrt(cov.a)
-            l21 = cov.b / l11
-            l22 = np.sqrt(max(cov.c - l21 * l21, 0.0))
-        return mean + np.array([l11 * z[0], l21 * z[0] + l22 * z[1]])
-
-    var = np.asarray(cov, dtype=np.float64)
-    if np.any(var < 0.0):
-        raise DefinitenessError("negative variance in diagonal covariance")
-    return mean + np.sqrt(var) * z

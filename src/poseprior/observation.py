@@ -55,6 +55,10 @@ class KeypointObservation:
         j = self.means.shape[0]
         if self.means.shape != (j, 2) or self.covs.shape != (j, 3) or self.valid.shape != (j,):
             raise ValueError("inconsistent observation array shapes")
+        finite = np.all(np.isfinite(self.means), axis=1) & np.all(np.isfinite(self.covs), axis=1)
+        bad = self.valid & ~finite
+        if np.any(bad):
+            raise ValueError(f"non-finite mean or covariance at joints {np.nonzero(bad)[0].tolist()}")
         a, b, c = self.covs[:, 0], self.covs[:, 1], self.covs[:, 2]
         det = a * c - b * b
         bad = self.valid & ((a <= 0.0) | (det <= 0.0))
@@ -75,10 +79,6 @@ class KeypointObservation:
     @property
     def num_joints(self) -> int:
         return self.means.shape[0]
-
-    def cov_at(self, j: int) -> SymMat2:
-        a, b, c = self.covs[j]
-        return SymMat2(a, b, c)
 
     def with_covariances(self, covs: np.ndarray) -> "KeypointObservation":
         return KeypointObservation(self.means.copy(), covs, self.valid.copy())

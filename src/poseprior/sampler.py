@@ -20,13 +20,7 @@ from .errors import DivergenceError
 from .geometry import ROOT_RELATIVE, Camera, Pose, RootEstimate, project, sample_root
 from .metrics import per_joint_std
 from .numeric import RngStream
-from .observation import (
-    KeypointObservation,
-    log_likelihood_grad,
-    rotate_covariance,
-    scale_covariance,
-    sum_sources,
-)
+from .observation import KeypointObservation, log_likelihood_grad, sum_sources
 from .schedule import DiffusionSchedule, estimate_x0, renoise
 
 __all__ = [
@@ -106,7 +100,11 @@ class HypothesisSet:
 
 
 def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
-    """Apply the (scale, rotation) covariance edits once, up front."""
+    """Apply the (scale, rotation) covariance edits once, up front.
+
+    Joint j's covariance is rotated by ``R(theta_j) S R(theta_j)^T`` when
+    theta_j is nonzero (off-diagonal symmetrized), then scaled.
+    """
     sources = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     for src in sources:
         if src.num_joints != joints:
@@ -115,16 +113,17 @@ def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
     theta = np.broadcast_to(np.asarray(cfg.cov_rotate, dtype=np.float64), (joints,))
     if cfg.cov_scale == 1.0 and not np.any(theta):
         return sources
+    turned = theta != 0.0
+    ct, st = np.cos(theta[turned]), np.sin(theta[turned])
+    rot = np.stack([np.stack([ct, -st], axis=-1), np.stack([st, ct], axis=-1)], axis=1)
     out = []
     for src in sources:
-        covs = np.empty_like(src.covs)
-        for j in range(joints):
-            sig = src.cov_at(j)
-            if theta[j] != 0.0:
-                sig = rotate_covariance(sig, theta[j])
-            sig = scale_covariance(sig, cfg.cov_scale)
-            covs[j] = (sig.a, sig.b, sig.c)
-        out.append(src.with_covariances(covs))
+        covs = src.covs.copy()
+        sig = np.stack([covs[turned, :2], covs[turned, 1:]], axis=1)  # rows [a, b], [b, c]
+        m = rot @ sig @ rot.transpose(0, 2, 1)
+        covs[turned] = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]],
+                                axis=-1)
+        out.append(src.with_covariances(cfg.cov_scale * covs))
     return out
 
 

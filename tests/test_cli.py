@@ -142,6 +142,24 @@ class TestEstimateCommand:
                         "--out", str(tmp_path / "x.jsonl"), "-M", "1", "--seed", "1"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda kp: kp.pop("mean"), "line 3: keypoint 5 is valid but has no mean"),
+        (lambda kp: kp.update(mean=[float("nan"), 1.0]), "line 3: non-finite mean or covariance"),
+        (lambda kp: kp.update(cov=[float("nan"), 0.0, 4.0]), "line 3: non-finite mean or covariance"),
+    ], ids=["no-mean", "nan-mean", "nan-cov"])
+    def test_bad_valid_keypoint_exits_2(self, tiny_setup, tmp_path, edit, message):
+        lines = tiny_setup["obs"].read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["keypoints"][5]["valid"] = True
+        edit(doc["keypoints"][5])
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(bad),
+                        "--out", str(tmp_path / "x.jsonl"), "-M", "1", "--seed", "1"])
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
 
 class TestSampleCommand:
     def test_zero_samples_header_only(self, tiny_setup, tmp_path):

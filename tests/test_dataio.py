@@ -134,6 +134,31 @@ class TestObservationFile:
         with pytest.raises(SchemaError):
             dataio.load_observations(path)
 
+    @pytest.mark.parametrize("keypoint,message", [
+        ('{"cov":[1,0,1],"valid":true}', "line 3: keypoint 1 is valid but has no mean"),
+        ('{"mean":[NaN,0],"cov":[1,0,1],"valid":true}', r"line 3: non-finite .* \[1\]"),
+        ('{"mean":[0,0],"cov":[1,0,Infinity],"valid":true}', r"line 3: non-finite .* \[1\]"),
+    ], ids=["no-mean", "nan-mean", "inf-cov"])
+    def test_bad_valid_keypoint_rejected_with_line_and_joint(self, tmp_path, keypoint, message):
+        path = tmp_path / "obs.jsonl"
+        header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'
+        rec = ('{"frame_id":"f%d","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true},%s],"root":{"mean":[0,0,0]}}')
+        good = rec % (0, '{"mean":[1,1],"valid":true}')
+        path.write_text("\n".join([header, good, rec % (1, keypoint)]) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            dataio.load_observations(path)
+
+    def test_invalid_keypoint_may_omit_mean(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'
+        rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true},{"valid":false}],'
+               '"root":{"mean":[0,0,0]}}')
+        path.write_text(header + "\n" + rec + "\n")
+        got = dataio.load_observations(path)[0]
+        assert got.keypoints.valid.tolist() == [True, False]
+
 
 class TestHeatmapFile:
     def test_round_trip_bit_exact(self, tmp_path):

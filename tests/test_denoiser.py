@@ -49,8 +49,16 @@ class TestForward:
     def test_train_mode_uses_batch_statistics(self):
         model = small_model()
         batch = RngStream(10, 0).standard_normal((4, 6))
-        assert not np.allclose(
-            forward(model, batch, 3, mode="train"), forward(model, batch, 3, mode="eval"))
+        train_out, _ = denoiser._forward_core(
+            model.params, model.bn_stats, batch, np.full(4, 3), train=True)
+        assert not np.allclose(train_out, forward(model, batch, 3))
+
+    def test_batch_rows_equal_single_rows_bitwise(self):
+        model = small_model(joints=17, hidden=64, t_steps=20)
+        block = RngStream(10, 1).standard_normal((7, 51))
+        t = np.array([1, 2, 3, 5, 8, 13, 20])
+        one_by_one = np.stack([forward(model, row, int(s)) for row, s in zip(block, t)])
+        assert np.array_equal(forward(model, block, t), one_by_one)
 
     def test_rejects_bad_input(self):
         model = small_model()

@@ -232,6 +232,13 @@ class TestAuc:
                 total += 100.0 * np.mean((dist < th) | (dist == 0.0))
             assert auc(p, g) == pytest.approx(total / 31, abs=1e-9)
 
+    def test_equals_mean_of_pck_bitwise(self):
+        rng = RngStream(67, 1)
+        for _ in range(300):
+            p, g = random_pose(rng), random_pose(rng)
+            per_threshold = [pck(p, g, th) for th in np.linspace(0.0, 150.0, 31)]
+            assert auc(p, g) == float(np.mean(per_threshold))
+
 
 class TestBestOfM:
     def test_single_hypothesis(self):

@@ -6,7 +6,6 @@ from poseprior.numeric import (
     RngStream,
     SymMat2,
     eig_2x2,
-    gauss_sample,
     spd_inverse_2x2,
     svd_3x3,
 )
@@ -105,38 +104,18 @@ class TestSvd3x3:
             svd_3x3(np.full((3, 3), np.nan))
 
 
-class TestGaussSample:
-    def test_zero_cov_returns_mean(self):
-        mean = np.array([1.5, -2.0, 7.0])
-        out = gauss_sample(RngStream(1, 1), mean, np.zeros(3))
-        assert np.array_equal(out, mean)
-
+class TestRngStream:
     def test_standard_normal_moments(self):
-        draws = gauss_sample(RngStream(2, 0), np.zeros(100_000), np.ones(100_000))
+        draws = RngStream(2, 0).standard_normal(100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_fixed_seed_reproducible(self):
-        a = gauss_sample(RngStream(7, 3), np.zeros(4), np.ones(4))
-        b = gauss_sample(RngStream(7, 3), np.zeros(4), np.ones(4))
+        a = RngStream(7, 3).standard_normal(4)
+        b = RngStream(7, 3).standard_normal(4)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = gauss_sample(RngStream(7, 3), np.zeros(4), np.ones(4))
-        b = gauss_sample(RngStream(7, 4), np.zeros(4), np.ones(4))
+        a = RngStream(7, 3).standard_normal(4)
+        b = RngStream(7, 4).standard_normal(4)
         assert not np.array_equal(a, b)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(DefinitenessError):
-            gauss_sample(RngStream(1, 0), np.zeros(2), np.array([1.0, -1.0]))
-
-    def test_full_covariance_moments(self):
-        cov = SymMat2(4.0, 1.2, 2.0)
-        rng = RngStream(11, 0)
-        draws = np.stack([gauss_sample(rng, np.zeros(2), cov) for _ in range(40_000)])
-        emp = np.cov(draws.T, bias=True)
-        assert np.allclose(emp, cov.as_array(), rtol=0.05, atol=0.05)
-
-    def test_full_covariance_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
-            gauss_sample(RngStream(1, 0), np.zeros(2), SymMat2(1.0, 3.0, 1.0))

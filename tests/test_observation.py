@@ -322,3 +322,19 @@ class TestObservationValidation:
             np.array([False, True]),
         )
         assert obs.num_joints == 2
+
+    @pytest.mark.parametrize("field,row", [("means", [np.nan, 0.0]), ("means", [0.0, np.inf]),
+                                           ("covs", [np.nan, 0.0, 1.0]),
+                                           ("covs", [1.0, 0.0, np.inf])],
+                             ids=["nan-mean", "inf-mean", "nan-cov", "inf-cov"])
+    def test_rejects_non_finite_on_valid_joint(self, field, row):
+        arrays = {"means": np.zeros((3, 2)), "covs": np.tile([1.0, 0.0, 1.0], (3, 1))}
+        arrays[field][1] = row
+        with pytest.raises(ValueError, match=r"non-finite .* joints \[1\]"):
+            KeypointObservation(arrays["means"], arrays["covs"], np.ones(3, dtype=bool))
+
+    def test_ignores_non_finite_on_invalid_joint(self):
+        means = np.array([[np.nan, 0.0], [1.0, 2.0]])
+        covs = np.array([[np.nan, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        obs = KeypointObservation(means, covs, np.array([False, True]))
+        assert obs.num_joints == 2

@@ -6,7 +6,8 @@ import pytest
 from poseprior import dataio, denoiser, metrics, sampler
 from poseprior.errors import DivergenceError
 from poseprior.geometry import RootEstimate
-from poseprior.numeric import RngStream
+from poseprior.numeric import RngStream, SymMat2
+from poseprior.observation import KeypointObservation, rotate_covariance, scale_covariance
 from poseprior.schedule import cosine_schedule
 
 
@@ -274,3 +275,50 @@ class TestDiversitySweep:
         with pytest.raises(ValueError):
             sampler.diversity_sweep(toy_world.model, None, rec.keypoints,
                                     rec.camera, rec.root, cfg, [1.0, -2.0])
+
+
+def per_joint_edit(src, theta, scale):
+    """Reference covariance edit: one SymMat2 rotation and scaling per joint."""
+    theta = np.broadcast_to(np.asarray(theta, dtype=np.float64), (src.num_joints,))
+    covs = np.empty_like(src.covs)
+    for j in range(src.num_joints):
+        sig = SymMat2(*src.covs[j])
+        if theta[j] != 0.0:
+            sig = rotate_covariance(sig, theta[j])
+        sig = scale_covariance(sig, scale)
+        covs[j] = (sig.a, sig.b, sig.c)
+    return covs
+
+
+class TestTransformedSources:
+    def test_matches_per_joint_loop_bitwise(self):
+        rng = RngStream(930, 0)
+        for case in range(300):
+            joints = int(rng.integers(1, 30))
+            sources = []
+            for _ in range(2):
+                arr = rng.standard_normal((joints, 2, 2)) * 10.0 ** rng.uniform(-1, 2)
+                spd = arr @ arr.transpose(0, 2, 1) + 0.05 * np.eye(2)
+                covs = np.stack([spd[:, 0, 0], spd[:, 0, 1], spd[:, 1, 1]], axis=1)
+                sources.append(KeypointObservation(
+                    rng.standard_normal((joints, 2)), covs, rng.uniform(size=joints) < 0.8))
+            kind = case % 3
+            if kind == 0:  # one shared angle
+                theta = float(rng.uniform(-np.pi, np.pi))
+            elif kind == 1:  # per-joint angles
+                theta = rng.uniform(-4.0, 4.0, joints)
+            else:  # per-joint angles, some of them zero
+                theta = np.where(rng.uniform(size=joints) < 0.5, 0.0,
+                                 rng.uniform(-4.0, 4.0, joints))
+            scale = float(10.0 ** rng.uniform(-2, 2)) if case % 2 else 1.0
+            cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=theta)
+            got = sampler._transformed_sources(sources, cfg, joints)
+            for src, out in zip(sources, got):
+                assert np.array_equal(out.covs, per_joint_edit(src, theta, scale))
+                assert np.array_equal(out.means, src.means)
+                assert np.array_equal(out.valid, src.valid)
+
+    def test_no_edit_returns_sources(self):
+        src = KeypointObservation(np.zeros((3, 2)), np.tile([4.0, 1.0, 2.0], (3, 1)),
+                                  np.ones(3, dtype=bool))
+        assert sampler._transformed_sources(src, sampler.GuidanceConfig(), 3) == [src]
