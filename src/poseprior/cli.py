@@ -33,49 +33,46 @@ _FRAME_SHIFT = 24
 _INIT_STREAM = 1 << 40
 _TRAIN_STREAM = (1 << 40) + 1
 
-# flag -> config-file (section, key) for file-over-default resolution
-_CONFIG_KEYS = {
-    "gamma": ("sampler", "gamma"),
-    "cov_scale": ("sampler", "cov_scale"),
-    "cov_rotate": ("sampler", "cov_rotate"),
-    "M": ("sampler", "m"),
-    "renoise": ("sampler", "renoise"),
-    "steps": ("sampler", "steps"),
-    "batch": ("sampler", "batch"),
-    "lr": ("sampler", "lr"),
-    "ema": ("sampler", "ema"),
-    "hidden": ("sampler", "hidden"),
-    "T": ("sampler", "t"),
-    "offset": ("sampler", "offset"),
-    "seed": ("sampler", "seed"),
-}
-
-
-def _resolve(args) -> dict:
-    """Merge flags over config file over argparse defaults; echo the result."""
-    file_cfg = dataio.load_config(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config"):
-            continue
-        if value is None and key in _CONFIG_KEYS:
-            section, name = _CONFIG_KEYS[key]
-            raw = file_cfg.get(section, {}).get(name)
-            if raw is not None:
-                default = _DEFAULTS[key]
-                value = type(default)(raw)
-        if value is None and key in _DEFAULTS:
-            value = _DEFAULTS[key]
-        resolved[key] = value
-    print(f"resolved-config: {json.dumps(resolved, default=str)}", file=sys.stderr)
-    return resolved
-
+# built-in defaults; a config file's [sampler] section may set exactly these keys
 _DEFAULTS = {
     "steps": 100000, "batch": 128, "lr": 1e-4, "ema": 0.995,
     "hidden": 1024, "T": 1000, "offset": 0.008, "seed": 0,
     "gamma": 2e-4, "cov_scale": 1.0, "cov_rotate": 0.0, "M": 50,
     "renoise": sampler.RENOISE_EQ2,
 }
+_METRIC_COLUMNS = ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")
+
+
+def _read_config(path) -> dict:
+    """The [sampler] section of a config file, keyed and typed as `_DEFAULTS`."""
+    sections = dataio.load_config(path)
+    for section in sections:
+        if section != "sampler":
+            raise SchemaError(f"{path}: unknown section [{section}]; only [sampler] is read")
+    keys = {key.lower(): key for key in _DEFAULTS}
+    cfg = {}
+    for name, raw in sections.get("sampler", {}).items():
+        if name not in keys:
+            raise SchemaError(f"{path}: unknown key {name!r} in [sampler]")
+        try:
+            cfg[keys[name]] = type(_DEFAULTS[keys[name]])(raw)
+        except ValueError:
+            raise SchemaError(f"{path}: bad value {raw!r} for {name!r} in [sampler]") from None
+    return cfg
+
+
+def _resolve(args) -> dict:
+    """Merge flags over config file over argparse defaults; echo the result."""
+    file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    resolved = {}
+    for key, value in sorted(vars(args).items()):
+        if key in ("func", "config"):
+            continue
+        if value is None:
+            value = file_cfg.get(key, _DEFAULTS.get(key))
+        resolved[key] = value
+    print(f"resolved-config: {json.dumps(resolved, default=str)}", file=sys.stderr)
+    return resolved
 
 
 def _add_common(p):
@@ -127,6 +124,13 @@ def _load_model_for(model_path, records):
     return model
 
 
+def _check_stream_ranges(frames: int, m: int):
+    """Keep the stream ids (frame << 24) + hypothesis of a run below the training streams."""
+    if m > 1 << _FRAME_SHIFT or frames > _INIT_STREAM >> _FRAME_SHIFT:
+        raise PosePriorError(f"{frames} frames at M = {m} exceed the stream-id ranges: at most "
+                             f"{_INIT_STREAM >> _FRAME_SHIFT} frames and M = {1 << _FRAME_SHIFT}")
+
+
 def _write_hypotheses(path, joint_names, per_frame, header_meta):
     poses, meta = [], []
     for frame_id, hyp in per_frame:
@@ -135,8 +139,7 @@ def _write_hypotheses(path, joint_names, per_frame, header_meta):
             meta.append({"frame_id": frame_id, "hypothesis": m,
                          "root": hyp.roots[m].tolist()})
     arr = np.stack(poses) if poses else np.zeros((0, len(joint_names), 3))
-    dataset = dataio.PoseDataset(joint_names, arr, meta)
-    dataio.save_poses(dataset, path, header_meta=header_meta)
+    dataio.save_poses(dataio.PoseDataset(joint_names, arr, meta, header_meta), path)
 
 
 def _mean_reprojection(hyp, keypoints, cam):
@@ -169,20 +172,17 @@ def _metric_row(poses, gt, reprojection_px):
 def _write_metrics_csv(path, rows, m):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame_id", "M", "mpjpe", "pa_mpjpe", "pck150", "auc",
-                         "reprojection_px"])
+        writer.writerow(["frame_id", "M", *_METRIC_COLUMNS])
         for frame_id, vals in rows:
-            writer.writerow([frame_id, m] + [f"{vals[k]:.6f}" for k in
-                            ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")])
+            writer.writerow([frame_id, m] + [f"{vals[k]:.6f}" for k in _METRIC_COLUMNS])
         if rows:
-            agg = {k: float(np.mean([v[k] for _, v in rows]))
-                   for k in rows[0][1]}
-            writer.writerow(["aggregate", m] + [f"{agg[k]:.6f}" for k in
-                            ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")])
+            agg = {k: float(np.mean([v[k] for _, v in rows])) for k in _METRIC_COLUMNS}
+            writer.writerow(["aggregate", m] + [f"{agg[k]:.6f}" for k in _METRIC_COLUMNS])
 
 
 def _run_estimation(args, records, mask_indices=None) -> int:
     cfg = _resolve(args)
+    _check_stream_ranges(len(records), cfg["M"])
     model = _load_model_for(args.model, records)
     per_frame, metric_rows = [], []
     for idx, rec in enumerate(records):
@@ -226,12 +226,10 @@ def cmd_complete(args) -> int:
     records = dataio.load_observations(args.obs)
     names = dataio.DEFAULT_JOINT_NAMES
     joints = records[0].keypoints.num_joints if records else len(names)
+    mask = set()
     if args.mask.strip().lower() == "all":
         mask = set(range(joints))
-    elif not args.mask.strip():
-        mask = set()
-    else:
-        mask = set()
+    elif args.mask.strip():
         for token in args.mask.split(","):
             token = token.strip()
             if token.isdigit():
@@ -259,8 +257,9 @@ def cmd_sample(args) -> int:
     names = (dataio.DEFAULT_JOINT_NAMES if model.joints == len(dataio.DEFAULT_JOINT_NAMES)
              else [f"joint{i}" for i in range(model.joints)])
     arr = np.stack([p.joints for p in poses]) if poses else np.zeros((0, model.joints, 3))
-    dataset = dataio.PoseDataset(names, arr, [{"sample": i} for i in range(len(poses))])
-    dataio.save_poses(dataset, args.out, header_meta={"seed": cfg["seed"], "n": args.n})
+    dataset = dataio.PoseDataset(names, arr, [{"sample": i} for i in range(len(poses))],
+                                 {"seed": cfg["seed"], "n": args.n})
+    dataio.save_poses(dataset, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -268,6 +267,7 @@ def cmd_sample(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     records = dataio.load_observations(args.obs)
+    _check_stream_ranges(len(records), cfg["M"])
     model = _load_model_for(args.model, records)
     values = [float(v) for v in args.values.split(",")]
     rows = []
@@ -280,8 +280,6 @@ def cmd_sweep(args) -> int:
         fields = ["frame_id", "value", "per_joint_std_mm"]
     else:  # gamma sweep
         for value in values:
-            if value < 0.0:
-                raise PosePriorError(f"gamma must be >= 0, got {value}")
             for idx, rec in enumerate(records):
                 gcfg = replace(_frame_config(cfg, idx), gamma=value)
                 hyp = sampler.sample_guided(model, model.sched, rec.keypoints,
@@ -318,7 +316,7 @@ def cmd_fit_heatmap(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args)
+    _resolve(args)
     hyp_data = dataio.load_poses(args.hyp)
     gt_data = dataio.load_poses(args.gt)
 

@@ -27,7 +27,6 @@ __all__ = [
     "ObservationRecord",
     "SyntheticSkeletonConfig",
     "DEFAULT_JOINT_NAMES",
-    "default_skeleton_config",
     "save_poses",
     "load_poses",
     "save_observations",
@@ -58,12 +57,11 @@ DEFAULT_JOINT_NAMES = (
 
 @dataclass
 class PoseDataset:
-    """Root-relative poses (N, J, 3) in millimeters plus per-record metadata."""
+    """Root-relative poses (N, J, 3) in millimeters, root joint 0, plus per-record metadata."""
 
     joint_names: tuple
     poses: np.ndarray
     meta: list = field(default_factory=list)
-    root_index: int = 0
     header_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,7 +86,7 @@ class PoseDataset:
         return len(self.joint_names)
 
     def pose_at(self, i: int) -> Pose:
-        return Pose(self.poses[i], "root_relative", self.root_index)
+        return Pose(self.poses[i], "root_relative")
 
 
 @dataclass
@@ -102,18 +100,16 @@ class ObservationRecord:
     root_cov_fallback: bool = False
 
 
-def save_poses(dataset: PoseDataset, path, header_meta=None):
+def save_poses(dataset: PoseDataset, path):
     header = {
         "format": POSE_FORMAT,
         "version": FILE_VERSION,
         "J": dataset.num_joints,
         "joint_names": list(dataset.joint_names),
-        "root_index": dataset.root_index,
+        "root_index": 0,
     }
-    if header_meta or dataset.header_meta:
+    if dataset.header_meta:
         header["meta"] = dict(dataset.header_meta)
-        if header_meta:
-            header["meta"].update(header_meta)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i in range(dataset.num_poses):
@@ -153,7 +149,8 @@ def load_poses(path) -> PoseDataset:
     j = header.get("J")
     if not joint_names or len(joint_names) != j:
         raise SchemaError(f"header J={j} inconsistent with joint_names")
-    root_index = int(header.get("root_index", 0))
+    if header.get("root_index", 0) != 0:
+        raise SchemaError(f"header root_index must be 0, got {header['root_index']!r}")
     poses, meta = [], []
     for lineno, rec in records:
         coords = rec.get("joints")
@@ -162,12 +159,12 @@ def load_poses(path) -> PoseDataset:
         arr = np.asarray(coords, dtype=np.float64).reshape(j, 3)
         if not np.all(np.isfinite(arr)):
             raise SchemaError(f"line {lineno}: non-finite joint coordinates")
-        if np.any(arr[root_index] != 0.0):
+        if np.any(arr[0] != 0.0):
             raise SchemaError(f"line {lineno}: root joint not at the origin")
         poses.append(arr)
         meta.append(rec.get("meta", {}))
     arr = np.stack(poses) if poses else np.zeros((0, j, 3))
-    return PoseDataset(joint_names, arr, meta, root_index, header.get("meta", {}))
+    return PoseDataset(joint_names, arr, meta, header.get("meta", {}))
 
 
 def _keypoints_to_json(obs: KeypointObservation, fallback: tuple) -> list:
@@ -227,25 +224,22 @@ def load_observations(path) -> list:
             fallback = []
             for i, kp in enumerate(kp_docs):
                 valid[i] = bool(kp.get("valid", False))
-                if "mean" in kp:
-                    means[i] = kp["mean"]
-                elif valid[i]:
-                    raise SchemaError(f"line {lineno}: keypoint {i} is valid but has no mean")
-                if "cov" in kp:
-                    covs[i] = kp["cov"]
-                elif valid[i]:
-                    covs[i] = fallback_cov
-                    fallback.append(i)
-            try:
-                keypoints = KeypointObservation(means, covs, valid)
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
+                try:
+                    if "mean" in kp:
+                        means[i] = kp["mean"]
+                    elif valid[i]:
+                        raise SchemaError(f"line {lineno}: keypoint {i} is valid but has no mean")
+                    if "cov" in kp:
+                        covs[i] = kp["cov"]
+                    elif valid[i]:
+                        covs[i] = fallback_cov
+                        fallback.append(i)
+                except ValueError as exc:
+                    raise ValueError(f"keypoint {i}: {exc}") from None
+            keypoints = KeypointObservation(means, covs, valid)
             root_doc = doc["root"]
             root_cov_fallback = "cov" not in root_doc
-            root = RootEstimate(
-                np.asarray(root_doc["mean"], dtype=np.float64),
-                np.asarray(root_doc.get("cov", DEFAULT_ROOT_COV), dtype=np.float64),
-            )
+            root = RootEstimate(root_doc["mean"], root_doc.get("cov", DEFAULT_ROOT_COV))
             gt = None
             if "gt_pose" in doc:
                 arr = np.asarray(doc["gt_pose"], dtype=np.float64).reshape(j, 3)
@@ -255,8 +249,10 @@ def load_observations(path) -> list:
                 root=root, gt_pose=gt, cov_fallback_joints=tuple(fallback),
                 root_cov_fallback=root_cov_fallback,
             ))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"line {lineno}: malformed observation record ({exc})") from None
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -492,9 +488,13 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
 
 
 def load_config(path) -> dict:
-    """Flat key-value config file with [camera]/[skeleton]/[sampler]/[paths] sections."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Read an INI file into {section: {key: raw string}}; [DEFAULT] is a plain section."""
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        read = parser.read(path)
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ParseError(f"bad config file {path}: {exc}") from None
     if not read:
         raise ParseError(f"cannot read config file {path}")
-    return {section: dict(parser[section]) for section in parser.sections()}
+    return sections

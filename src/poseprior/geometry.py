@@ -49,23 +49,20 @@ class Camera:
 
 @dataclass(frozen=True)
 class Pose:
-    """J x 3 joint positions in millimeters with a frame tag."""
+    """J x 3 joint positions in millimeters with a frame tag; joint 0 is the root."""
 
     joints: np.ndarray
     frame: str = ROOT_RELATIVE
-    root_index: int = 0
 
     def __post_init__(self):
         joints = np.asarray(self.joints, dtype=np.float64)
-        if joints.ndim != 2 or joints.shape[1] != 3:
+        if joints.ndim != 2 or joints.shape[1] != 3 or len(joints) == 0:
             raise ValueError(f"joints must be (J, 3), got {joints.shape}")
         if not np.all(np.isfinite(joints)):
             raise ValueError("non-finite joint coordinates")
         if self.frame not in (ROOT_RELATIVE, ABSOLUTE_CAMERA):
             raise ValueError(f"unknown frame tag {self.frame!r}")
-        if not 0 <= self.root_index < joints.shape[0]:
-            raise ValueError(f"root_index {self.root_index} out of range")
-        if self.frame == ROOT_RELATIVE and np.any(joints[self.root_index] != 0.0):
+        if self.frame == ROOT_RELATIVE and np.any(joints[0] != 0.0):
             raise ValueError("root-relative pose must have the root joint at the origin")
         joints.setflags(write=False)
         object.__setattr__(self, "joints", joints)
@@ -124,8 +121,7 @@ def projection_jacobian(point, cam: Camera) -> np.ndarray:
 def to_root_relative(pose: Pose) -> Pose:
     if pose.frame == ROOT_RELATIVE:
         return pose
-    joints = pose.joints - pose.joints[pose.root_index]
-    return Pose(joints, ROOT_RELATIVE, pose.root_index)
+    return Pose(pose.joints - pose.joints[0], ROOT_RELATIVE)
 
 
 def to_absolute(pose: Pose, root) -> Pose:
@@ -133,7 +129,7 @@ def to_absolute(pose: Pose, root) -> Pose:
     if pose.frame != ROOT_RELATIVE:
         raise ValueError("to_absolute expects a root-relative pose")
     root = np.asarray(root, dtype=np.float64)
-    return Pose(pose.joints + root, ABSOLUTE_CAMERA, pose.root_index)
+    return Pose(pose.joints + root, ABSOLUTE_CAMERA)
 
 
 def sample_root(est: RootEstimate, rng: RngStream) -> np.ndarray:

@@ -54,14 +54,13 @@ def mpjpe(pred: Pose, gt: Pose) -> float:
     return float(np.mean(np.linalg.norm(p - g, axis=1)))
 
 
-def procrustes_align(pred: Pose, gt: Pose, with_scale: bool = True):
+def procrustes_align(pred: Pose, gt: Pose):
     """Least-squares similarity alignment of pred onto gt.
 
     Centroids are removed, the rotation comes from the SVD of the
     cross-covariance (with reflection correction so det = +1), and the
     scale is the optimal least-squares factor. Returns the transform
-    and the transformed prediction. ``with_scale=False`` gives the
-    rigid-only variant.
+    and the transformed prediction.
     """
     p = np.asarray(pred.joints, dtype=np.float64)
     g = np.asarray(gt.joints, dtype=np.float64)
@@ -83,15 +82,15 @@ def procrustes_align(pred: Pose, gt: Pose, with_scale: bool = True):
     flip = np.ones(3)
     flip[-1] = d
     rot = v @ np.diag(flip) @ u.T
-    scale = float(np.sum(s * flip)) / p_var if with_scale else 1.0
+    scale = float(np.sum(s * flip)) / p_var
     translation = g_mean - scale * rot @ p_mean
     transform = SimilarityTransform(rotation=rot, scale=scale, translation=translation)
     return transform, transform.apply(p)
 
 
-def pa_mpjpe(pred: Pose, gt: Pose, with_scale: bool = True) -> float:
+def pa_mpjpe(pred: Pose, gt: Pose) -> float:
     """Mean per-joint distance after Procrustes alignment."""
-    _, aligned = procrustes_align(pred, gt, with_scale=with_scale)
+    _, aligned = procrustes_align(pred, gt)
     return float(np.mean(np.linalg.norm(aligned - np.asarray(gt.joints), axis=1)))
 
 
@@ -107,22 +106,21 @@ def pck(pred: Pose, gt: Pose, threshold_mm: float = PCK_THRESHOLD_MM) -> float:
     return float(100.0 * np.mean((dist < threshold_mm) | (dist == 0.0)))
 
 
-def auc(pred: Pose, gt: Pose, max_threshold_mm: float = PCK_THRESHOLD_MM,
-        n_steps: int = AUC_STEPS) -> float:
-    """Mean PCK over an evenly spaced threshold grid from 0 to the maximum."""
+def auc(pred: Pose, gt: Pose) -> float:
+    """Mean PCK over AUC_STEPS evenly spaced thresholds from 0 to PCK_THRESHOLD_MM."""
     p, g = _paired_joints(pred, gt)
     dist = np.linalg.norm(p - g, axis=1)
-    thresholds = np.linspace(0.0, max_threshold_mm, n_steps)
-    hits = (dist < thresholds[:, None]) | (dist == 0.0)  # (n_steps, J), as in pck
+    thresholds = np.linspace(0.0, PCK_THRESHOLD_MM, AUC_STEPS)
+    hits = (dist < thresholds[:, None]) | (dist == 0.0)  # (AUC_STEPS, J), as in pck
     return float(np.mean(100.0 * np.mean(hits, axis=1)))
 
 
-def best_of_m(hypotheses, gt: Pose, metric=mpjpe) -> float:
-    """Minimum of the metric over a hypothesis set."""
+def best_of_m(hypotheses, gt: Pose) -> float:
+    """Minimum MPJPE over a hypothesis set."""
     poses = getattr(hypotheses, "poses", hypotheses)
     if len(poses) == 0:
         raise ValueError("empty hypothesis set")
-    return min(metric(h, gt) for h in poses)
+    return min(mpjpe(h, gt) for h in poses)
 
 
 def per_joint_std(hypotheses) -> float:

@@ -89,10 +89,6 @@ class HypothesisSet:
     roots: np.ndarray           # (M, 3); zeros when no root estimate was used
     seed: int
     stream_ids: tuple
-    gamma: float
-    cov_scale: float
-    cov_rotate: float | np.ndarray
-    renoise_variant: str
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -240,10 +236,7 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     pose_mm = pose_mm - pose_mm[:, :1]
     return HypothesisSet(
         poses=[Pose(p, ROOT_RELATIVE) for p in pose_mm], roots=roots, seed=cfg.seed,
-        stream_ids=stream_ids,
-        gamma=cfg.gamma, cov_scale=cfg.cov_scale, cov_rotate=cfg.cov_rotate,
-        renoise_variant=cfg.renoise_variant,
-        diagnostics={"behind_camera_skips": skips},
+        stream_ids=stream_ids, diagnostics={"behind_camera_skips": skips},
     )
 
 
@@ -281,8 +274,6 @@ def diversity_sweep(model: DenoiserModel, sched: DiffusionSchedule | None,
     """Per-joint spread of the hypothesis set for each covariance scale."""
     rows = []
     for s in s_values:
-        if s <= 0.0:
-            raise ValueError(f"covariance scales must be positive, got {s}")
         hyp = sample_guided(model, sched, obs, cam, root_est, replace(cfg, cov_scale=float(s)))
         rows.append((float(s), per_joint_std(hyp)))
     return rows

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from poseprior import dataio
+from poseprior import cli, dataio
+from poseprior.errors import PosePriorError
 from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
 
@@ -37,6 +38,14 @@ def tiny_setup(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     return {"root": root, "train": train_path, "obs": obs_path, "gt": gt_path,
             "ckpt": ckpt}
+
+
+def rooted_at_joint_1(src, dst):
+    """Write the poses of `src` re-rooted at joint 1, with header root_index 1."""
+    ds = dataio.load_poses(src)
+    dataio.save_poses(dataio.PoseDataset(ds.joint_names, ds.poses - ds.poses[:, 1:2], ds.meta),
+                      dst)
+    dst.write_text(dst.read_text().replace('"root_index":0', '"root_index":1', 1))
 
 
 class TestTrainCommand:
@@ -78,6 +87,38 @@ class TestTrainCommand:
         model = dataio.load_checkpoint(tmp_path / "m.ckpt")
         assert model.hidden_dim == 8
         assert model.sched.T == 10
+
+    def test_config_key_unused_by_command_is_ignored(self, tiny_setup, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[sampler]\nhidden = 8\nt = 10\nsteps = 0\ngamma = 0.5\nm = 3\n")
+        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
+                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("text,named", [
+        ("[sampler]\nhiden = 8\n", "unknown key 'hiden'"),
+        ("[sampler]\nseed = 2\n[paths]\nout = x\n", "unknown section [paths]"),
+        ("[sampler]\nsteps = many\n", "bad value 'many' for 'steps'"),
+        ("[DEFAULT]\nseed = 2\n", "unknown section [DEFAULT]"),
+        ("seed = 2\n", "no section headers"),
+    ], ids=["unknown-key", "unknown-section", "bad-value", "default-section", "no-section"])
+    def test_config_file_rejects_what_it_cannot_honour(self, tiny_setup, tmp_path, text, named):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
+                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg),
+                        "--steps", "0", "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_pose_file_rooted_elsewhere_exits_2(self, tiny_setup, tmp_path):
+        rooted = tmp_path / "rooted.jsonl"
+        rooted_at_joint_1(tiny_setup["train"], rooted)
+        proc = run_cli(["train", "--poses", str(rooted), "--out", str(tmp_path / "m.ckpt"),
+                        "--steps", "0", "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert "root_index must be 0" in proc.stderr
 
 
 class TestEstimateCommand:
@@ -130,7 +171,7 @@ class TestEstimateCommand:
         # checkpoint trained with a 16-joint skeleton against 17-joint observations
         ds = dataio.load_poses(tiny_setup["train"])
         smaller = dataio.PoseDataset(
-            ds.joint_names[:16], ds.poses[:20, :16] - ds.poses[:20, :1], root_index=0)
+            ds.joint_names[:16], ds.poses[:20, :16] - ds.poses[:20, :1])
         small_path = tmp_path / "small.jsonl"
         dataio.save_poses(smaller, small_path)
         small_ckpt = tmp_path / "small.ckpt"
@@ -159,6 +200,43 @@ class TestEstimateCommand:
                         "--out", str(tmp_path / "x.jsonl"), "-M", "1", "--seed", "1"])
         assert proc.returncode == 2
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["keypoints"][5].update(mean=[1, 2, 3]), "line 3: keypoint 5: "),
+        (lambda doc: doc["camera"].update(fx=-5), "line 3: focal lengths must be positive"),
+        (lambda doc: doc["root"].update(mean=[1, 2]), "line 3: root estimate needs 3-vector"),
+        (lambda doc: doc.update(gt_pose=[1, 2, 3]), "line 3: cannot reshape"),
+    ], ids=["keypoint-mean", "camera-fx", "root-mean", "gt-pose"])
+    def test_bad_record_value_names_line(self, tiny_setup, tmp_path, edit, message):
+        lines = tiny_setup["obs"].read_text().splitlines()
+        doc = json.loads(lines[2])
+        edit(doc)
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(bad),
+                        "--out", str(tmp_path / "x.jsonl"), "-M", "1", "--seed", "1"])
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+    def test_m_beyond_stream_range_exits_2(self, tiny_setup, tmp_path):
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl"),
+                        "-M", "16777217"])
+        assert proc.returncode == 2
+        assert "M = 16777217" in proc.stderr
+        assert not (tmp_path / "x.jsonl").exists()
+
+
+class TestStreamRanges:
+    def test_frame_bound(self):
+        # frame 65535, hypothesis 2**24 - 1 draws from stream 2**40 - 1, the last one
+        # below the weight-init stream 2**40
+        cli._check_stream_ranges(1 << 16, 1 << 24)
+        with pytest.raises(PosePriorError, match="65537 frames"):
+            cli._check_stream_ranges((1 << 16) + 1, 1)
+        with pytest.raises(PosePriorError, match="M = 16777217"):
+            cli._check_stream_ranges(1, (1 << 24) + 1)
 
 
 class TestSampleCommand:
@@ -307,3 +385,12 @@ class TestEvaluateCommand:
         proc = run_cli(["evaluate", "--hyp", str(hyp_path), "--gt", str(tiny_setup["gt"]),
                         "--out", str(tmp_path / "e.csv")])
         assert proc.returncode == 2
+
+    def test_pose_file_rooted_elsewhere_exits_2(self, tiny_setup, tmp_path):
+        rooted = tmp_path / "rooted.jsonl"
+        rooted_at_joint_1(tiny_setup["gt"], rooted)
+        proc = run_cli(["evaluate", "--hyp", str(tiny_setup["gt"]), "--gt", str(rooted),
+                        "--out", str(tmp_path / "e.csv")])
+        assert proc.returncode == 2
+        assert "root_index must be 0" in proc.stderr
+        assert not (tmp_path / "e.csv").exists()

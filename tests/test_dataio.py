@@ -48,6 +48,18 @@ class TestPoseFile:
         with pytest.raises(SchemaError):
             dataio.load_poses(path)
 
+    def test_root_index_other_than_0_rejected(self, tmp_path):
+        path = tmp_path / "rooted.jsonl"
+        header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":1}'
+        path.write_text(header + '\n{"joints":[5,0,0,0,0,0]}\n')
+        with pytest.raises(SchemaError, match="root_index must be 0, got 1"):
+            dataio.load_poses(path)
+
+    def test_header_records_root_0(self, tmp_path):
+        path = tmp_path / "poses.jsonl"
+        dataio.save_poses(small_dataset(), path)
+        assert '"root_index":0' in path.read_text().splitlines()[0]
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":0}'

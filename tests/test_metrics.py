@@ -45,8 +45,8 @@ def random_rotation(rng):
 
 
 def brute_mpjpe(pred, gt):
-    p = pred.joints - pred.joints[pred.root_index]
-    g = gt.joints - gt.joints[gt.root_index]
+    p = pred.joints - pred.joints[0]
+    g = gt.joints - gt.joints[0]
     total = 0.0
     for j in range(p.shape[0]):
         total += np.sqrt(np.sum((p[j] - g[j]) ** 2))
