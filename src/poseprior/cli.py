@@ -91,6 +91,9 @@ def _frame_config(cfg: dict, frame_idx: int) -> sampler.GuidanceConfig:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    for key in ("steps", "checkpoint_every"):
+        if cfg[key] < 0:
+            raise PosePriorError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
     dataset = dataio.load_poses(args.poses)
     if dataset.num_poses == 0:
         raise PosePriorError("training pose file holds no records")
@@ -129,6 +132,13 @@ def _check_stream_ranges(frames: int, m: int):
     if m > 1 << _FRAME_SHIFT or frames > _INIT_STREAM >> _FRAME_SHIFT:
         raise PosePriorError(f"{frames} frames at M = {m} exceed the stream-id ranges: at most "
                              f"{_INIT_STREAM >> _FRAME_SHIFT} frames and M = {1 << _FRAME_SHIFT}")
+
+
+def _joint_names(model) -> tuple:
+    """Output joint labels: the built-in names for a 17-joint model, else joint0, joint1, ..."""
+    if model.joints == len(dataio.DEFAULT_JOINT_NAMES):
+        return dataio.DEFAULT_JOINT_NAMES
+    return tuple(f"joint{i}" for i in range(model.joints))
 
 
 def _write_hypotheses(path, joint_names, per_frame, header_meta):
@@ -205,10 +215,7 @@ def _run_estimation(args, records, mask_indices=None) -> int:
                    "grad_space": cfg.get("grad_space") or sampler.GRAD_X0HAT}
     if mask_indices:
         header_meta["masked_joints"] = sorted(mask_indices)
-    _write_hypotheses(args.out, dataio.DEFAULT_JOINT_NAMES
-                      if model.joints == len(dataio.DEFAULT_JOINT_NAMES)
-                      else [f"joint{i}" for i in range(model.joints)],
-                      per_frame, header_meta)
+    _write_hypotheses(args.out, _joint_names(model), per_frame, header_meta)
     if metric_rows:
         report = args.report or args.out + ".metrics.csv"
         _write_metrics_csv(report, metric_rows, cfg["M"])
@@ -223,13 +230,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    if not args.mask.strip():
+        raise PosePriorError("--mask is empty: name at least one joint, or 'all'")
     records = dataio.load_observations(args.obs)
     names = dataio.DEFAULT_JOINT_NAMES
     joints = records[0].keypoints.num_joints if records else len(names)
     mask = set()
     if args.mask.strip().lower() == "all":
         mask = set(range(joints))
-    elif args.mask.strip():
+    else:
         for token in args.mask.split(","):
             token = token.strip()
             if token.isdigit():
@@ -241,7 +250,7 @@ def cmd_complete(args) -> int:
             else:
                 raise PosePriorError(f"unknown joint name {token!r}")
             mask.add(idx)
-    return _run_estimation(args, records, mask_indices=mask or None)
+    return _run_estimation(args, records, mask_indices=mask)
 
 
 def cmd_sample(args) -> int:
@@ -254,10 +263,9 @@ def cmd_sample(args) -> int:
         hyp = sampler.sample_unconditional(model, model.sched,
                                            RngStream(cfg["seed"], 0), args.n)
         poses = hyp.poses
-    names = (dataio.DEFAULT_JOINT_NAMES if model.joints == len(dataio.DEFAULT_JOINT_NAMES)
-             else [f"joint{i}" for i in range(model.joints)])
     arr = np.stack([p.joints for p in poses]) if poses else np.zeros((0, model.joints, 3))
-    dataset = dataio.PoseDataset(names, arr, [{"sample": i} for i in range(len(poses))],
+    dataset = dataio.PoseDataset(_joint_names(model), arr,
+                                 [{"sample": i} for i in range(len(poses))],
                                  {"seed": cfg["seed"], "n": args.n})
     dataio.save_poses(dataset, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -317,6 +325,8 @@ def cmd_fit_heatmap(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _resolve(args)
+    if args.stride < 1:
+        raise PosePriorError(f"--stride must be >= 1, got {args.stride}")
     hyp_data = dataio.load_poses(args.hyp)
     gt_data = dataio.load_poses(args.gt)
 
@@ -328,7 +338,7 @@ def cmd_evaluate(args) -> int:
 
     gt_frames = [(str(gt_data.meta[i].get("frame_id", i)), gt_data.pose_at(i))
                  for i in range(gt_data.num_poses)]
-    gt_frames = gt_frames[:: max(1, args.stride)]
+    gt_frames = gt_frames[::args.stride]
 
     rows = []
     for frame_id, gt_pose in gt_frames:

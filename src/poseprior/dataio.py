@@ -153,16 +153,24 @@ def load_poses(path) -> PoseDataset:
         raise SchemaError(f"header root_index must be 0, got {header['root_index']!r}")
     poses, meta = [], []
     for lineno, rec in records:
+        if not isinstance(rec, dict):
+            raise SchemaError(f"line {lineno}: a pose record must be a JSON object")
         coords = rec.get("joints")
         if not isinstance(coords, list) or len(coords) != 3 * j:
             raise SchemaError(f"line {lineno}: expected {3 * j} joint coordinates")
-        arr = np.asarray(coords, dtype=np.float64).reshape(j, 3)
+        try:
+            arr = np.asarray(coords, dtype=np.float64).reshape(j, 3)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"line {lineno}: bad joint coordinates ({exc})") from None
         if not np.all(np.isfinite(arr)):
             raise SchemaError(f"line {lineno}: non-finite joint coordinates")
         if np.any(arr[0] != 0.0):
             raise SchemaError(f"line {lineno}: root joint not at the origin")
+        rec_meta = rec.get("meta", {})
+        if not isinstance(rec_meta, dict):
+            raise SchemaError(f'line {lineno}: "meta" must be a JSON object')
         poses.append(arr)
-        meta.append(rec.get("meta", {}))
+        meta.append(rec_meta)
     arr = np.stack(poses) if poses else np.zeros((0, j, 3))
     return PoseDataset(joint_names, arr, meta, header.get("meta", {}))
 

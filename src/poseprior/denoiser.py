@@ -10,9 +10,10 @@ That is eight linears in total.
 
 One network body, ``_forward_core``, serves training and eval. The
 training forward uses batch statistics and one GEMM per linear over the
-batch. The eval forward (``forward``, ``make_eval_forward``) uses the
-running statistics and multiplies row by row, so rows are independent:
-a row's output does not depend on the other rows of its block.
+batch. The eval forward, ``make_eval_forward``, uses the EMA weights and
+the running statistics and multiplies row by row, so rows are
+independent: a row's output does not depend on the other rows of its
+block.
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -33,7 +34,6 @@ from .schedule import DiffusionSchedule
 __all__ = [
     "DenoiserModel",
     "sinusoidal_embedding",
-    "forward",
     "loss_and_grads",
     "adam_step",
     "ema_update",
@@ -46,6 +46,9 @@ __all__ = [
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 NORM_STD_FLOOR = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # canonical parameter order; also the checkpoint tensor order
 PARAM_KEYS = (
@@ -189,11 +192,11 @@ def _forward_core(params, bn_stats, x, t_arr, train: bool, temb=None):
     Training multiplies the whole batch with one GEMM and keeps a cache
     for the backward pass. Eval multiplies row by row and returns no
     cache, so each output row equals its own 1-row call bit for bit.
-    ``temb`` is a precomputed step embedding that replaces the one
-    projected from ``t_arr``.
+    Training projects the step embedding from ``t_arr``; eval takes it
+    precomputed as ``temb``.
     """
     matmul = np.matmul if train else _rowwise
-    e, temb_cache = (temb, None) if temb is not None else _project_temb(params, t_arr, matmul)
+    e, temb_cache = _project_temb(params, t_arr) if train else (temb, None)
     h = matmul(x, params["in_w"]) + params["in_b"]
     cache = {"x": x, "temb": temb_cache, "e": e, "h_in": h, "blocks": []} if train else None
 
@@ -266,38 +269,6 @@ def _backward_core(params, cache, dout):
     return grads
 
 
-def _as_batch(x, dim):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape == (dim,):
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise ValueError(f"expected shape ({dim},) or (B, {dim}), got {x.shape}")
-
-
-def forward(model: DenoiserModel, x_t, t, use_ema: bool = False) -> np.ndarray:
-    """Predict the noise in x_t (normalized space) at step t.
-
-    Uses batch-norm running statistics and is a pure, deterministic
-    function of (params, input, t). Rows are independent: a row of a
-    batch equals its own 1-row call bit for bit. There is no train-mode
-    option: the batch-statistics forward runs only in ``loss_and_grads``.
-    """
-    x2d, squeeze = _as_batch(x_t, model.dim)
-    if not np.all(np.isfinite(x2d)):
-        raise ValueError("non-finite input to denoiser")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    if t_arr.shape not in ((1,), (x2d.shape[0],)):
-        raise ValueError(f"t shape {t_arr.shape} incompatible with batch {x2d.shape[0]}")
-    if np.any(t_arr < 1) or np.any(t_arr > model.sched.T):
-        raise ValueError(f"step outside [1, {model.sched.T}]")
-    if t_arr.shape == (1,) and x2d.shape[0] > 1:
-        t_arr = np.repeat(t_arr, x2d.shape[0])
-    params = model.ema_params if use_ema else model.params
-    out, _ = _forward_core(params, model.bn_stats, x2d, t_arr, train=False)
-    return out[0] if squeeze else out
-
-
 def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream):
     """Simplified denoising loss on one batch and its exact parameter gradients.
 
@@ -330,20 +301,24 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream):
     return loss, grads
 
 
-def adam_step(model: DenoiserModel, grads: dict, step_index: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps_hat: float = 1e-8):
-    """In-place Adam update with bias correction; moments live on the model."""
-    bc1 = 1.0 - beta1**step_index
-    bc2 = 1.0 - beta2**step_index
+def adam_step(model: DenoiserModel, grads: dict, lr: float):
+    """In-place Adam update with bias correction; moments live on the model.
+
+    The step is ``model.adam_steps + 1``, so a resumed model continues
+    its bias correction where the checkpoint left it.
+    """
+    step = model.adam_steps + 1
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for key in PARAM_KEYS:
         g = grads[key]
-        m = beta1 * model.adam_m[key] + (1.0 - beta1) * g
-        v = beta2 * model.adam_v[key] + (1.0 - beta2) * g * g
+        m = ADAM_BETA1 * model.adam_m[key] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * model.adam_v[key] + (1.0 - ADAM_BETA2) * g * g
         model.adam_m[key] = _snap(m)
         model.adam_v[key] = _snap(v)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps_hat)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         model.params[key] = _snap(model.params[key] - update)
-    model.adam_steps = step_index
+    model.adam_steps = step
     return model
 
 
@@ -387,7 +362,7 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
             raise DivergenceError(
                 f"non-finite loss at step {step}", step=step,
                 diagnostics={"loss": loss, "grad_norm": grad_norm})
-        adam_step(model, grads, model.adam_steps + 1, lr)
+        adam_step(model, grads, lr)
         ema_update(model, ema_decay)
         if loss_log is not None:
             loss_log(f"{step},{loss:.8g},{grad_norm:.8g}")
@@ -396,22 +371,19 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     return model
 
 
-def make_eval_forward(model: DenoiserModel, use_ema: bool = True):
-    """Eval forward for sampling loops: ``eval_fn(x, t)`` for one step t.
+def make_eval_forward(model: DenoiserModel):
+    """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
-    Runs the same network body as ``forward``, so rows are independent
-    and each equals ``forward`` on that row bit for bit. The projected
-    step embedding of every t is computed once per closure.
+    Uses the EMA weights and the batch-norm running statistics, and
+    multiplies row by row, so each row's output equals that of its own
+    1-row block bit for bit. The projected step embeddings of all T
+    steps are computed once per closure, also row by row.
     """
-    params = model.ema_params if use_ema else model.params
-    temb = np.empty((model.sched.T + 1, model.hidden_dim))
-    for t in range(1, model.sched.T + 1):
-        e, _ = _project_temb(params, np.array([t], dtype=np.int64), _rowwise)
-        temb[t] = e[0]
+    params = model.ema_params
+    temb, _ = _project_temb(params, np.arange(1, model.sched.T + 1), _rowwise)
 
     def eval_forward(x, t: int):
-        x2d, squeeze = _as_batch(x, model.dim)
-        out, _ = _forward_core(params, model.bn_stats, x2d, None, train=False, temb=temb[t])
-        return out[0] if squeeze else out
+        out, _ = _forward_core(params, model.bn_stats, x, None, train=False, temb=temb[t - 1])
+        return out
 
     return eval_forward

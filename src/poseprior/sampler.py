@@ -87,8 +87,6 @@ class GuidanceConfig:
 class HypothesisSet:
     poses: list
     roots: np.ndarray           # (M, 3); zeros when no root estimate was used
-    seed: int
-    stream_ids: tuple
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -153,12 +151,12 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     sources = _transformed_sources(obs, cfg, model.joints) if obs is not None else []
     if sources and cam is None:
         raise ValueError("observations given without a camera")
-    eval_fn = make_eval_forward(model, use_ema=True)
+    eval_fn = make_eval_forward(model)
 
     n, joints = cfg.num_hypotheses, model.joints
-    stream_ids = tuple(cfg.stream_offset + m for m in range(n))
     rngs, roots = [], np.zeros((n, 3))
-    for m, sid in enumerate(stream_ids):
+    for m in range(n):
+        sid = cfg.stream_offset + m
         rngs.append(RngStream(cfg.seed, sid))
         if root_est is not None:
             roots[m] = sample_root(root_est, RngStream(cfg.seed, _ROOT_STREAM_NS + sid))
@@ -234,10 +232,8 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
 
     pose_mm = model.denormalize(x).reshape(n, joints, 3)
     pose_mm = pose_mm - pose_mm[:, :1]
-    return HypothesisSet(
-        poses=[Pose(p, ROOT_RELATIVE) for p in pose_mm], roots=roots, seed=cfg.seed,
-        stream_ids=stream_ids, diagnostics={"behind_camera_skips": skips},
-    )
+    return HypothesisSet(poses=[Pose(p, ROOT_RELATIVE) for p in pose_mm], roots=roots,
+                         diagnostics={"behind_camera_skips": skips})
 
 
 def sample_unconditional(model: DenoiserModel, sched: DiffusionSchedule | None,

@@ -112,6 +112,44 @@ class TestTrainCommand:
         assert named in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--steps", "-3"], "--steps must be >= 0, got -3"),
+        (["--checkpoint-every", "-5", "--steps", "2"], "--checkpoint-every must be >= 0, got -5"),
+    ], ids=["steps", "checkpoint-every"])
+    def test_negative_count_exits_2(self, tiny_setup, tmp_path, flags, named):
+        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
+                        "--out", str(tmp_path / "m.ckpt"), "--hidden", "8", "--T", "10",
+                        *flags])
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_negative_steps_from_config_file_exits_2(self, tiny_setup, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[sampler]\nsteps = -3\n")
+        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
+                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg),
+                        "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert "--steps must be >= 0, got -3" in proc.stderr
+
+    @pytest.mark.parametrize("which,named", [
+        ("record", "line 2: a pose record must be a JSON object"),
+        ("coordinate", "line 2: bad joint coordinates"),
+    ], ids=["not-object", "non-numeric"])
+    def test_bad_pose_record_exits_2(self, tiny_setup, tmp_path, which, named):
+        lines = tiny_setup["train"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["joints"][3] = "x"
+        bad = "[1,2]" if which == "record" else json.dumps(rec)
+        poses = tmp_path / "poses.jsonl"
+        poses.write_text(lines[0] + "\n" + bad + "\n")
+        proc = run_cli(["train", "--poses", str(poses), "--out", str(tmp_path / "m.ckpt"),
+                        "--steps", "0", "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_pose_file_rooted_elsewhere_exits_2(self, tiny_setup, tmp_path):
         rooted = tmp_path / "rooted.jsonl"
         rooted_at_joint_1(tiny_setup["train"], rooted)
@@ -280,18 +318,15 @@ class TestCompleteCommand:
                         "-M", "1", "--seed", "3", "--mask", "left_flipper"])
         assert proc.returncode == 2
 
-    def test_empty_mask_equals_estimate(self, tiny_setup, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
+    @pytest.mark.parametrize("mask", ["", "  "], ids=["empty", "blank"])
+    def test_empty_mask_exits_2(self, tiny_setup, tmp_path, mask):
+        out = tmp_path / "c.jsonl"
         proc = run_cli(["complete", "--model", str(tiny_setup["ckpt"]),
-                        "--obs", str(tiny_setup["obs"]), "--out", str(a),
-                        "-M", "2", "--seed", "5", "--mask", ""])
-        assert proc.returncode == 0, proc.stderr
-        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
-                        "--obs", str(tiny_setup["obs"]), "--out", str(b),
-                        "-M", "2", "--seed", "5"])
-        assert proc.returncode == 0, proc.stderr
-        assert np.array_equal(dataio.load_poses(a).poses, dataio.load_poses(b).poses)
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "-M", "2", "--seed", "5", "--mask", mask])
+        assert proc.returncode == 2
+        assert "--mask" in proc.stderr
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -375,6 +410,34 @@ class TestEvaluateCommand:
         assert proc.returncode == 0, proc.stderr
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 2  # 1 of 2 frames + aggregate
+
+    @pytest.mark.parametrize("stride", ["0", "-4"])
+    def test_stride_below_1_exits_2(self, tiny_setup, tmp_path, stride):
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(tiny_setup["gt"]),
+                        "--gt", str(tiny_setup["gt"]), "--out", str(out), "--stride", stride])
+        assert proc.returncode == 2
+        assert f"--stride must be >= 1, got {stride}" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which,named", [
+        ("record", "a pose record must be a JSON object"),
+        ("meta", '"meta" must be a JSON object'),
+    ], ids=["not-object", "meta-not-object"])
+    def test_bad_pose_record_exits_2(self, tiny_setup, tmp_path, which, named):
+        lines = tiny_setup["gt"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["meta"] = [1]
+        bad = "[1,2]" if which == "record" else json.dumps(rec)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("\n".join([lines[0], lines[1], bad]) + "\n")
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"line 3: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_frame_mismatch_exits_2(self, tiny_setup, tmp_path):
         gt = dataio.load_poses(tiny_setup["gt"])

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from poseprior import dataio
-from poseprior.denoiser import DenoiserModel, forward
+from poseprior.denoiser import DenoiserModel, make_eval_forward
 from poseprior.errors import (
     FormatError,
     ParseError,
@@ -72,6 +74,18 @@ class TestPoseFile:
         header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":0}'
         path.write_text(header + '\n{"joints":[0,0,0]}\n')
         with pytest.raises(SchemaError):
+            dataio.load_poses(path)
+
+    @pytest.mark.parametrize("record,named", [
+        ('[1,2]', "line 3: a pose record must be a JSON object"),
+        ('{"joints":[0,0,0,0,0,0],"meta":[1]}', 'line 3: "meta" must be a JSON object'),
+        ('{"joints":[0,0,0,"x",0,0]}', "line 3: bad joint coordinates"),
+    ], ids=["not-object", "meta-not-object", "non-numeric"])
+    def test_bad_record_names_line(self, tmp_path, record, named):
+        path = tmp_path / "bad.jsonl"
+        header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":0}'
+        path.write_text(header + '\n{"joints":[0,0,0,0,0,0]}\n' + record + "\n")
+        with pytest.raises(SchemaError, match=re.escape(named)):
             dataio.load_poses(path)
 
     def test_wrong_format_tag(self, tmp_path):
@@ -231,15 +245,14 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         dataio.save_checkpoint(model, path)
         back = dataio.load_checkpoint(path)
-        x = RngStream(84, 0).standard_normal(9)
-        assert np.array_equal(forward(model, x, 7), forward(back, x, 7))
-        assert np.array_equal(forward(model, x, 7, use_ema=True),
-                              forward(back, x, 7, use_ema=True))
+        x = RngStream(84, 0).standard_normal((3, 9))
+        assert np.array_equal(make_eval_forward(model)(x, 7), make_eval_forward(back)(x, 7))
         assert np.array_equal(model.norm_mean, back.norm_mean)
         assert back.sched.T == 20
         assert back.adam_steps == model.adam_steps
         for key in model.params:
             assert np.array_equal(model.params[key], back.params[key])
+            assert np.array_equal(model.ema_params[key], back.ema_params[key])
             assert np.array_equal(model.adam_m[key], back.adam_m[key])
 
     def test_save_load_save_bytes_stable(self, tmp_path):

@@ -7,7 +7,6 @@ from poseprior.denoiser import (
     DenoiserModel,
     adam_step,
     ema_update,
-    forward,
     loss_and_grads,
     make_eval_forward,
     sinusoidal_embedding,
@@ -27,49 +26,32 @@ class TestForward:
     def test_zero_network_outputs_zero(self):
         model = small_model()
         for key in PARAM_KEYS:
-            model.params[key] = np.zeros_like(model.params[key])
-        out = forward(model, np.ones(6), 3)
+            model.ema_params[key] = np.zeros_like(model.ema_params[key])
+        out = make_eval_forward(model)(np.ones((1, 6)), 3)
         assert np.all(out == 0.0)
 
     def test_eval_deterministic(self):
         model = small_model()
-        x = RngStream(8, 0).standard_normal(6)
-        assert np.array_equal(forward(model, x, 5), forward(model, x, 5))
+        x = RngStream(8, 0).standard_normal((3, 6))
+        assert np.array_equal(make_eval_forward(model)(x, 5), make_eval_forward(model)(x, 5))
 
     def test_shapes_and_finiteness(self):
         model = small_model(joints=17, hidden=64, t_steps=100)
-        x = RngStream(9, 0).standard_normal(51)
-        out = forward(model, x, 42)
-        assert out.shape == (51,)
+        eval_fn = make_eval_forward(model)
+        out = eval_fn(RngStream(9, 0).standard_normal((1, 51)), 42)
+        assert out.shape == (1, 51)
         assert np.all(np.isfinite(out))
-        batch = RngStream(9, 1).standard_normal((5, 51))
-        out = forward(model, batch, 42)
+        out = eval_fn(RngStream(9, 1).standard_normal((5, 51)), 42)
         assert out.shape == (5, 51)
+        assert np.all(np.isfinite(out))
 
     def test_train_mode_uses_batch_statistics(self):
         model = small_model()
         batch = RngStream(10, 0).standard_normal((4, 6))
         train_out, _ = denoiser._forward_core(
             model.params, model.bn_stats, batch, np.full(4, 3), train=True)
-        assert not np.allclose(train_out, forward(model, batch, 3))
-
-    def test_batch_rows_equal_single_rows_bitwise(self):
-        model = small_model(joints=17, hidden=64, t_steps=20)
-        block = RngStream(10, 1).standard_normal((7, 51))
-        t = np.array([1, 2, 3, 5, 8, 13, 20])
-        one_by_one = np.stack([forward(model, row, int(s)) for row, s in zip(block, t)])
-        assert np.array_equal(forward(model, block, t), one_by_one)
-
-    def test_rejects_bad_input(self):
-        model = small_model()
-        with pytest.raises(ValueError):
-            forward(model, np.ones(5), 3)
-        with pytest.raises(ValueError):
-            forward(model, np.ones(6), 0)
-        with pytest.raises(ValueError):
-            forward(model, np.ones(6), 51)
-        with pytest.raises(ValueError):
-            forward(model, np.full(6, np.nan), 3)
+        # a fresh model's EMA weights equal its parameters
+        assert not np.allclose(train_out, make_eval_forward(model)(batch, 3))
 
     def test_odd_hidden_rejected(self):
         with pytest.raises(ValueError):
@@ -80,12 +62,12 @@ class TestForward:
         assert len({tuple(np.round(row, 12)) for row in emb}) == 100
 
     def test_ema_weights_are_separate(self):
+        # eval reads only the EMA shadows, never the training parameters
         model = small_model()
-        x = RngStream(11, 0).standard_normal(6)
-        base = forward(model, x, 2)
-        model.ema_params = {k: np.zeros_like(v) for k, v in model.params.items()}
-        assert np.all(forward(model, x, 2, use_ema=True) == 0.0)
-        assert np.array_equal(forward(model, x, 2), base)
+        x = RngStream(11, 0).standard_normal((2, 6))
+        base = make_eval_forward(model)(x, 2)
+        model.params = {k: np.zeros_like(v) for k, v in model.params.items()}
+        assert np.array_equal(make_eval_forward(model)(x, 2), base)
 
 
 class TestLossAndGrads:
@@ -159,7 +141,7 @@ class TestAdam:
         model = small_model()
         before = {k: v.copy() for k, v in model.params.items()}
         zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
-        adam_step(model, zeros, 1, lr=1e-2)
+        adam_step(model, zeros, lr=1e-2)
         for key in PARAM_KEYS:
             assert np.array_equal(model.params[key], before[key])
 
@@ -168,18 +150,28 @@ class TestAdam:
         grads = {k: np.zeros_like(v) for k, v in model.params.items()}
         grads["out_b"] = np.full_like(model.params["out_b"], 3.7)
         before = model.params["out_b"].copy()
-        adam_step(model, grads, 1, lr=1e-3)
+        adam_step(model, grads, lr=1e-3)
         moved = model.params["out_b"] - before
-        # bias-corrected first step: -lr * g / (|g| + eps_hat) = -lr * sign(g)
+        # bias-corrected first step: -lr * g / (|g| + ADAM_EPS) = -lr * sign(g)
         assert np.allclose(moved, -1e-3, rtol=1e-4)
 
     def test_deterministic(self):
         m1, m2 = small_model(seed=3), small_model(seed=3)
         grads = {k: 0.01 * np.ones_like(v) for k, v in m1.params.items()}
-        adam_step(m1, grads, 1, lr=1e-3)
-        adam_step(m2, grads, 1, lr=1e-3)
+        adam_step(m1, grads, lr=1e-3)
+        adam_step(m2, grads, lr=1e-3)
         for key in PARAM_KEYS:
             assert np.array_equal(m1.params[key], m2.params[key])
+
+    def test_step_counts_from_the_model(self):
+        # a model resumed at step k continues bias correction at k + 1
+        resumed, fresh = small_model(seed=3), small_model(seed=3)
+        grads = {k: 0.01 * np.ones_like(v) for k, v in resumed.params.items()}
+        resumed.adam_steps = 9
+        adam_step(resumed, grads, lr=1e-3)
+        adam_step(fresh, grads, lr=1e-3)
+        assert resumed.adam_steps == 10 and fresh.adam_steps == 1
+        assert not np.array_equal(resumed.params["out_b"], fresh.params["out_b"])
 
 
 class TestEma:
@@ -279,31 +271,35 @@ class TestTrain:
 
 
 class TestEvalForwardClosure:
-    def test_matches_forward_bitwise_for_vectors(self):
-        model = small_model(joints=4, hidden=16, t_steps=30)
-        fast = make_eval_forward(model, use_ema=False)
+    def test_table_matches_per_step_projection(self):
+        # the closure projects all T step embeddings in one row-wise call;
+        # each must equal the embedding projected for that step alone
+        model = small_model(joints=17, hidden=64, t_steps=100)
+        fast = make_eval_forward(model)
         rng = RngStream(25, 0)
-        for t in (1, 7, 30):
-            x = rng.standard_normal(12)
-            assert np.array_equal(fast(x, t), forward(model, x, t))
+        for t in range(1, 101):
+            x = rng.standard_normal((1, 51))
+            temb, _ = denoiser._project_temb(model.ema_params, np.array([t]), denoiser._rowwise)
+            alone, _ = denoiser._forward_core(model.ema_params, model.bn_stats, x, None,
+                                              train=False, temb=temb[0])
+            assert np.array_equal(fast(x, t), alone)
 
     @pytest.mark.parametrize("rows", [2, 5, 50, 65])
     def test_block_equals_rows_bitwise(self, rows):
         # the sampler advances all hypotheses as one block; each row must
         # come out exactly as if it had been evaluated alone
         model = small_model(joints=17, hidden=64, t_steps=20)
-        fast = make_eval_forward(model, use_ema=False)
+        fast = make_eval_forward(model)
         block = RngStream(26, rows).standard_normal((rows, 51))
         for t in (1, 20):
-            one_by_one = np.stack([fast(row, t) for row in block])
+            one_by_one = np.concatenate([fast(block[i:i + 1], t) for i in range(rows)])
             assert np.array_equal(fast(block, t), one_by_one)
 
     def test_ema_closure_uses_shadow_weights(self):
         model = small_model()
         model.ema_params = {k: np.zeros_like(v) for k, v in model.params.items()}
-        fast = make_eval_forward(model, use_ema=True)
-        assert np.all(fast(np.ones(6), 3) == 0.0)
-
+        fast = make_eval_forward(model)
+        assert np.all(fast(np.ones((1, 6)), 3) == 0.0)
 
 class TestSampleMoments:
     def test_unconditional_sample_moments_in_documented_band(self, toy_world):

@@ -92,8 +92,8 @@ class TestGuided:
     def test_divergence_names_lowest_nonfinite_row(self, toy_world, monkeypatch):
         make_eval = sampler.make_eval_forward
 
-        def poisoned(model, use_ema=True):
-            eval_fn = make_eval(model, use_ema)
+        def poisoned(model):
+            eval_fn = make_eval(model)
 
             def eval_forward(x, t):
                 out = eval_fn(x, t)
@@ -171,8 +171,6 @@ class TestGuided:
                                      stream_offset=64)
         hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                     rec.camera, rec.root, cfg)
-        assert hyp.seed == 908
-        assert hyp.stream_ids == (64, 65, 66)
         assert len(hyp) == 3
         assert hyp.roots.shape == (3, 3)
 
