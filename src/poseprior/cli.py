@@ -1,10 +1,13 @@
 """Command-line front end: one binary, subcommand per task.
 
-Every command prints its fully resolved configuration (flags merged
-over the optional config file, over built-in defaults) and seed to
-standard error, writes machine-readable output to files, and is
-deterministic given (flags, files, seed). Exit codes: 0 success,
-2 input/schema error, 3 numerical divergence.
+Every command prints its fully resolved configuration to standard
+error, writes machine-readable output to files, and is deterministic
+given its flags and files. The commands that draw random numbers
+(synth, train, estimate, complete, sample, sweep) also take --seed and
+an optional --config file (flags merged over the file, over built-in
+defaults) and echo the seed with the configuration; evaluate and
+fit-heatmap draw none and take neither. Exit codes: 0 success, 2 input
+or schema error (unreadable files included), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -80,13 +83,17 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
 
 
-def _frame_config(cfg: dict, frame_idx: int) -> sampler.GuidanceConfig:
+def _guidance_config(cfg: dict) -> sampler.GuidanceConfig:
+    """The run's sampler settings, checked before any work; frames set `stream_offset`."""
     return sampler.GuidanceConfig(
         gamma=cfg["gamma"], cov_scale=cfg["cov_scale"], cov_rotate=cfg["cov_rotate"],
         renoise_variant=cfg["renoise"], num_hypotheses=cfg["M"], seed=cfg["seed"],
         grad_space=cfg.get("grad_space") or sampler.GRAD_X0HAT,
-        stream_offset=frame_idx << _FRAME_SHIFT,
     )
+
+
+def _frame_config(gcfg: sampler.GuidanceConfig, frame_idx: int) -> sampler.GuidanceConfig:
+    return replace(gcfg, stream_offset=frame_idx << _FRAME_SHIFT)
 
 
 def cmd_train(args) -> int:
@@ -134,11 +141,31 @@ def _check_stream_ranges(frames: int, m: int):
                              f"{_INIT_STREAM >> _FRAME_SHIFT} frames and M = {1 << _FRAME_SHIFT}")
 
 
-def _joint_names(model) -> tuple:
-    """Output joint labels: the built-in names for a 17-joint model, else joint0, joint1, ..."""
-    if model.joints == len(dataio.DEFAULT_JOINT_NAMES):
+def _joint_names(joints: int) -> tuple:
+    """Joint labels: the built-in names for 17 joints, else joint0, joint1, ..."""
+    if joints == len(dataio.DEFAULT_JOINT_NAMES):
         return dataio.DEFAULT_JOINT_NAMES
-    return tuple(f"joint{i}" for i in range(model.joints))
+    return tuple(f"joint{i}" for i in range(joints))
+
+
+def _mask_indices(spec: str, joints: int) -> set:
+    """Joints named by `complete --mask`: 'all', or labels of `_joint_names` and indices."""
+    if spec.strip().lower() == "all":
+        return set(range(joints))
+    names = _joint_names(joints)
+    mask = set()
+    for token in spec.split(","):
+        token = token.strip()
+        if token.isdigit():
+            if int(token) >= joints:
+                raise PosePriorError(f"mask index {token} out of range for {joints} joints")
+            mask.add(int(token))
+        elif token in names:
+            mask.add(names.index(token))
+        else:
+            raise PosePriorError(f"unknown joint name {token!r}; the {joints} joint labels "
+                                 f"are {', '.join(names)}")
+    return mask
 
 
 def _write_hypotheses(path, joint_names, per_frame, header_meta):
@@ -190,10 +217,12 @@ def _write_metrics_csv(path, rows, m):
             writer.writerow(["aggregate", m] + [f"{agg[k]:.6f}" for k in _METRIC_COLUMNS])
 
 
-def _run_estimation(args, records, mask_indices=None) -> int:
+def _run_estimation(args, records, mask=None) -> int:
     cfg = _resolve(args)
     _check_stream_ranges(len(records), cfg["M"])
+    gcfg = _guidance_config(cfg)
     model = _load_model_for(args.model, records)
+    mask_indices = _mask_indices(mask, model.joints) if mask else None
     per_frame, metric_rows = [], []
     for idx, rec in enumerate(records):
         keypoints = rec.keypoints
@@ -201,9 +230,8 @@ def _run_estimation(args, records, mask_indices=None) -> int:
             valid = keypoints.valid.copy()
             valid[list(mask_indices)] = False
             keypoints = keypoints.with_validity(valid)
-        gcfg = _frame_config(cfg, idx)
         hyp = sampler.sample_guided(model, model.sched, keypoints, rec.camera,
-                                    rec.root, gcfg)
+                                    rec.root, _frame_config(gcfg, idx))
         per_frame.append((rec.frame_id, hyp))
         if rec.gt_pose is not None:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
@@ -215,7 +243,7 @@ def _run_estimation(args, records, mask_indices=None) -> int:
                    "grad_space": cfg.get("grad_space") or sampler.GRAD_X0HAT}
     if mask_indices:
         header_meta["masked_joints"] = sorted(mask_indices)
-    _write_hypotheses(args.out, _joint_names(model), per_frame, header_meta)
+    _write_hypotheses(args.out, _joint_names(model.joints), per_frame, header_meta)
     if metric_rows:
         report = args.report or args.out + ".metrics.csv"
         _write_metrics_csv(report, metric_rows, cfg["M"])
@@ -232,25 +260,7 @@ def cmd_estimate(args) -> int:
 def cmd_complete(args) -> int:
     if not args.mask.strip():
         raise PosePriorError("--mask is empty: name at least one joint, or 'all'")
-    records = dataio.load_observations(args.obs)
-    names = dataio.DEFAULT_JOINT_NAMES
-    joints = records[0].keypoints.num_joints if records else len(names)
-    mask = set()
-    if args.mask.strip().lower() == "all":
-        mask = set(range(joints))
-    else:
-        for token in args.mask.split(","):
-            token = token.strip()
-            if token.isdigit():
-                idx = int(token)
-                if idx >= joints:
-                    raise PosePriorError(f"mask index {idx} out of range")
-            elif token in names:
-                idx = names.index(token)
-            else:
-                raise PosePriorError(f"unknown joint name {token!r}")
-            mask.add(idx)
-    return _run_estimation(args, records, mask_indices=mask)
+    return _run_estimation(args, dataio.load_observations(args.obs), mask=args.mask)
 
 
 def cmd_sample(args) -> int:
@@ -264,7 +274,7 @@ def cmd_sample(args) -> int:
                                            RngStream(cfg["seed"], 0), args.n)
         poses = hyp.poses
     arr = np.stack([p.joints for p in poses]) if poses else np.zeros((0, model.joints, 3))
-    dataset = dataio.PoseDataset(_joint_names(model), arr,
+    dataset = dataio.PoseDataset(_joint_names(model.joints), arr,
                                  [{"sample": i} for i in range(len(poses))],
                                  {"seed": cfg["seed"], "n": args.n})
     dataio.save_poses(dataset, args.out)
@@ -276,22 +286,22 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), cfg["M"])
+    gcfg = _guidance_config(cfg)
     model = _load_model_for(args.model, records)
     values = [float(v) for v in args.values.split(",")]
     rows = []
     if args.sweep == "cov-scale":
         for idx, rec in enumerate(records):
-            gcfg = _frame_config(cfg, idx)
-            for s, std in sampler.diversity_sweep(model, model.sched, rec.keypoints,
-                                                  rec.camera, rec.root, gcfg, values):
+            for s, std in sampler.diversity_sweep(model, model.sched, rec.keypoints, rec.camera,
+                                                  rec.root, _frame_config(gcfg, idx), values):
                 rows.append({"frame_id": rec.frame_id, "value": s, "per_joint_std_mm": std})
         fields = ["frame_id", "value", "per_joint_std_mm"]
     else:  # gamma sweep
         for value in values:
             for idx, rec in enumerate(records):
-                gcfg = replace(_frame_config(cfg, idx), gamma=value)
-                hyp = sampler.sample_guided(model, model.sched, rec.keypoints,
-                                            rec.camera, rec.root, gcfg)
+                hyp = sampler.sample_guided(model, model.sched, rec.keypoints, rec.camera,
+                                            rec.root, replace(_frame_config(gcfg, idx),
+                                                              gamma=value))
                 row = {"frame_id": rec.frame_id, "value": value}
                 row["reprojection_px"] = _mean_reprojection(hyp, rec.keypoints, rec.camera)
                 if rec.gt_pose is not None:
@@ -333,8 +343,11 @@ def cmd_evaluate(args) -> int:
     by_frame: dict[str, list] = {}
     for i in range(hyp_data.num_poses):
         meta = hyp_data.meta[i]
-        by_frame.setdefault(str(meta.get("frame_id")), []).append(
-            (int(meta.get("hypothesis", 0)), hyp_data.pose_at(i)))
+        index = meta.get("hypothesis", 0)
+        if type(index) is not int or index < 0:
+            raise SchemaError(f"{args.hyp}: record {i + 1}: \"hypothesis\" must be a "
+                              f"non-negative integer, got {json.dumps(index)}")
+        by_frame.setdefault(str(meta.get("frame_id")), []).append((index, hyp_data.pose_at(i)))
 
     gt_frames = [(str(gt_data.meta[i].get("frame_id", i)), gt_data.pose_at(i))
                  for i in range(gt_data.num_poses)]
@@ -433,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("heatmaps", nargs="+")
     p.add_argument("--out", required=True)
     p.add_argument("--floor", type=float, default=1e-6)
-    _add_common(p)
     p.set_defaults(func=cmd_fit_heatmap)
 
     p = sub.add_parser("evaluate", help="score a hypothesis file against ground truth")
@@ -442,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--stride", type=int, default=1,
                    help="evaluate every k-th ground-truth frame")
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark world")
@@ -465,7 +476,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: diverged: {exc} {exc.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (PosePriorError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (PosePriorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError
-from .geometry import Camera, Pose, project, to_root_relative
+from .geometry import Pose, to_root_relative
 from .numeric import svd_3x3
-from .observation import KeypointObservation
 
 __all__ = [
     "SimilarityTransform",
@@ -25,7 +24,6 @@ __all__ = [
     "auc",
     "best_of_m",
     "per_joint_std",
-    "reprojection_error",
 ]
 
 PCK_THRESHOLD_MM = 150.0
@@ -94,25 +92,25 @@ def pa_mpjpe(pred: Pose, gt: Pose) -> float:
     return float(np.mean(np.linalg.norm(aligned - np.asarray(gt.joints), axis=1)))
 
 
-def pck(pred: Pose, gt: Pose, threshold_mm: float = PCK_THRESHOLD_MM) -> float:
-    """Percentage of joints within the threshold after root alignment.
+def _pck_at(pred: Pose, gt: Pose, thresholds) -> np.ndarray:
+    """PCK in percent at each threshold after root alignment.
 
-    The threshold is strict (a joint exactly at it does not count),
-    except that an exactly correct joint counts at every threshold,
-    including zero.
+    A threshold is strict (a joint exactly at it does not count), except
+    that an exactly correct joint counts at every threshold, zero included.
     """
     p, g = _paired_joints(pred, gt)
     dist = np.linalg.norm(p - g, axis=1)
-    return float(100.0 * np.mean((dist < threshold_mm) | (dist == 0.0)))
+    return 100.0 * np.mean((dist < thresholds[:, None]) | (dist == 0.0), axis=1)
+
+
+def pck(pred: Pose, gt: Pose) -> float:
+    """Percentage of joints within PCK_THRESHOLD_MM after root alignment."""
+    return float(_pck_at(pred, gt, np.array([PCK_THRESHOLD_MM]))[0])
 
 
 def auc(pred: Pose, gt: Pose) -> float:
     """Mean PCK over AUC_STEPS evenly spaced thresholds from 0 to PCK_THRESHOLD_MM."""
-    p, g = _paired_joints(pred, gt)
-    dist = np.linalg.norm(p - g, axis=1)
-    thresholds = np.linspace(0.0, PCK_THRESHOLD_MM, AUC_STEPS)
-    hits = (dist < thresholds[:, None]) | (dist == 0.0)  # (AUC_STEPS, J), as in pck
-    return float(np.mean(100.0 * np.mean(hits, axis=1)))
+    return float(np.mean(_pck_at(pred, gt, np.linspace(0.0, PCK_THRESHOLD_MM, AUC_STEPS))))
 
 
 def best_of_m(hypotheses, gt: Pose) -> float:
@@ -135,12 +133,3 @@ def per_joint_std(hypotheses) -> float:
     axis_std = stacked.std(axis=0)  # (J, 3), population std
     return float(np.mean(np.linalg.norm(axis_std, axis=1)))
 
-
-def reprojection_error(pose: Pose, obs: KeypointObservation, cam: Camera) -> float:
-    """Mean pixel distance between projected valid joints and observed means."""
-    if pose.frame != "absolute_camera":
-        raise ValueError("reprojection error needs an absolute camera-frame pose")
-    if not np.any(obs.valid):
-        raise ValueError("no valid joints in observation")
-    proj = project(pose.joints[obs.valid], cam)
-    return float(np.mean(np.linalg.norm(proj - obs.means[obs.valid], axis=1)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, FitFailureError, InsufficientSupportError
+from .errors import FitFailureError, InsufficientSupportError
 from .geometry import Camera, Pose, project, projection_jacobian
 from .numeric import SymMat2, eig_2x2
 
@@ -116,35 +116,30 @@ class Heatmap:
         object.__setattr__(self, "origin", origin)
 
 
-def _valid_projections(pose: Pose, obs: KeypointObservation, cam: Camera,
-                       skip_behind_camera: bool):
-    """Project usable joints; returns (joint mask, their projections)."""
+def _valid_projections(pose: Pose, obs: KeypointObservation, cam: Camera):
+    """Project usable joints; returns (joint mask, their projections).
+
+    A valid joint at non-positive depth has no projection and counts as
+    unobserved; a NaN depth is kept, so it shows up as a NaN result.
+    """
     if pose.frame != "absolute_camera":
         raise ValueError("observation likelihood needs an absolute camera-frame pose")
     if pose.num_joints != obs.num_joints:
         raise ValueError(f"pose has {pose.num_joints} joints, observation {obs.num_joints}")
-    mask = obs.valid.copy()
-    z = pose.joints[:, 2]
-    behind = mask & (z <= 0.0)
-    if np.any(behind):
-        if not skip_behind_camera:
-            raise BehindCameraError(
-                f"valid joints behind camera: {np.nonzero(behind)[0].tolist()}")
-        mask &= ~behind
+    mask = obs.valid & ~(pose.joints[:, 2] <= 0.0)
     if not np.any(mask):
         return mask, np.zeros((0, 2))
     return mask, project(pose.joints[mask], cam)
 
 
-def log_likelihood(pose: Pose, obs: KeypointObservation, cam: Camera, *,
-                   skip_behind_camera: bool = False) -> float:
+def log_likelihood(pose: Pose, obs: KeypointObservation, cam: Camera) -> float:
     """Total Gaussian log-density of the observed keypoints given a pose.
 
-    Sums, over valid joints, the full log-density (normalization
-    constant included) of the observed mean under a Gaussian centred on
-    the projected joint. No valid joints gives 0.
+    Sums, over valid joints in front of the camera, the full log-density
+    (normalization constant included) of the observed mean under a
+    Gaussian centred on the projected joint. No such joints gives 0.
     """
-    mask, proj = _valid_projections(pose, obs, cam, skip_behind_camera)
+    mask, proj = _valid_projections(pose, obs, cam)
     if not np.any(mask):
         return 0.0
     r = obs.means[mask] - proj
@@ -152,15 +147,12 @@ def log_likelihood(pose: Pose, obs: KeypointObservation, cam: Camera, *,
     return float(np.sum(-LOG_2PI - 0.5 * obs._log_dets[mask] - 0.5 * maha))
 
 
-def log_likelihood_grad(pose: Pose, obs: KeypointObservation, cam: Camera, *,
-                        skip_behind_camera: bool = False) -> np.ndarray:
+def log_likelihood_grad(pose: Pose, obs: KeypointObservation, cam: Camera) -> np.ndarray:
     """Gradient of `log_likelihood` w.r.t. joint positions, shape (J, 3).
 
-    Rows for invalid joints are zero. With ``skip_behind_camera`` a
-    valid joint at non-positive depth also gets a zero row instead of
-    raising; the caller decides whether that is an error.
+    Rows for invalid joints and for joints at non-positive depth are zero.
     """
-    mask, proj = _valid_projections(pose, obs, cam, skip_behind_camera)
+    mask, proj = _valid_projections(pose, obs, cam)
     grad = np.zeros((pose.num_joints, 3), dtype=np.float64)
     if not np.any(mask):
         return grad

@@ -11,6 +11,7 @@ hypothesis comes out the same whatever the number of hypotheses M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +64,7 @@ OVERFLOW_GUARD_MM = 1e5
 class GuidanceConfig:
     gamma: float = 2e-4
     cov_scale: float = 1.0
-    cov_rotate: float | np.ndarray = 0.0
+    cov_rotate: float = 0.0
     renoise_variant: str = RENOISE_EQ2
     num_hypotheses: int = 50
     seed: int = 0
@@ -71,6 +72,9 @@ class GuidanceConfig:
     stream_offset: int = 0
 
     def __post_init__(self):
+        for name in ("gamma", "cov_scale", "cov_rotate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.cov_scale <= 0.0:
@@ -96,27 +100,24 @@ class HypothesisSet:
 def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
     """Apply the (scale, rotation) covariance edits once, up front.
 
-    Joint j's covariance is rotated by ``R(theta_j) S R(theta_j)^T`` when
-    theta_j is nonzero (off-diagonal symmetrized), then scaled.
+    Every joint's covariance is rotated by ``R(theta) S R(theta)^T`` when
+    theta is nonzero (off-diagonal symmetrized), then scaled.
     """
     sources = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     for src in sources:
         if src.num_joints != joints:
             raise ValueError(
                 f"observation has {src.num_joints} joints, model expects {joints}")
-    theta = np.broadcast_to(np.asarray(cfg.cov_rotate, dtype=np.float64), (joints,))
-    if cfg.cov_scale == 1.0 and not np.any(theta):
+    if cfg.cov_scale == 1.0 and cfg.cov_rotate == 0.0:
         return sources
-    turned = theta != 0.0
-    ct, st = np.cos(theta[turned]), np.sin(theta[turned])
-    rot = np.stack([np.stack([ct, -st], axis=-1), np.stack([st, ct], axis=-1)], axis=1)
+    ct, st = np.cos(cfg.cov_rotate), np.sin(cfg.cov_rotate)
+    rot = np.array([[ct, -st], [st, ct]])
     out = []
     for src in sources:
-        covs = src.covs.copy()
-        sig = np.stack([covs[turned, :2], covs[turned, 1:]], axis=1)  # rows [a, b], [b, c]
-        m = rot @ sig @ rot.transpose(0, 2, 1)
-        covs[turned] = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]],
-                                axis=-1)
+        covs = src.covs
+        if cfg.cov_rotate != 0.0:
+            m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
+            covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
         out.append(src.with_covariances(cfg.cov_scale * covs))
     return out
 
@@ -179,9 +180,7 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         usable = abs_joints[:, 2] > 0.0
         skips += int(np.sum(~usable & any_observed))
         pose = Pose(abs_joints, "absolute_camera")
-        g_mm = sum_sources([
-            log_likelihood_grad(pose, s, cam, skip_behind_camera=True) for s in sources
-        ])
+        g_mm = sum_sources([log_likelihood_grad(pose, s, cam) for s in sources])
         bad = ~np.all(np.isfinite(g_mm), axis=1)
         if np.any(bad):
             g_mm[bad] = 0.0

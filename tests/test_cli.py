@@ -40,6 +40,26 @@ def tiny_setup(tmp_path_factory):
             "ckpt": ckpt}
 
 
+@pytest.fixture(scope="module")
+def five_joint_setup(tiny_setup):
+    """An untrained 5-joint checkpoint and the first 5 joints of the observations."""
+    root = tiny_setup["root"]
+    ds = dataio.load_poses(tiny_setup["train"])
+    poses = root / "train5.jsonl"
+    dataio.save_poses(dataio.PoseDataset(ds.joint_names[:5], ds.poses[:20, :5]), poses)
+    ckpt = root / "model5.ckpt"
+    proc = run_cli(["train", "--poses", str(poses), "--out", str(ckpt),
+                    "--steps", "0", "--hidden", "8", "--T", "10", "--seed", "2"])
+    assert proc.returncode == 0, proc.stderr
+    header, *records = [json.loads(line) for line in open(tiny_setup["obs"])]
+    header.update(J=5, joint_names=header["joint_names"][:5])
+    for rec in records:
+        rec["keypoints"], rec["gt_pose"] = rec["keypoints"][:5], rec["gt_pose"][:15]
+    obs = root / "obs5.jsonl"
+    obs.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+    return {"ckpt": ckpt, "obs": obs}
+
+
 def rooted_at_joint_1(src, dst):
     """Write the poses of `src` re-rooted at joint 1, with header root_index 1."""
     ds = dataio.load_poses(src)
@@ -257,6 +277,19 @@ class TestEstimateCommand:
         assert proc.returncode == 2
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--cov-scale", "nan"), ("--cov-scale", "inf"),
+        ("--cov-rotate", "nan"), ("--cov-rotate", "-inf"),
+    ])
+    def test_non_finite_guidance_setting_exits_2(self, tiny_setup, tmp_path, flag, value):
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "-M", "1", "--seed", "1", f"{flag}={value}"])
+        assert proc.returncode == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite" in proc.stderr
+        assert not out.exists()
+
     def test_m_beyond_stream_range_exits_2(self, tiny_setup, tmp_path):
         proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
                         "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl"),
@@ -285,6 +318,14 @@ class TestSampleCommand:
         assert proc.returncode == 0, proc.stderr
         ds = dataio.load_poses(out)
         assert ds.num_poses == 0
+
+    def test_output_under_a_file_exits_2(self, tiny_setup):
+        out = tiny_setup["ckpt"] / "x.jsonl"
+        proc = run_cli(["sample", "--model", str(tiny_setup["ckpt"]), "--out", str(out),
+                        "-n", "1", "--seed", "1"])
+        assert proc.returncode == 2
+        assert "Not a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_deterministic(self, tiny_setup, tmp_path):
         outs = []
@@ -317,6 +358,32 @@ class TestCompleteCommand:
                         "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl"),
                         "-M", "1", "--seed", "3", "--mask", "left_flipper"])
         assert proc.returncode == 2
+
+    def test_mask_by_output_label_on_5_joints(self, five_joint_setup, tmp_path):
+        out = tmp_path / "c.jsonl"
+        proc = run_cli(["complete", "--model", str(five_joint_setup["ckpt"]),
+                        "--obs", str(five_joint_setup["obs"]), "--out", str(out),
+                        "-M", "1", "--seed", "3", "--mask", "joint2,4"])
+        assert proc.returncode == 0, proc.stderr
+        written = dataio.load_poses(out)
+        assert written.header_meta["masked_joints"] == [2, 4]
+        assert written.joint_names == ("joint0", "joint1", "joint2", "joint3", "joint4")
+
+    @pytest.mark.parametrize("mask,named", [
+        ("l_wrist", "unknown joint name 'l_wrist'"),
+        ("r_knee", "unknown joint name 'r_knee'"),
+        ("joint5", "unknown joint name 'joint5'"),
+        ("1,5", "mask index 5 out of range"),
+    ])
+    def test_mask_outside_5_joints_exits_2(self, five_joint_setup, tmp_path, mask, named):
+        out = tmp_path / "c.jsonl"
+        proc = run_cli(["complete", "--model", str(five_joint_setup["ckpt"]),
+                        "--obs", str(five_joint_setup["obs"]), "--out", str(out),
+                        "-M", "1", "--seed", "3", "--mask", mask])
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("mask", ["", "  "], ids=["empty", "blank"])
     def test_empty_mask_exits_2(self, tiny_setup, tmp_path, mask):
@@ -374,6 +441,16 @@ class TestFitHeatmapCommand:
         assert recs[0]["valid"] and np.allclose(recs[0]["mean"], center, atol=0.1)
         assert not recs[1]["valid"]
         assert "warning" in proc.stderr
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])
+    def test_takes_no_seed_or_config(self, tmp_path, flag, value):
+        hm_path = tmp_path / "hm.hmp"
+        dataio.save_heatmap(Heatmap(4, 4, np.ones((4, 4))), hm_path)
+        out = tmp_path / "fit.jsonl"
+        proc = run_cli(["fit-heatmap", str(hm_path), "--out", str(out), flag, value])
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -437,6 +514,32 @@ class TestEvaluateCommand:
         assert proc.returncode == 2
         assert f"line 3: {named}" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", [[1], "x", -1, 1.5, True, None],
+                             ids=["list", "string", "negative", "float", "bool", "null"])
+    def test_bad_hypothesis_index_exits_2(self, tiny_setup, tmp_path, index):
+        lines = tiny_setup["gt"].read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["meta"]["hypothesis"] = index
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert (f'record 2: "hypothesis" must be a non-negative integer, '
+                f"got {json.dumps(index)}") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])
+    def test_takes_no_seed_or_config(self, tiny_setup, tmp_path, flag, value):
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(tiny_setup["gt"]), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out), flag, value])
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag}" in proc.stderr
         assert not out.exists()
 
     def test_frame_mismatch_exits_2(self, tiny_setup, tmp_path):

@@ -325,11 +325,15 @@ class TestSynthetic:
         assert abs(emp[0, 1]) < 0.4
 
     def test_self_consistent_reprojection_scale(self):
-        from poseprior.metrics import reprojection_error
+        from poseprior.cli import _mean_reprojection
+        from poseprior.geometry import to_root_relative
+        from poseprior.sampler import HypothesisSet
         cfg = dataio.SyntheticSkeletonConfig(n_train=1, n_eval=200, seed=5,
                                              obs_sigma_px=3.0)
         _, _, records = dataio.generate_synthetic(cfg)
-        errs = [reprojection_error(r.gt_pose, r.keypoints, r.camera) for r in records]
+        errs = [_mean_reprojection(HypothesisSet([to_root_relative(r.gt_pose)],
+                                                 r.gt_pose.joints[:1]), r.keypoints, r.camera)
+                for r in records]
         # mean norm of an isotropic 2D Gaussian is sigma * sqrt(pi/2)
         want = 3.0 * np.sqrt(np.pi / 2.0)
         assert np.mean(errs) == pytest.approx(want, rel=0.10)

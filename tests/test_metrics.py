@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from poseprior.cli import _mean_reprojection
 from poseprior.errors import AlignmentError
-from poseprior.geometry import ABSOLUTE_CAMERA, ROOT_RELATIVE, Camera, Pose, project
+from poseprior.geometry import ABSOLUTE_CAMERA, ROOT_RELATIVE, Camera, Pose, project, to_absolute
 from poseprior.metrics import (
+    PCK_THRESHOLD_MM,
     SimilarityTransform,
+    _pck_at,
     auc,
     best_of_m,
     mpjpe,
@@ -12,10 +15,10 @@ from poseprior.metrics import (
     pck,
     per_joint_std,
     procrustes_align,
-    reprojection_error,
 )
 from poseprior.numeric import RngStream
 from poseprior.observation import KeypointObservation
+from poseprior.sampler import HypothesisSet
 
 CAM = Camera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
 
@@ -186,8 +189,9 @@ class TestPck:
         p, g = random_pose(rng), random_pose(rng)
         # only exactly-correct joints count at threshold 0; the shared
         # root is always exact in a root-relative comparison
-        assert pck(p, g, threshold_mm=0.0) == pytest.approx(100.0 / 8)
-        assert pck(p, p, threshold_mm=0.0) == 100.0
+        zero = np.array([0.0])
+        assert _pck_at(p, g, zero)[0] == pytest.approx(100.0 / 8)
+        assert _pck_at(p, p, zero)[0] == 100.0
 
     def test_exactly_at_threshold_excluded(self):
         g = np.zeros((4, 3))
@@ -236,7 +240,9 @@ class TestAuc:
         rng = RngStream(67, 1)
         for _ in range(300):
             p, g = random_pose(rng), random_pose(rng)
-            per_threshold = [pck(p, g, th) for th in np.linspace(0.0, 150.0, 31)]
+            per_threshold = [_pck_at(p, g, np.array([th]))[0]
+                             for th in np.linspace(0.0, PCK_THRESHOLD_MM, 31)]
+            assert per_threshold[-1] == pck(p, g)
             assert auc(p, g) == float(np.mean(per_threshold))
 
 
@@ -293,25 +299,55 @@ class TestPerJointStd:
 
 
 class TestReprojectionError:
+    """The one reprojection rule, `cli._mean_reprojection`."""
+
+    ROOT = np.array([40.0, -30.0, 4000.0])
+
     def make_obs(self, means, valid):
         j = means.shape[0]
         return KeypointObservation(means, np.tile([1.0, 0.0, 1.0], (j, 1)), valid)
 
+    def make_case(self, seed, behind=()):
+        """One-hypothesis set with the given joints moved behind the camera,
+        and the projections of the unmoved pose."""
+        pose = random_pose(RngStream(seed, 0))
+        means = project(to_absolute(pose, self.ROOT).joints, CAM)
+        rel = pose.joints.copy()
+        rel[list(behind), 2] = -self.ROOT[2] - 100.0 * np.arange(len(behind))
+        return HypothesisSet(poses=[Pose(rel, ROOT_RELATIVE)], roots=self.ROOT[None]), means
+
     def test_exact_projection(self):
-        pose = random_pose(RngStream(75, 0), frame=ABSOLUTE_CAMERA)
-        obs = self.make_obs(project(pose.joints, CAM), np.ones(8, dtype=bool))
-        assert reprojection_error(pose, obs, CAM) == 0.0
+        hyp, means = self.make_case(75)
+        assert _mean_reprojection(hyp, self.make_obs(means, np.ones(8, dtype=bool)), CAM) == 0.0
 
     def test_three_four_five(self):
-        pose = random_pose(RngStream(76, 0), frame=ABSOLUTE_CAMERA)
-        means = project(pose.joints, CAM)
+        hyp, means = self.make_case(76)
         means[2] += [3.0, 4.0]
         valid = np.zeros(8, dtype=bool)
         valid[2] = True
-        assert reprojection_error(pose, self.make_obs(means, valid), CAM) == pytest.approx(5.0)
+        assert _mean_reprojection(hyp, self.make_obs(means, valid), CAM) == pytest.approx(5.0)
 
     def test_no_valid_joints(self):
-        pose = random_pose(RngStream(77, 0), frame=ABSOLUTE_CAMERA)
+        hyp, _ = self.make_case(77)
         obs = self.make_obs(np.zeros((8, 2)), np.zeros(8, dtype=bool))
-        with pytest.raises(ValueError):
-            reprojection_error(pose, obs, CAM)
+        assert np.isnan(_mean_reprojection(hyp, obs, CAM))
+
+    def test_behind_camera_joints_skipped(self):
+        # joint 6 lies on the camera plane, joint 7 behind it
+        hyp, means = self.make_case(78, behind=(6, 7))
+        means[5] += [30.0, 40.0]
+        obs = self.make_obs(means, np.ones(8, dtype=bool))
+        assert _mean_reprojection(hyp, obs, CAM) == pytest.approx(50.0 / 6)
+        only_behind = self.make_obs(means, np.arange(8) >= 6)
+        assert np.isnan(_mean_reprojection(hyp, only_behind, CAM))
+
+    def test_pools_over_hypothesis_joint_pairs(self):
+        # hypothesis 0 counts joint 1 only (5 px), hypothesis 1 counts
+        # joints 1-3 (5, 0, 0 px): the pooled mean is 10/4, not the
+        # mean of the per-hypothesis means
+        skipped, means = self.make_case(79, behind=(2, 3))
+        full, _ = self.make_case(79)
+        hyp = HypothesisSet(poses=skipped.poses + full.poses, roots=np.stack([self.ROOT] * 2))
+        means[1] += [3.0, 4.0]
+        obs = self.make_obs(means, np.isin(np.arange(8), [1, 2, 3]))
+        assert _mean_reprojection(hyp, obs, CAM) == pytest.approx(2.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poseprior.errors import BehindCameraError, InsufficientSupportError
+from poseprior.errors import InsufficientSupportError
 from poseprior.geometry import ABSOLUTE_CAMERA, Camera, Pose, project
 from poseprior.numeric import RngStream, SymMat2, eig_2x2, spd_inverse_2x2
 from poseprior.observation import (
@@ -78,15 +78,18 @@ class TestLogLikelihood:
             got = log_likelihood(pose, obs, CAM)
             assert got == pytest.approx(naive_log_likelihood(pose, obs, CAM), rel=1e-12)
 
-    def test_behind_camera_rejected(self):
-        pts = np.array([[0.0, 0.0, -100.0], [0.0, 0.0, 3000.0]])
+    def test_behind_camera_joint_unobserved(self):
+        # valid joints at non-positive depth count as unobserved, in the
+        # likelihood and in its gradient
+        pts = np.array([[0.0, 0.0, -100.0], [50.0, 0.0, 0.0], [0.0, 30.0, 3000.0]])
         pose = Pose(pts, ABSOLUTE_CAMERA)
         obs = KeypointObservation(
-            np.zeros((2, 2)), np.tile([1.0, 0.0, 1.0], (2, 1)), np.ones(2, dtype=bool))
-        with pytest.raises(BehindCameraError):
-            log_likelihood(pose, obs, CAM)
-        # skipping treats the joint as invalid instead
-        assert np.isfinite(log_likelihood(pose, obs, CAM, skip_behind_camera=True))
+            np.full((3, 2), 480.0), np.tile([4.0, 1.0, 9.0], (3, 1)), np.ones(3, dtype=bool))
+        front = obs.with_validity(np.array([False, False, True]))
+        assert log_likelihood(pose, obs, CAM) == log_likelihood(pose, front, CAM)
+        grad = log_likelihood_grad(pose, obs, CAM)
+        assert np.all(grad[:2] == 0.0) and np.any(grad[2] != 0.0)
+        assert np.array_equal(grad, log_likelihood_grad(pose, front, CAM))
 
     def test_ray_invariance_per_joint(self):
         # scaling a joint along its camera ray leaves its likelihood unchanged
