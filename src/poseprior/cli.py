@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -223,6 +224,7 @@ def _run_estimation(args, records, mask=None) -> int:
     gcfg = _guidance_config(cfg)
     model = _load_model_for(args.model, records)
     mask_indices = _mask_indices(mask, model.joints) if mask else None
+    sample = sampler.complete_pose if mask_indices else sampler.sample_guided
     per_frame, metric_rows = [], []
     for idx, rec in enumerate(records):
         keypoints = rec.keypoints
@@ -230,8 +232,8 @@ def _run_estimation(args, records, mask=None) -> int:
             valid = keypoints.valid.copy()
             valid[list(mask_indices)] = False
             keypoints = keypoints.with_validity(valid)
-        hyp = sampler.sample_guided(model, model.sched, keypoints, rec.camera,
-                                    rec.root, _frame_config(gcfg, idx))
+        hyp = sample(model, model.sched, keypoints, rec.camera, rec.root,
+                     _frame_config(gcfg, idx))
         per_frame.append((rec.frame_id, hyp))
         if rec.gt_pose is not None:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
@@ -282,13 +284,27 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _sweep_values(spec: str) -> list:
+    """The comma-separated numbers of `sweep --values`; each must be finite."""
+    values = []
+    for item in spec.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise PosePriorError(f"--values: {item!r} is not a finite number")
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
+    values = _sweep_values(args.values)
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), cfg["M"])
     gcfg = _guidance_config(cfg)
     model = _load_model_for(args.model, records)
-    values = [float(v) for v in args.values.split(",")]
     rows = []
     if args.sweep == "cov-scale":
         for idx, rec in enumerate(records):

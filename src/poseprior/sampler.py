@@ -1,12 +1,15 @@
 """Guided reverse-process sampling, pose completion, diversity control.
 
 All hypotheses of a call advance together as one (M, 3J) state: one
-denoiser evaluation and one guidance step per reverse step. Each
-hypothesis owns two random streams derived from (seed, index): one for
-its trajectory, one for its root draw. Keeping the root on a separate
-stream makes the zero-guidance path bit-identical to unconditional
-sampling, and since no row's arithmetic depends on the other rows, a
-hypothesis comes out the same whatever the number of hypotheses M.
+denoiser evaluation, one guidance step and one renoise of the whole
+block per reverse step. Each hypothesis owns two random streams derived
+from (seed, index): one for its trajectory, one for its root draw. A
+trajectory stream is drawn NOISE_CHUNK steps per call; the streams are
+counter-based, so this gives the bits of one draw per step. Keeping the
+root on a separate stream makes the zero-guidance path bit-identical to
+unconditional sampling, and since no row's arithmetic depends on the
+other rows, a hypothesis comes out the same whatever the number of
+hypotheses M.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ STEP_CAP_MM = 150.0
 # region (its instability is the point of the comparison); it only gets
 # an overflow guard so the arithmetic stays finite.
 OVERFLOW_GUARD_MM = 1e5
+
+# Reverse steps of trajectory noise drawn per call on each hypothesis
+# stream. A chunk holds NOISE_CHUNK * M * 3J floats: 0.3 MB at M = 50
+# and 17 joints, where a whole trajectory at T = 1000 would be 20 MB.
+NOISE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,52 @@ def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
             covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
         out.append(src.with_covariances(cfg.cov_scale * covs))
     return out
+
+
+class _TrajectoryNoise:
+    """The trajectory noise of M hypothesis streams as (M, 3J) slabs, one per draw.
+
+    Slab k holds each stream's draws k*3J to (k+1)*3J - 1, the draws it
+    would give one ``standard_normal(3J)`` at a time. Each stream is
+    drawn NOISE_CHUNK slabs per call, ``slabs`` in all; a counter-based
+    stream gives the same bits in one call as in chunks.
+    """
+
+    def __init__(self, rngs, dim: int, slabs: int):
+        self._shape = (len(rngs), dim)
+        self._slabs = self._draw(rngs, dim, slabs)
+
+    @staticmethod
+    def _draw(rngs, dim, slabs):
+        for start in range(0, slabs, NOISE_CHUNK):
+            k = min(NOISE_CHUNK, slabs - start)
+            yield from np.stack([rng.standard_normal((k, dim)) for rng in rngs], axis=1)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        if tuple(shape) != self._shape:
+            raise ValueError(f"noise slabs are {self._shape}, not {shape}")
+        return next(self._slabs)
+
+
+def _clip_rows(step, norms, rows, limit, g, std):
+    """Scale ``step[rows]`` in place to norm ``limit`` along each row's direction.
+
+    A row is multiplied by limit / norm. A row whose norm overflowed,
+    where that factor would be 0 and inf * 0 NaN, is first replaced by
+    the unit direction of ``g * std * std`` (the step without the
+    positive factor gamma), computed from g scaled by its largest entry
+    so that nothing overflows.
+    """
+    if not rows.size:
+        return
+    row_norms = norms[rows]
+    inf = np.isinf(row_norms)
+    if np.any(inf):
+        i = rows[inf]
+        u = g[i] / np.max(np.abs(g[i]), axis=1, keepdims=True) * std[i] * std[i]
+        step[i] = u / np.linalg.norm(u, axis=1, keepdims=True)
+        row_norms[inf] = 1.0
+    step[rows] *= (limit / row_norms)[:, None]
 
 
 def _check_finite(x, what: str, step: int):
@@ -188,9 +242,8 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         step_mm = cfg.gamma * g_mm * norm_std * norm_std
         norms = np.linalg.norm(step_mm, axis=1)
         if not trust_region:
-            over = norms > OVERFLOW_GUARD_MM
-            if np.any(over):
-                step_mm[over] *= (OVERFLOW_GUARD_MM / norms[over])[:, None]
+            _clip_rows(step_mm, norms, np.nonzero(norms > OVERFLOW_GUARD_MM)[0],
+                       OVERFLOW_GUARD_MM, g_mm, norm_std)
             return (step_mm / norm_std).reshape(n, -1)
         live = usable & any_observed & (norms > 0.0)
         if np.any(live):
@@ -201,14 +254,13 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
                 residual = np.maximum(residual, np.where(src.valid[live], r, 0.0))
             bound = np.minimum(STEP_CAP_MM, residual * abs_joints[live, 2] / f_max)
             over = norms[live] > bound
-            if np.any(over):
-                scale = np.ones_like(norms)
-                idx = np.nonzero(live)[0][over]
-                scale[idx] = bound[over] / norms[idx]
-                step_mm = step_mm * scale[:, None]
+            _clip_rows(step_mm, norms, np.nonzero(live)[0][over], bound[over], g_mm, norm_std)
         return (step_mm / norm_std).reshape(n, -1)
 
-    x = np.stack([rng.standard_normal(model.dim) for rng in rngs])
+    # eq2 draws at t = T..2 and alg1 at t = T..1, each after the initial state
+    slabs = sched.T + (cfg.renoise_variant == RENOISE_ALG1)
+    noise = _TrajectoryNoise(rngs, model.dim, slabs)
+    x = noise.standard_normal((n, model.dim))
     for t in range(sched.T, 0, -1):
         _check_finite(x, "state", t)
         eps_pred = eval_fn(x, t)
@@ -222,11 +274,10 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
             _check_finite(x0_hat, "clean estimate", t)
             x0_hat = x0_hat + guidance_step(x0_hat)
         if cfg.renoise_variant == RENOISE_EQ2:
-            x = np.stack([renoise(row, t - 1, rng, sched) for row, rng in zip(x0_hat, rngs)])
+            x = renoise(x0_hat, t - 1, noise, sched)
         else:
             ab = sched.alphabar[t]
-            noise = np.stack([rng.standard_normal(model.dim) for rng in rngs])
-            x = np.sqrt(ab) * x0_hat + (1.0 - ab) * noise
+            x = np.sqrt(ab) * x0_hat + (1.0 - ab) * noise.standard_normal(x0_hat.shape)
     _check_finite(x, "final state", 0)
 
     pose_mm = model.denormalize(x).reshape(n, joints, 3)

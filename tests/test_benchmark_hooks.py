@@ -52,6 +52,17 @@ def run_pipeline():
     return model, hyp
 
 
+def calls_within(spans, outer):
+    """Count the spans of each name that run inside a span named ``outer``."""
+    counts = {}
+    for name, _, _, parent, _ in spans:
+        while parent >= 0 and spans[parent][0] != outer:
+            parent = spans[parent][3]
+        if parent >= 0:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def test_traced_run_counts_layers_and_changes_no_output():
     tracing = load_tracing()
     before = tracing.module_state(poseprior)
@@ -68,6 +79,14 @@ def test_traced_run_counts_layers_and_changes_no_output():
     assert counts["denoiser.eval_calls"] == 10
     assert counts["denoiser.eval_rows"] == 3 * 10
     assert counts["denoiser.train_steps"] == 2
+
+    # one block renoise per step; each trajectory stream is drawn in chunks
+    # of NOISE_CHUNK steps (initial state included), plus one root draw
+    m, steps = 3, 10
+    sampling = calls_within(tracer.spans, "sampler.sample_guided")
+    assert sampling["schedule.renoise"] == steps
+    chunks = -(-steps // sampler.NOISE_CHUNK)
+    assert sampling["numeric.rng"] == m * chunks + m
 
     for key in denoiser.PARAM_KEYS:
         assert np.array_equal(traced_model.params[key], model.params[key])

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from poseprior import cli, dataio
+from poseprior import cli, dataio, sampler
 from poseprior.errors import PosePriorError
 from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
@@ -290,6 +290,17 @@ class TestEstimateCommand:
         assert f"{flag[2:].replace('-', '_')} must be finite" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("grad_space", ["x0hat", "xt"])
+    def test_overflowing_guidance_step_is_clipped(self, tiny_setup, tmp_path, grad_space):
+        # gamma * grad overflows to inf; the step is clipped along its direction, not NaN
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "-M", "3", "--seed", "1", "--gamma", "1e300",
+                        "--grad-space", grad_space])
+        assert proc.returncode == 0, proc.stderr
+        assert np.all(np.isfinite(dataio.load_poses(out).poses))
+
     def test_m_beyond_stream_range_exits_2(self, tiny_setup, tmp_path):
         proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
                         "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl"),
@@ -352,6 +363,21 @@ class TestCompleteCommand:
                         "--obs", str(tiny_setup["obs"]), "--out", str(out_all),
                         "-M", "2", "--seed", "3", "--mask", "all"])
         assert proc.returncode == 0, proc.stderr
+
+    def test_samples_through_complete_pose(self, tiny_setup, tmp_path, monkeypatch):
+        masked = []
+        original = sampler.complete_pose
+
+        def spy(model, sched, obs, *rest):
+            masked.append(np.flatnonzero(~obs.valid).tolist())
+            return original(model, sched, obs, *rest)
+
+        monkeypatch.setattr(sampler, "complete_pose", spy)
+        assert cli.main(["complete", "--model", str(tiny_setup["ckpt"]),
+                         "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "c.jsonl"),
+                         "-M", "1", "--seed", "3", "--mask", "l_wrist,3"]) == 0
+        assert len(masked) == 2  # one call per frame
+        assert all({3, 13} <= set(frame) for frame in masked)
 
     def test_unknown_joint_exits_2(self, tiny_setup, tmp_path):
         proc = run_cli(["complete", "--model", str(tiny_setup["ckpt"]),
@@ -419,6 +445,18 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert all(float(r["reprojection_px"]) >= 0.0 for r in rows)
         assert all(r["best_of_m_mpjpe"] for r in rows)
+
+    @pytest.mark.parametrize("values,item", [
+        ("1,x", "'x'"), ("1,", "''"), ("nan", "'nan'"), ("2e-4,inf", "'inf'"),
+    ])
+    def test_bad_values_item_exits_2(self, tiny_setup, tmp_path, values, item):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli(["sweep", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "--sweep", "gamma", f"--values={values}", "-M", "2"])
+        assert proc.returncode == 2
+        assert f"--values: {item} is not a finite number" in proc.stderr
+        assert not out.exists()
 
 
 class TestFitHeatmapCommand:

@@ -8,7 +8,7 @@ from poseprior.errors import DivergenceError
 from poseprior.geometry import RootEstimate
 from poseprior.numeric import RngStream, SymMat2
 from poseprior.observation import KeypointObservation, rotate_covariance, scale_covariance
-from poseprior.schedule import cosine_schedule
+from poseprior.schedule import cosine_schedule, renoise
 
 
 class TestUnconditional:
@@ -252,6 +252,48 @@ class TestBestOfM:
             sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=5, seed=912))
         for a, b in zip(small.poses, big.poses[:2]):
             assert np.array_equal(a.joints, b.joints)
+
+
+class PerStepNoise:
+    """The sampler's noise before chunking: one standard_normal(3J) per row per draw."""
+
+    def __init__(self, rngs, dim, slabs):
+        self.rngs, self.dim = rngs, dim
+
+    def standard_normal(self, shape):
+        assert shape == (len(self.rngs), self.dim)
+        return np.stack([rng.standard_normal(self.dim) for rng in self.rngs])
+
+
+def per_row_renoise(x0_hat, t_target, noise, sched):
+    return np.stack([renoise(row, t_target, rng, sched) for row, rng in zip(x0_hat, noise.rngs)])
+
+
+class TestChunkedNoise:
+    @pytest.mark.parametrize("grad_space", [sampler.GRAD_X0HAT, sampler.GRAD_XT])
+    @pytest.mark.parametrize("variant", [sampler.RENOISE_EQ2, sampler.RENOISE_ALG1])
+    def test_equals_per_row_per_step_draws_bitwise(self, toy_world, monkeypatch, variant,
+                                                   grad_space):
+        # the old path: each row draws its initial state, then one renoise(row, t - 1,
+        # rng, sched) per step (eq2), or one standard_normal(3J) per step (alg1)
+        rec = toy_world.records[1]
+        k = sampler.NOISE_CHUNK
+        assert 2 * k + 5 <= toy_world.model.sched.T, "the toy model has too few steps"
+        for steps in (k - 1, k, k + 1, 2 * k + 5):
+            sched = cosine_schedule(steps, 0.008)
+            for m, offset in ((1, 0), (3, 0), (3, 77 << 24)):
+                cfg = sampler.GuidanceConfig(num_hypotheses=m, seed=914, stream_offset=offset,
+                                             renoise_variant=variant, grad_space=grad_space)
+                args = (toy_world.model, sched, rec.keypoints, rec.camera, rec.root, cfg)
+                new = sampler.sample_guided(*args)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sampler, "_TrajectoryNoise", PerStepNoise)
+                    patch.setattr(sampler, "renoise", per_row_renoise)
+                    old = sampler.sample_guided(*args)
+                assert np.array_equal(np.stack([p.joints for p in new.poses]),
+                                      np.stack([p.joints for p in old.poses]))
+                assert np.array_equal(new.roots, old.roots)
+                assert new.diagnostics == old.diagnostics
 
 
 class TestDiversitySweep:
