@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -47,6 +48,12 @@ HEATMAP_MAGIC = b"HMP1"
 CHECKPOINT_MAGIC = b"PPD1"
 CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIIIdQ")
+# Checkpoint tensors are read this many values at a time, so no read
+# buffer reaches glibc's initial 128 KB mmap threshold. Freeing a larger
+# buffer raises that threshold, and the training arrays that follow then
+# come from the heap: train-paper's peak RSS read 398.6 MB with one
+# buffer per tensor, against 392-394 MB with a whole-file read or these.
+_CKPT_READ_VALUES = 8192
 
 DEFAULT_JOINT_NAMES = (
     "pelvis", "r_hip", "r_knee", "r_ankle", "l_hip", "l_knee", "l_ankle",
@@ -311,48 +318,44 @@ def save_checkpoint(model: dn.DenoiserModel, path):
 
 
 def load_checkpoint(path) -> dn.DenoiserModel:
-    """Read a checkpoint; rebuilds the schedule from the stored config."""
+    """Read a checkpoint; rebuilds the schedule from the stored config.
+
+    The file size is checked against the header before any tensor is
+    read, and tensors are read one at a time in small pieces, so the
+    whole file is never held in memory next to the model it becomes.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic in {path}")
-    if len(blob) < _CKPT_HEADER.size:
-        raise FormatError("truncated checkpoint header")
-    magic, version, joints, hidden, t_steps, offset, adam_steps = _CKPT_HEADER.unpack_from(blob)
-    if version != CHECKPOINT_VERSION:
-        raise VersionError(f"checkpoint version {version} not supported")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_CKPT_HEADER.size)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad checkpoint magic in {path}")
+        if len(head) < _CKPT_HEADER.size:
+            raise FormatError("truncated checkpoint header")
+        magic, version, joints, hidden, t_steps, offset, adam_steps = _CKPT_HEADER.unpack(head)
+        if version != CHECKPOINT_VERSION:
+            raise VersionError(f"checkpoint version {version} not supported")
 
-    shapes = dn.param_shapes(joints, hidden)
-    d = 3 * joints
-    n_param = sum(int(np.prod(shapes[k])) for k in dn.PARAM_KEYS)
-    expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * (4 * n_param + len(dn.STAT_KEYS) * hidden)
-    if len(blob) != expected:
-        raise FormatError(f"checkpoint is {len(blob)} bytes, expected {expected}")
+        shapes = dn.param_shapes(joints, hidden)
+        d = 3 * joints
+        n_param = sum(int(np.prod(shapes[k])) for k in dn.PARAM_KEYS)
+        expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * (4 * n_param + len(dn.STAT_KEYS) * hidden)
+        if size != expected:
+            raise FormatError(f"checkpoint is {size} bytes, expected {expected}")
 
-    off = _CKPT_HEADER.size
-    norm_mean = np.frombuffer(blob, "<f8", d, off).copy()
-    off += 8 * d
-    norm_std = np.frombuffer(blob, "<f8", d, off).copy()
-    off += 8 * d
+        def read(dtype, shape):
+            out = np.empty(shape)
+            flat = out.reshape(-1)
+            width = np.dtype(dtype).itemsize
+            for i in range(0, flat.size, _CKPT_READ_VALUES):
+                part = flat[i:i + _CKPT_READ_VALUES]
+                part[:] = np.frombuffer(fh.read(width * part.size), dtype)
+            return out
 
-    def read_group():
-        nonlocal off
-        group = {}
-        for key in dn.PARAM_KEYS:
-            count = int(np.prod(shapes[key]))
-            arr = np.frombuffer(blob, "<f4", count, off).astype(np.float64)
-            group[key] = arr.reshape(shapes[key])
-            off += 4 * count
-        return group
-
-    params = read_group()
-    ema = read_group()
-    adam_m = read_group()
-    adam_v = read_group()
-    stats = {}
-    for key in dn.STAT_KEYS:
-        stats[key] = np.frombuffer(blob, "<f4", hidden, off).astype(np.float64)
-        off += 4 * hidden
+        norm_mean = read("<f8", d)
+        norm_std = read("<f8", d)
+        params, ema, adam_m, adam_v = (
+            {key: read("<f4", shapes[key]) for key in dn.PARAM_KEYS} for _ in range(4))
+        stats = {key: read("<f4", hidden) for key in dn.STAT_KEYS}
 
     return dn.DenoiserModel(
         joints=joints, hidden_dim=hidden, sched=cosine_schedule(t_steps, offset),

@@ -201,6 +201,9 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     row's arithmetic is independent of the other rows. If a state turns
     non-finite, ``DivergenceError`` reports the step and, in
     ``diagnostics["hypothesis"]``, the lowest-index non-finite row.
+    The returned ``diagnostics`` count joint-steps: observed joints
+    skipped behind the camera (``behind_camera_skips``) and joints whose
+    non-finite gradient was zeroed (``nonfinite_grad_zeroed``).
     """
     sched = sched or model.sched
     sources = _transformed_sources(obs, cfg, model.joints) if obs is not None else []
@@ -224,23 +227,23 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         norm_std = np.tile(model.norm_std.reshape(joints, 3), (n, 1))
         f_max = max(cam.fx, cam.fy)
         any_observed = np.logical_or.reduce([s.valid for s in sources])
-    skips = 0
+    counts = {"behind_camera_skips": 0, "nonfinite_grad_zeroed": 0}
 
     def guidance_step(x_norm, trust_region=True):
         """Guidance displacement gamma * grad(log p) in normalized space."""
-        nonlocal skips
         flat_mm = model.denormalize(x_norm).reshape(n, joints, 3)
         abs_joints = (flat_mm + roots[:, None, :]).reshape(n * joints, 3)
         usable = abs_joints[:, 2] > 0.0
-        skips += int(np.sum(~usable & any_observed))
+        counts["behind_camera_skips"] += int(np.sum(~usable & any_observed))
         pose = Pose(abs_joints, "absolute_camera")
         g_mm = sum_sources([log_likelihood_grad(pose, s, cam) for s in sources])
         bad = ~np.all(np.isfinite(g_mm), axis=1)
         if np.any(bad):
             g_mm[bad] = 0.0
-            skips += int(np.sum(bad))
-        step_mm = cfg.gamma * g_mm * norm_std * norm_std
-        norms = np.linalg.norm(step_mm, axis=1)
+            counts["nonfinite_grad_zeroed"] += int(np.sum(bad))
+        with np.errstate(over="ignore"):  # _clip_rows handles overflowed rows
+            step_mm = cfg.gamma * g_mm * norm_std * norm_std
+            norms = np.linalg.norm(step_mm, axis=1)
         if not trust_region:
             _clip_rows(step_mm, norms, np.nonzero(norms > OVERFLOW_GUARD_MM)[0],
                        OVERFLOW_GUARD_MM, g_mm, norm_std)
@@ -283,7 +286,7 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     pose_mm = model.denormalize(x).reshape(n, joints, 3)
     pose_mm = pose_mm - pose_mm[:, :1]
     return HypothesisSet(poses=[Pose(p, ROOT_RELATIVE) for p in pose_mm], roots=roots,
-                         diagnostics={"behind_camera_skips": skips})
+                         diagnostics=counts)
 
 
 def sample_unconditional(model: DenoiserModel, sched: DiffusionSchedule | None,

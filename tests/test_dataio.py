@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,39 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(FormatError):
             dataio.load_checkpoint(path)
+
+
+    def test_size_checked_before_reading(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(FormatError, match=f"is {len(blob) + 1} bytes, expected {len(blob)}"):
+            dataio.load_checkpoint(path)
+        path.write_bytes(blob[:20])
+        with pytest.raises(FormatError, match="truncated checkpoint header"):
+            dataio.load_checkpoint(path)
+
+    def test_load_never_holds_the_whole_file(self, tmp_path):
+        # tensors are read one at a time: the load's peak allocation is the
+        # model plus one tensor, not the model plus the file's bytes
+        sched = cosine_schedule(4, 0.008)
+        model = DenoiserModel.initialize(17, 256, sched, RngStream(85, 0))
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(model, path)
+        tracemalloc.start()
+        try:
+            back = dataio.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        model_bytes = sum(v.nbytes for group in (back.params, back.ema_params, back.adam_m,
+                                                 back.adam_v, back.bn_stats)
+                          for v in group.values())
+        largest = max(v.nbytes for v in back.params.values())
+        assert peak < model_bytes + 2 * largest
+        assert path.stat().st_size > 2 * largest
 
 
 class TestSynthetic:

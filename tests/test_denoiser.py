@@ -273,33 +273,54 @@ class TestTrain:
 class TestEvalForwardClosure:
     def test_table_matches_per_step_projection(self):
         # the closure projects all T step embeddings in one row-wise call;
-        # each must equal the embedding projected for that step alone
-        model = small_model(joints=17, hidden=64, t_steps=100)
-        fast = make_eval_forward(model)
-        rng = RngStream(25, 0)
-        for t in range(1, 101):
-            x = rng.standard_normal((1, 51))
-            temb, _ = denoiser._project_temb(model.ema_params, np.array([t]), denoiser._rowwise)
-            alone, _ = denoiser._forward_core(model.ema_params, model.bn_stats, x, None,
-                                              train=False, temb=temb[0])
-            assert np.array_equal(fast(x, t), alone)
+        # each must equal the embedding projected for that step alone over
+        # the 2-D weights (hidden 128 and 1024 build the table through
+        # weight panels, hidden 64 does not)
+        for hidden, t_steps in ((64, 100), (128, 20), (1024, 4)):
+            model = small_model(joints=17, hidden=hidden, t_steps=t_steps)
+            fast = make_eval_forward(model)
+            rng = RngStream(25, 0)
+            for t in range(1, t_steps + 1):
+                x = rng.standard_normal((1, 51))
+                temb, _ = denoiser._project_temb(model.ema_params, np.array([t]),
+                                                 denoiser._rowwise)
+                alone, _ = denoiser._forward_core(model.ema_params, model.bn_stats, x, None,
+                                                  train=False, temb=temb[0])
+                assert np.array_equal(fast(x, t), alone), (hidden, t)
 
     @pytest.mark.parametrize("rows", [2, 5, 50, 65])
     def test_block_equals_rows_bitwise(self, rows):
         # the sampler advances all hypotheses as one block; each row must
-        # come out exactly as if it had been evaluated alone
-        model = small_model(joints=17, hidden=64, t_steps=20)
-        fast = make_eval_forward(model)
-        block = RngStream(26, rows).standard_normal((rows, 51))
-        for t in (1, 20):
-            one_by_one = np.concatenate([fast(block[i:i + 1], t) for i in range(rows)])
-            assert np.array_equal(fast(block, t), one_by_one)
+        # come out exactly as if it had been evaluated alone, with 2-D
+        # weights (hidden 64) and with weight panels (hidden 128, 1024)
+        for hidden in (64, 128, 1024):
+            model = small_model(joints=17, hidden=hidden, t_steps=20)
+            fast = make_eval_forward(model)
+            block = RngStream(26, rows).standard_normal((rows, 51))
+            for t in (1, 20):
+                one_by_one = np.concatenate([fast(block[i:i + 1], t) for i in range(rows)])
+                assert np.array_equal(fast(block, t), one_by_one), (hidden, t)
 
     def test_ema_closure_uses_shadow_weights(self):
         model = small_model()
         model.ema_params = {k: np.zeros_like(v) for k, v in model.params.items()}
         fast = make_eval_forward(model)
         assert np.all(fast(np.ones((1, 6)), 3) == 0.0)
+
+
+class TestPanels:
+    @pytest.mark.parametrize("k, n", [(51, 1024), (1024, 1024), (1024, 51), (64, 64),
+                                      (128, 192), (100, 100), (1024, 1088)])
+    def test_rowwise_over_panels_equals_2d_product_bitwise(self, k, n):
+        w = RngStream(27, k * 10000 + n).standard_normal((k, n))
+        panels = denoiser._panels(w)
+        split = n > denoiser.PANEL_COLS and n % denoiser.PANEL_COLS == 0
+        assert panels.shape == ((n // denoiser.PANEL_COLS, 1, k, denoiser.PANEL_COLS)
+                                if split else (k, n))
+        for m in (1, 2, 5, 50, 1000):
+            a = RngStream(28, m).standard_normal((m, k))
+            assert np.array_equal(denoiser._rowwise(a, panels), (a[:, None, :] @ w)[:, 0, :])
+
 
 class TestSampleMoments:
     def test_unconditional_sample_moments_in_documented_band(self, toy_world):

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,48 @@ class TestGuided:
         for pose in hyp.poses:
             assert np.all(np.isfinite(pose.joints))
             assert pose.frame == "root_relative"
+
+    @pytest.mark.parametrize("case", ["behind_camera", "nonfinite_grad"])
+    def test_skip_counts_kept_apart(self, toy_world, monkeypatch, case):
+        # behind-camera joints and zeroed non-finite gradients are counted
+        # under their own keys; each case here triggers only its own
+        rec = toy_world.records[0]
+        depth = -8000.0 if case == "behind_camera" else 1e6
+        root = RootEstimate(np.array([0.0, 0.0, depth]), np.zeros(3))
+        if case == "nonfinite_grad":
+            grad = sampler.log_likelihood_grad
+
+            def poisoned(pose, obs, cam):
+                g = grad(pose, obs, cam)
+                g[[1, 20]] = np.nan
+                return g
+            monkeypatch.setattr(sampler, "log_likelihood_grad", poisoned)
+        cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=3, seed=906)
+        hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
+                                    rec.camera, root, cfg)
+        counts = hyp.diagnostics
+        if case == "behind_camera":
+            assert counts["behind_camera_skips"] > 0
+            assert counts["nonfinite_grad_zeroed"] == 0
+        else:
+            assert counts["behind_camera_skips"] == 0
+            assert counts["nonfinite_grad_zeroed"] == 2 * toy_world.model.sched.T
+        for pose in hyp.poses:
+            assert np.all(np.isfinite(pose.joints))
+
+    @pytest.mark.parametrize("grad_space", [sampler.GRAD_X0HAT, sampler.GRAD_XT])
+    def test_overflowing_gamma_warns_nothing(self, toy_world, grad_space):
+        # the raw step overflows; _clip_rows bounds it, so numpy's overflow
+        # warnings would only be noise
+        rec = toy_world.records[0]
+        cfg = sampler.GuidanceConfig(gamma=1e300, num_hypotheses=3, seed=908,
+                                     grad_space=grad_space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
+                                        rec.camera, rec.root, cfg)
+        for pose in hyp.poses:
+            assert np.all(np.isfinite(pose.joints))
 
     def test_renoise_variants_differ(self, toy_world):
         rec = toy_world.records[0]
