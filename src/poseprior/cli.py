@@ -4,10 +4,9 @@ Every command prints its fully resolved configuration to standard
 error, writes machine-readable output to files, and is deterministic
 given its flags and files. The commands that draw random numbers
 (synth, train, estimate, complete, sample, sweep) also take --seed and
-an optional --config file (flags merged over the file, over built-in
-defaults) and echo the seed with the configuration; evaluate and
-fit-heatmap draw none and take neither. Exit codes: 0 success, 2 input
-or schema error (unreadable files included), 3 numerical divergence.
+echo it with the configuration; evaluate and fit-heatmap draw none and
+do not take it. Exit codes: 0 success, 2 input or schema error
+(unreadable files included), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -37,59 +36,25 @@ _FRAME_SHIFT = 24
 _INIT_STREAM = 1 << 40
 _TRAIN_STREAM = (1 << 40) + 1
 
-# built-in defaults; a config file's [sampler] section may set exactly these keys
-_DEFAULTS = {
-    "steps": 100000, "batch": 128, "lr": 1e-4, "ema": 0.995,
-    "hidden": 1024, "T": 1000, "offset": 0.008, "seed": 0,
-    "gamma": 2e-4, "cov_scale": 1.0, "cov_rotate": 0.0, "M": 50,
-    "renoise": sampler.RENOISE_EQ2,
-}
 _METRIC_COLUMNS = ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")
 
 
-def _read_config(path) -> dict:
-    """The [sampler] section of a config file, keyed and typed as `_DEFAULTS`."""
-    sections = dataio.load_config(path)
-    for section in sections:
-        if section != "sampler":
-            raise SchemaError(f"{path}: unknown section [{section}]; only [sampler] is read")
-    keys = {key.lower(): key for key in _DEFAULTS}
-    cfg = {}
-    for name, raw in sections.get("sampler", {}).items():
-        if name not in keys:
-            raise SchemaError(f"{path}: unknown key {name!r} in [sampler]")
-        try:
-            cfg[keys[name]] = type(_DEFAULTS[keys[name]])(raw)
-        except ValueError:
-            raise SchemaError(f"{path}: bad value {raw!r} for {name!r} in [sampler]") from None
-    return cfg
-
-
-def _resolve(args) -> dict:
-    """Merge flags over config file over argparse defaults; echo the result."""
-    file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config"):
-            continue
-        if value is None:
-            value = file_cfg.get(key, _DEFAULTS.get(key))
-        resolved[key] = value
+def _echo_config(args):
+    """Print the parsed flags to stderr as the run's resolved configuration."""
+    resolved = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
     print(f"resolved-config: {json.dumps(resolved, default=str)}", file=sys.stderr)
-    return resolved
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key-value config file (flags take precedence)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
 
 
-def _guidance_config(cfg: dict) -> sampler.GuidanceConfig:
+def _guidance_config(args) -> sampler.GuidanceConfig:
     """The run's sampler settings, checked before any work; frames set `stream_offset`."""
     return sampler.GuidanceConfig(
-        gamma=cfg["gamma"], cov_scale=cfg["cov_scale"], cov_rotate=cfg["cov_rotate"],
-        renoise_variant=cfg["renoise"], num_hypotheses=cfg["M"], seed=cfg["seed"],
-        grad_space=cfg.get("grad_space") or sampler.GRAD_X0HAT,
+        gamma=args.gamma, cov_scale=args.cov_scale, cov_rotate=args.cov_rotate,
+        renoise_variant=args.renoise, num_hypotheses=args.M, seed=args.seed,
+        grad_space=args.grad_space,
     )
 
 
@@ -98,26 +63,32 @@ def _frame_config(gcfg: sampler.GuidanceConfig, frame_idx: int) -> sampler.Guida
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    for key in ("steps", "checkpoint_every"):
-        if cfg[key] < 0:
-            raise PosePriorError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
+    _echo_config(args)
+    for flag, value in (("--steps", args.steps), ("--checkpoint-every", args.checkpoint_every)):
+        if value < 0:
+            raise PosePriorError(f"{flag} must be >= 0, got {value}")
+    if args.batch < 1:
+        raise PosePriorError(f"--batch must be >= 1, got {args.batch}")
+    if not 0.0 <= args.ema < 1.0:
+        raise PosePriorError(f"--ema must be in [0, 1), got {args.ema}")
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise PosePriorError(f"--lr must be finite and > 0, got {args.lr}")
     dataset = dataio.load_poses(args.poses)
     if dataset.num_poses == 0:
         raise PosePriorError("training pose file holds no records")
-    sched = cosine_schedule(cfg["T"], cfg["offset"])
+    sched = cosine_schedule(args.T, args.offset)
     model = denoiser.DenoiserModel.initialize(
-        dataset.num_joints, cfg["hidden"], sched, RngStream(cfg["seed"], _INIT_STREAM))
+        dataset.num_joints, args.hidden, sched, RngStream(args.seed, _INIT_STREAM))
 
     loss_path = args.loss_log or args.out + ".loss.csv"
     sink = (lambda m, step: dataio.save_checkpoint(m, args.out)) \
-        if cfg["checkpoint_every"] else None
+        if args.checkpoint_every else None
     with open(loss_path, "w") as log:
         log.write("step,loss,grad_norm\n")
         denoiser.train(
-            model, dataset.poses, cfg["steps"], cfg["batch"], cfg["lr"], cfg["ema"],
-            RngStream(cfg["seed"], _TRAIN_STREAM),
-            checkpoint_sink=sink, checkpoint_every=cfg["checkpoint_every"],
+            model, dataset.poses, args.steps, args.batch, args.lr, args.ema,
+            RngStream(args.seed, _TRAIN_STREAM),
+            checkpoint_sink=sink, checkpoint_every=args.checkpoint_every,
             loss_log=lambda line: log.write(line + "\n"),
         )
     dataio.save_checkpoint(model, args.out)
@@ -219,9 +190,9 @@ def _write_metrics_csv(path, rows, m):
 
 
 def _run_estimation(args, records, mask=None) -> int:
-    cfg = _resolve(args)
-    _check_stream_ranges(len(records), cfg["M"])
-    gcfg = _guidance_config(cfg)
+    _echo_config(args)
+    _check_stream_ranges(len(records), args.M)
+    gcfg = _guidance_config(args)
     model = _load_model_for(args.model, records)
     mask_indices = _mask_indices(mask, model.joints) if mask else None
     sample = sampler.complete_pose if mask_indices else sampler.sample_guided
@@ -239,16 +210,16 @@ def _run_estimation(args, records, mask=None) -> int:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
             metric_rows.append((rec.frame_id, _metric_row(hyp.poses, rec.gt_pose, reprojection)))
 
-    header_meta = {"seed": cfg["seed"], "gamma": cfg["gamma"],
-                   "cov_scale": cfg["cov_scale"], "cov_rotate": cfg["cov_rotate"],
-                   "M": cfg["M"], "renoise_variant": cfg["renoise"],
-                   "grad_space": cfg.get("grad_space") or sampler.GRAD_X0HAT}
+    header_meta = {"seed": args.seed, "gamma": args.gamma,
+                   "cov_scale": args.cov_scale, "cov_rotate": args.cov_rotate,
+                   "M": args.M, "renoise_variant": args.renoise,
+                   "grad_space": args.grad_space}
     if mask_indices:
         header_meta["masked_joints"] = sorted(mask_indices)
     _write_hypotheses(args.out, _joint_names(model.joints), per_frame, header_meta)
     if metric_rows:
         report = args.report or args.out + ".metrics.csv"
-        _write_metrics_csv(report, metric_rows, cfg["M"])
+        _write_metrics_csv(report, metric_rows, args.M)
         print(f"wrote {args.out} and {report}", file=sys.stderr)
     else:
         print(f"wrote {args.out}", file=sys.stderr)
@@ -266,19 +237,19 @@ def cmd_complete(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = _resolve(args)
+    _echo_config(args)
     model = dataio.load_checkpoint(args.model)
     if args.n < 0:
         raise PosePriorError(f"sample count must be >= 0, got {args.n}")
     poses = []
     if args.n > 0:
         hyp = sampler.sample_unconditional(model, model.sched,
-                                           RngStream(cfg["seed"], 0), args.n)
+                                           RngStream(args.seed, 0), args.n)
         poses = hyp.poses
     arr = np.stack([p.joints for p in poses]) if poses else np.zeros((0, model.joints, 3))
     dataset = dataio.PoseDataset(_joint_names(model.joints), arr,
                                  [{"sample": i} for i in range(len(poses))],
-                                 {"seed": cfg["seed"], "n": args.n})
+                                 {"seed": args.seed, "n": args.n})
     dataio.save_poses(dataset, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -299,11 +270,13 @@ def _sweep_values(spec: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args)
+    _echo_config(args)
     values = _sweep_values(args.values)
+    if args.sweep == "cov-scale" and args.M < 2:
+        raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
     records = dataio.load_observations(args.obs)
-    _check_stream_ranges(len(records), cfg["M"])
-    gcfg = _guidance_config(cfg)
+    _check_stream_ranges(len(records), args.M)
+    gcfg = _guidance_config(args)
     model = _load_model_for(args.model, records)
     rows = []
     if args.sweep == "cov-scale":
@@ -333,7 +306,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit_heatmap(args) -> int:
-    _resolve(args)
+    _echo_config(args)
     with open(args.out, "w") as fh:
         for joint_idx, path in enumerate(args.heatmaps):
             hm = dataio.load_heatmap(path)
@@ -350,7 +323,7 @@ def cmd_fit_heatmap(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _resolve(args)
+    _echo_config(args)
     if args.stride < 1:
         raise PosePriorError(f"--stride must be >= 1, got {args.stride}")
     hyp_data = dataio.load_poses(args.hyp)
@@ -382,9 +355,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve(args)
+    _echo_config(args)
     skel = dataio.SyntheticSkeletonConfig(
-        n_train=args.n_train, n_eval=args.n_eval, seed=cfg["seed"],
+        n_train=args.n_train, n_eval=args.n_eval, seed=args.seed,
         obs_sigma_px=args.obs_sigma)
     train, heldout, records = dataio.generate_synthetic(skel)
     dataio.save_poses(train, args.out_train)
@@ -405,35 +378,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the denoising prior on a pose file")
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None, help="training steps [PAPER-default 100000]")
-    p.add_argument("--batch", type=int, default=None, help="batch size (default 128)")
-    p.add_argument("--lr", type=float, default=None, help="Adam learning rate [PAPER-default 1e-4]")
-    p.add_argument("--ema", type=float, default=None, help="EMA decay [PAPER-default 0.995]")
-    p.add_argument("--hidden", type=int, default=None, help="hidden width [PAPER-default 1024]")
-    p.add_argument("--T", type=int, default=None, help="diffusion steps [PAPER-default 1000]")
-    p.add_argument("--offset", type=float, default=None,
-                   help="cosine schedule offset [PAPER-default 0.008]")
+    p.add_argument("--steps", type=int, default=100000,
+                   help="training steps [PAPER-default %(default)s]")
+    p.add_argument("--batch", type=int, default=128, help="batch size (default %(default)s)")
+    p.add_argument("--lr", type=float, default=1e-4,
+                   help="Adam learning rate [PAPER-default %(default)s]")
+    p.add_argument("--ema", type=float, default=0.995,
+                   help="EMA decay [PAPER-default %(default)s]")
+    p.add_argument("--hidden", type=int, default=1024,
+                   help="hidden width [PAPER-default %(default)s]")
+    p.add_argument("--T", type=int, default=1000,
+                   help="diffusion steps [PAPER-default %(default)s]")
+    p.add_argument("--offset", type=float, default=0.008,
+                   help="cosine schedule offset [PAPER-default %(default)s]")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--loss-log", default=None)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_train)
+
+    guidance = sampler.GuidanceConfig()
 
     def estimation_flags(p):
         p.add_argument("--model", required=True)
         p.add_argument("--obs", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("-M", type=int, default=None, help="hypotheses per frame [PAPER-default 50]")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="guidance scale [PAPER-default 2e-4]")
-        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=None)
-        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=None)
+        p.add_argument("-M", type=int, default=guidance.num_hypotheses,
+                       help="hypotheses per frame [PAPER-default %(default)s]")
+        p.add_argument("--gamma", type=float, default=guidance.gamma,
+                       help="guidance scale [PAPER-default %(default)s]")
+        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=guidance.cov_scale)
+        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=guidance.cov_rotate)
         p.add_argument("--renoise", choices=[sampler.RENOISE_EQ2, sampler.RENOISE_ALG1],
-                       default=None)
+                       default=guidance.renoise_variant)
         p.add_argument("--grad-space", dest="grad_space",
-                       choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT], default=None,
-                       help="apply guidance to the clean estimate (default) or the noisy iterate")
+                       choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT], default=guidance.grad_space,
+                       help="apply guidance to the clean estimate x0hat or the noisy iterate xt "
+                            "(default %(default)s)")
         p.add_argument("--report", default=None)
-        _add_common(p)
+        _add_seed(p)
 
     p = sub.add_parser("estimate", help="sample guided hypotheses for each observation")
     estimation_flags(p)
@@ -449,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("-n", type=int, default=16)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("sweep", help="sweep covariance scale or guidance scale")
@@ -479,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=2000)
     p.add_argument("--n-eval", type=int, default=16)
     p.add_argument("--obs-sigma", type=float, default=2.0)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_synth)
 
     return parser

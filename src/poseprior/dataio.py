@@ -8,7 +8,6 @@ downstream stage can be exercised without licensed mocap data.
 
 from __future__ import annotations
 
-import configparser
 import json
 import os
 import struct
@@ -37,7 +36,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "generate_synthetic",
-    "load_config",
 ]
 
 POSE_FORMAT = "poseprior/poses"
@@ -496,16 +494,3 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
             root=root_est, gt_pose=gt_abs,
         ))
     return train, heldout, records
-
-
-def load_config(path) -> dict:
-    """Read an INI file into {section: {key: raw string}}; [DEFAULT] is a plain section."""
-    parser = configparser.ConfigParser(default_section="")
-    try:
-        read = parser.read(path)
-        sections = {section: dict(parser[section]) for section in parser.sections()}
-    except configparser.Error as exc:
-        raise ParseError(f"bad config file {path}: {exc}") from None
-    if not read:
-        raise ParseError(f"cannot read config file {path}")
-    return sections

@@ -195,7 +195,9 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     (summed over sources, zero for invalid or behind-camera joints)
     before renoising. ``obs`` may be one observation or a list of
     independent sources sharing the camera; ``gamma = 0`` or no
-    observations reduces exactly to unconditional sampling.
+    observations reduces exactly to unconditional sampling. ``sched``
+    must be the model's own schedule (``None`` means ``model.sched``):
+    one of another T or offset raises ``ValueError``.
 
     All M hypotheses advance together as one (M, 3J) state, and every
     row's arithmetic is independent of the other rows. If a state turns
@@ -205,7 +207,11 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     skipped behind the camera (``behind_camera_skips``) and joints whose
     non-finite gradient was zeroed (``nonfinite_grad_zeroed``).
     """
-    sched = sched or model.sched
+    if sched is None:
+        sched = model.sched
+    elif (sched.T, sched.offset) != (model.sched.T, model.sched.offset):
+        raise ValueError(f"schedule (T = {sched.T}, offset = {sched.offset}) is not the model's "
+                         f"(T = {model.sched.T}, offset = {model.sched.offset})")
     sources = _transformed_sources(obs, cfg, model.joints) if obs is not None else []
     if sources and cam is None:
         raise ValueError("observations given without a camera")

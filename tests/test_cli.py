@@ -68,6 +68,29 @@ def rooted_at_joint_1(src, dst):
     dst.write_text(dst.read_text().replace('"root_index":0', '"root_index":1', 1))
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "estimate", "complete", "sample",
+                                     "sweep"])
+def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
+    config = tmp_path / "c.ini"
+    config.write_text("[sampler]\nseed = 1\n")
+    out = tmp_path / "out"
+    model_obs = ["--model", str(tiny_setup["ckpt"]), "--obs", str(tiny_setup["obs"])]
+    args = {
+        "synth": ["--out-train", str(out), "--n-train", "10", "--n-eval", "1"],
+        "train": ["--poses", str(tiny_setup["train"]), "--out", str(out), "--steps", "0",
+                  "--hidden", "8", "--T", "10"],
+        "estimate": [*model_obs, "--out", str(out), "-M", "1"],
+        "complete": [*model_obs, "--out", str(out), "-M", "1", "--mask", "0"],
+        "sample": ["--model", str(tiny_setup["ckpt"]), "--out", str(out), "-n", "1"],
+        "sweep": [*model_obs, "--out", str(out), "-M", "1", "--sweep", "gamma",
+                  "--values", "0"],
+    }[command]
+    proc = run_cli([command, *args, "--config", str(config)])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --config" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
 class TestTrainCommand:
     def test_zero_steps_writes_initialized_checkpoint(self, tiny_setup, tmp_path):
         out = tmp_path / "init.ckpt"
@@ -97,45 +120,17 @@ class TestTrainCommand:
         assert "resolved-config:" in proc.stderr
         assert '"seed": 7' in proc.stderr
 
-    def test_config_file_fills_defaults(self, tiny_setup, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[sampler]\nhidden = 8\nt = 10\nsteps = 0\n")
-        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
-                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg),
-                        "--seed", "2"])
-        assert proc.returncode == 0, proc.stderr
-        model = dataio.load_checkpoint(tmp_path / "m.ckpt")
-        assert model.hidden_dim == 8
-        assert model.sched.T == 10
-
-    def test_config_key_unused_by_command_is_ignored(self, tiny_setup, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[sampler]\nhidden = 8\nt = 10\nsteps = 0\ngamma = 0.5\nm = 3\n")
-        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
-                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)])
-        assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize("text,named", [
-        ("[sampler]\nhiden = 8\n", "unknown key 'hiden'"),
-        ("[sampler]\nseed = 2\n[paths]\nout = x\n", "unknown section [paths]"),
-        ("[sampler]\nsteps = many\n", "bad value 'many' for 'steps'"),
-        ("[DEFAULT]\nseed = 2\n", "unknown section [DEFAULT]"),
-        ("seed = 2\n", "no section headers"),
-    ], ids=["unknown-key", "unknown-section", "bad-value", "default-section", "no-section"])
-    def test_config_file_rejects_what_it_cannot_honour(self, tiny_setup, tmp_path, text, named):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(text)
-        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
-                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg),
-                        "--steps", "0", "--hidden", "8", "--T", "10"])
-        assert proc.returncode == 2
-        assert named in proc.stderr
-        assert not (tmp_path / "m.ckpt").exists()
-
     @pytest.mark.parametrize("flags,named", [
         (["--steps", "-3"], "--steps must be >= 0, got -3"),
         (["--checkpoint-every", "-5", "--steps", "2"], "--checkpoint-every must be >= 0, got -5"),
-    ], ids=["steps", "checkpoint-every"])
+        (["--batch", "0", "--steps", "2"], "--batch must be >= 1, got 0"),
+        (["--ema", "1.0", "--steps", "2"], "--ema must be in [0, 1), got 1.0"),
+        (["--ema", "-0.5", "--steps", "2"], "--ema must be in [0, 1), got -0.5"),
+        (["--lr", "nan", "--steps", "2"], "--lr must be finite and > 0, got nan"),
+        (["--lr", "inf", "--steps", "2"], "--lr must be finite and > 0, got inf"),
+        (["--lr", "0", "--steps", "2"], "--lr must be finite and > 0, got 0.0"),
+    ], ids=["steps", "checkpoint-every", "batch", "ema-one", "ema-negative", "lr-nan",
+            "lr-inf", "lr-zero"])
     def test_negative_count_exits_2(self, tiny_setup, tmp_path, flags, named):
         proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
                         "--out", str(tmp_path / "m.ckpt"), "--hidden", "8", "--T", "10",
@@ -143,15 +138,7 @@ class TestTrainCommand:
         assert proc.returncode == 2
         assert named in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
-
-    def test_negative_steps_from_config_file_exits_2(self, tiny_setup, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[sampler]\nsteps = -3\n")
-        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
-                        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg),
-                        "--hidden", "8", "--T", "10"])
-        assert proc.returncode == 2
-        assert "--steps must be >= 0, got -3" in proc.stderr
+        assert not (tmp_path / "m.ckpt.loss.csv").exists()
 
     @pytest.mark.parametrize("which,named", [
         ("record", "line 2: a pose record must be a JSON object"),
@@ -457,6 +444,19 @@ class TestSweepCommand:
         assert proc.returncode == 2
         assert f"--values: {item} is not a finite number" in proc.stderr
         assert not out.exists()
+
+
+    def test_cov_scale_sweep_needs_two_hypotheses(self, tiny_setup, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--model", str(tiny_setup["ckpt"]), "--obs", str(tiny_setup["obs"]),
+                "--out", str(out), "--values", "1", "-M", "1"]
+        proc = run_cli([*args, "--sweep", "cov-scale"])
+        assert proc.returncode == 2
+        assert "-M must be >= 2 for a cov-scale sweep" in proc.stderr
+        assert not out.exists()
+        proc = run_cli([*args, "--sweep", "gamma"])
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(csv.DictReader(open(out)))) == 2
 
 
 class TestFitHeatmapCommand:

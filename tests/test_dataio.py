@@ -390,16 +390,3 @@ class TestSynthetic:
         b = dataio.generate_synthetic(cfg)
         assert np.array_equal(a[0].poses, b[0].poses)
         assert np.array_equal(a[2][0].keypoints.means, b[2][0].keypoints.means)
-
-
-class TestConfigFile:
-    def test_sections(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        path.write_text("[camera]\nfx = 1100\n[sampler]\ngamma = 0.0002\nm = 50\n")
-        cfg = dataio.load_config(path)
-        assert cfg["camera"]["fx"] == "1100"
-        assert cfg["sampler"]["gamma"] == "0.0002"
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            dataio.load_config(tmp_path / "nope.ini")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from poseprior import dataio, denoiser, metrics, sampler
 from poseprior.errors import DivergenceError
-from poseprior.geometry import RootEstimate
+from poseprior.geometry import Camera, RootEstimate
 from poseprior.numeric import RngStream, SymMat2
 from poseprior.observation import KeypointObservation, rotate_covariance, scale_covariance
 from poseprior.schedule import cosine_schedule, renoise
@@ -38,6 +39,36 @@ class TestUnconditional:
         scale = np.linalg.norm(single.poses[0], axis=1).max()
         devs = [np.linalg.norm(p.joints - single.poses[0], axis=1).mean() for p in hyp.poses]
         assert np.mean(devs) < 0.10 * scale
+
+
+class TestScheduleCheck:
+    @pytest.mark.parametrize("T,offset", [(10, 0.008), (21, 0.008), (20, 0.01)],
+                             ids=["fewer-steps", "more-steps", "other-offset"])
+    def test_other_schedule_rejected_by_every_entry_point(self, tiny_model, T, offset):
+        sched = cosine_schedule(T, offset)
+        cfg = sampler.GuidanceConfig(num_hypotheses=2, seed=3)
+        obs = KeypointObservation(np.full((3, 2), 500.0), np.tile([4.0, 0.0, 4.0], (3, 1)),
+                                  np.array([True, False, True]))
+        cam = Camera(1000.0, 1000.0, 500.0, 500.0)
+        calls = [
+            lambda: sampler.sample_guided(tiny_model, sched, obs, cam, None, cfg),
+            lambda: sampler.sample_unconditional(tiny_model, sched, RngStream(3, 0), 2),
+            lambda: sampler.complete_pose(tiny_model, sched, obs, cam, None, cfg),
+            lambda: sampler.diversity_sweep(tiny_model, sched, obs, cam, None, cfg, [1.0]),
+        ]
+        named = (f"schedule (T = {T}, offset = {offset}) is not the model's "
+                 f"(T = 20, offset = 0.008)")
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert named in str(exc.value)
+
+    def test_equal_schedule_matches_none(self, tiny_model):
+        same = sampler.sample_unconditional(tiny_model, cosine_schedule(20, 0.008),
+                                            RngStream(4, 0), 3)
+        default = sampler.sample_unconditional(tiny_model, None, RngStream(4, 0), 3)
+        for a, b in zip(same.poses, default.poses):
+            assert np.array_equal(a.joints, b.joints)
 
 
 class TestGuided:
@@ -321,13 +352,12 @@ class TestChunkedNoise:
         # rng, sched) per step (eq2), or one standard_normal(3J) per step (alg1)
         rec = toy_world.records[1]
         k = sampler.NOISE_CHUNK
-        assert 2 * k + 5 <= toy_world.model.sched.T, "the toy model has too few steps"
         for steps in (k - 1, k, k + 1, 2 * k + 5):
-            sched = cosine_schedule(steps, 0.008)
+            model = dataclasses.replace(toy_world.model, sched=cosine_schedule(steps, 0.008))
             for m, offset in ((1, 0), (3, 0), (3, 77 << 24)):
                 cfg = sampler.GuidanceConfig(num_hypotheses=m, seed=914, stream_offset=offset,
                                              renoise_variant=variant, grad_space=grad_space)
-                args = (toy_world.model, sched, rec.keypoints, rec.camera, rec.root, cfg)
+                args = (model, None, rec.keypoints, rec.camera, rec.root, cfg)
                 new = sampler.sample_guided(*args)
                 with monkeypatch.context() as patch:
                     patch.setattr(sampler, "_TrajectoryNoise", PerStepNoise)
