@@ -339,15 +339,23 @@ def cmd_evaluate(args) -> int:
         raise PosePriorError(f"--stride must be >= 1, got {args.stride}")
     hyp_data = dataio.load_poses(args.hyp)
     gt_data = dataio.load_poses(args.gt)
+    if hyp_data.num_joints != gt_data.num_joints:
+        raise SchemaError(f"{args.hyp} has {hyp_data.num_joints} joints "
+                          f"but {args.gt} has {gt_data.num_joints}")
 
-    by_frame: dict[str, list] = {}
+    by_frame: dict[str, dict] = {}
     for i in range(hyp_data.num_poses):
         meta = hyp_data.meta[i]
         index = meta.get("hypothesis", 0)
         if type(index) is not int or index < 0:
             raise SchemaError(f"{args.hyp}: record {i + 1}: \"hypothesis\" must be a "
                               f"non-negative integer, got {json.dumps(index)}")
-        by_frame.setdefault(str(meta.get("frame_id")), []).append((index, hyp_data.pose_at(i)))
+        frame_id = str(meta.get("frame_id"))
+        frame = by_frame.setdefault(frame_id, {})
+        if index in frame:
+            raise SchemaError(f"{args.hyp}: record {i + 1}: repeats hypothesis {index} "
+                              f"of frame {frame_id}")
+        frame[index] = hyp_data.pose_at(i)
 
     gt_frames = [(str(gt_data.meta[i].get("frame_id", i)), gt_data.pose_at(i))
                  for i in range(gt_data.num_poses)]
@@ -357,7 +365,7 @@ def cmd_evaluate(args) -> int:
     for frame_id, gt_pose in gt_frames:
         if frame_id not in by_frame:
             raise dataio.SchemaError(f"no hypotheses for frame {frame_id}")
-        poses = [p for _, p in sorted(by_frame[frame_id], key=lambda kv: kv[0])]
+        poses = [by_frame[frame_id][index] for index in sorted(by_frame[frame_id])]
         rows.append((frame_id, _metric_row(poses, gt_pose, float("nan"))))
     m = max(len(v) for v in by_frame.values()) if by_frame else 0
     _write_metrics_csv(args.out, rows, m)
@@ -367,6 +375,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     _echo_config(args)
+    if args.n_train < 1:
+        raise PosePriorError(f"--n-train must be >= 1, got {args.n_train}")
+    if args.n_eval < 1:
+        raise PosePriorError(f"--n-eval must be >= 1, got {args.n_eval}")
+    if not (math.isfinite(args.obs_sigma) and args.obs_sigma > 0.0):
+        raise PosePriorError(f"--obs-sigma must be finite and > 0, got {args.obs_sigma}")
     skel = dataio.SyntheticSkeletonConfig(
         n_train=args.n_train, n_eval=args.n_eval, seed=args.seed,
         obs_sigma_px=args.obs_sigma)

@@ -8,16 +8,18 @@ feed-forward net and added to the hidden activation entering every
 hidden-to-hidden linear (the four block linears and the output linear).
 That is eight linears in total.
 
-One network body, ``_forward_core``, serves training and eval. The
-training forward uses batch statistics and one GEMM per linear over the
-batch. The eval forward, ``make_eval_forward``, uses the EMA weights and
-the running statistics and multiplies row by row, so rows are
-independent: a row's output does not depend on the other rows of its
-block. It copies each wide weight once into column panels of
-PANEL_COLS columns and runs every row over one panel before moving to
-the next, so a panel is read from cache by all rows of the block. Each
-row still runs its own product over the full inner dimension, and the
-panel split keeps every bit of the 2-D product (see ``_panels``).
+One network body, ``_forward_core``, serves training and eval, and one
+projection, ``_project_temb``, gives both their step embeddings with
+one GEMM per linear. Training uses batch statistics and one GEMM per
+linear over the batch. The eval forward, ``make_eval_forward``, uses the
+EMA weights and the running statistics, projects the embeddings of all
+T steps once, and multiplies row by row, so rows are independent: a
+row's output does not depend on the other rows of its block. It copies
+each wide weight once into column panels of PANEL_COLS columns and runs
+every row over one panel before moving to the next, so a panel is read
+from cache by all rows of the block. Each row still runs its own
+product over the full inner dimension, and the panel split keeps every
+bit of the 2-D product (see ``_panels``).
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -57,10 +59,9 @@ ADAM_EPS = 1e-8
 # Columns per eval weight panel. A 1024-row panel is 512 KB and stays in
 # a 2 MB L2 while every row of a block uses it. One 1024 x 1024 linear
 # (2-vCPU Xeon, OpenBLAS 0.3.31, one thread, median ms): 0.50-0.62 at
-# M = 2, 6.9-10.4 at M = 50 and 164-225 at M = 1000 (the step-embedding
-# table), against 0.68-0.95, 18-22 and 350-420 row by row over the 2-D
-# weight.
-# Widths 32 and 128 performed the same; 256 was slower at M = 2.
+# M = 2 and 6.9-10.4 at M = 50, against 0.68-0.95 and 18-22 row by row
+# over the 2-D weight. Widths 32 and 128 performed the same; 256 was
+# slower at M = 2.
 PANEL_COLS = 64
 
 # canonical parameter order; also the checkpoint tensor order
@@ -203,13 +204,16 @@ def _rowwise(a, w):
     return out.transpose(1, 0, 2).reshape(a.shape[0], -1)
 
 
-def _project_temb(params, t_arr, matmul=np.matmul) -> tuple:
-    """Two-layer feed-forward projection of the sinusoidal encoding."""
+def _project_temb(params, t_arr) -> tuple:
+    """Two-layer feed-forward projection of the sinusoidal encoding, one
+    GEMM per linear over all steps in ``t_arr``."""
     dim = params["te1_b"].shape[0]
     e_sin = sinusoidal_embedding(t_arr, dim)
-    z1 = matmul(e_sin, params["te1_w"]) + params["te1_b"]
+    z1 = e_sin @ params["te1_w"]
+    z1 += params["te1_b"]  # in place: one (T, h) temporary fewer for the eval table
     r1 = np.maximum(z1, 0.0)
-    e = matmul(r1, params["te2_w"]) + params["te2_b"]
+    e = r1 @ params["te2_w"]
+    e += params["te2_b"]
     return e, (e_sin, z1, r1)
 
 
@@ -414,24 +418,19 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
 def make_eval_forward(model: DenoiserModel):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
-    Uses the EMA weights and the batch-norm running statistics, and
-    multiplies row by row, so each row's output equals that of its own
-    1-row block bit for bit. Each weight whose column count is a
-    multiple of PANEL_COLS, and larger than it, is copied once into
-    column panels (``_panels``), which keep every bit of the 2-D
-    product. The
-    projected step embeddings of all T steps are computed once per
-    closure through the same panels, also row by row; the step-embedding
-    panels are dropped once the table is built.
+    Uses the EMA weights and the batch-norm running statistics. The
+    projected step embeddings of all T steps are built once per closure
+    by ``_project_temb``, the GEMM training uses; the table depends only
+    on the weights and t, not on the block. The per-step linears
+    multiply row by row, so each row's output equals that of its own
+    1-row block bit for bit. Each of their weights whose column count is
+    a multiple of PANEL_COLS, and larger than it, is copied once into
+    column panels (``_panels``), which keep every bit of the 2-D product.
     """
     ema = model.ema_params
-
-    def panelled(keys):
-        return {k: _panels(ema[k]) if k.endswith("_w") else ema[k] for k in keys}
-
-    step_keys = ("te1_w", "te1_b", "te2_w", "te2_b")
-    temb, _ = _project_temb(panelled(step_keys), np.arange(1, model.sched.T + 1), _rowwise)
-    params = panelled(k for k in PARAM_KEYS if k not in step_keys)
+    temb, _ = _project_temb(ema, np.arange(1, model.sched.T + 1))
+    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k]
+              for k in PARAM_KEYS if not k.startswith("te")}
 
     def eval_forward(x, t: int):
         out, _ = _forward_core(params, model.bn_stats, x, None, train=False, temb=temb[t - 1])

@@ -91,6 +91,22 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+class TestSynthCommand:
+    @pytest.mark.parametrize("flag,value", [
+        ("--obs-sigma", "-1"), ("--obs-sigma", "0"), ("--obs-sigma", "nan"),
+        ("--obs-sigma", "inf"), ("--n-train", "0"), ("--n-train", "-3"),
+        ("--n-eval", "0"), ("--n-eval", "-2"),
+    ])
+    def test_bad_setting_exits_2_naming_flag(self, tmp_path, flag, value):
+        out = tmp_path / "train.jsonl"
+        proc = run_cli(["synth", "--out-train", str(out), "--out-obs", str(tmp_path / "obs"),
+                        "--n-train", "10", "--n-eval", "1", flag, value])
+        assert proc.returncode == 2
+        assert f"error: {flag} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrainCommand:
     def test_zero_steps_writes_initialized_checkpoint(self, tiny_setup, tmp_path):
         out = tmp_path / "init.ckpt"
@@ -637,6 +653,55 @@ class TestEvaluateCommand:
                 f"got {json.dumps(index)}") in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_repeated_record_exits_2(self, tiny_setup, tmp_path):
+        # three hypotheses of each frame, then the last record again
+        gt = dataio.load_poses(tiny_setup["gt"])
+        meta = [{"frame_id": gt.meta[i]["frame_id"], "hypothesis": m}
+                for i in range(gt.num_poses) for m in range(3)]
+        poses = np.repeat(gt.poses, 3, axis=0)
+        hyp_path = tmp_path / "hyp.jsonl"
+        dataio.save_poses(dataio.PoseDataset(gt.joint_names, np.concatenate([poses, poses[-1:]]),
+                                             meta + meta[-1:]), hyp_path)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp_path), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        frame_id = gt.meta[-1]["frame_id"]
+        assert (f"record {len(meta) + 1}: repeats hypothesis 2 of frame {frame_id}"
+                in proc.stderr)
+        assert not out.exists()
+
+    def test_joint_count_that_differs_exits_2(self, tiny_setup, tmp_path):
+        gt = dataio.load_poses(tiny_setup["gt"])
+        hyp = tmp_path / "hyp.jsonl"
+        dataio.save_poses(dataio.PoseDataset(gt.joint_names[:5], gt.poses[:, :5], gt.meta), hyp)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"{hyp} has 5 joints but {tiny_setup['gt']} has 17" in proc.stderr
+        assert not out.exists()
+
+    def test_scores_estimate_of_own_named_joints(self, tiny_setup, five_joint_setup,
+                                                 tmp_path):
+        # checkpoints store no joint names, so a 5-joint estimate is written
+        # as joint0..joint4 while its ground truth keeps the dataset's names
+        gt = dataio.load_poses(tiny_setup["gt"])
+        gt5 = tmp_path / "gt5.jsonl"
+        dataio.save_poses(dataio.PoseDataset(gt.joint_names[:5], gt.poses[:, :5], gt.meta), gt5)
+        est = tmp_path / "est.jsonl"
+        proc = run_cli(["estimate", "--model", str(five_joint_setup["ckpt"]),
+                        "--obs", str(five_joint_setup["obs"]), "--out", str(est),
+                        "-M", "2", "--seed", "3"])
+        assert proc.returncode == 0, proc.stderr
+        assert dataio.load_poses(est).joint_names != gt.joint_names[:5]
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(est), "--gt", str(gt5), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(open(out)))
+        assert [r["frame_id"] for r in rows] == [*(m["frame_id"] for m in gt.meta), "aggregate"]
+        assert all(r["M"] == "2" for r in rows)
 
     @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])
     def test_takes_no_seed_or_config(self, tiny_setup, tmp_path, flag, value):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -272,21 +276,45 @@ class TestTrain:
 
 class TestEvalForwardClosure:
     def test_table_matches_per_step_projection(self):
-        # the closure projects all T step embeddings in one row-wise call;
-        # each must equal the embedding projected for that step alone over
-        # the 2-D weights (hidden 128 and 1024 build the table through
-        # weight panels, hidden 64 does not)
+        # the closure projects all T step embeddings with training's GEMM;
+        # row t - 1 of that table must match step t projected alone, and
+        # each step's output must equal the body run on that row (hidden
+        # 128 and 1024 multiply the per-step linears over weight panels,
+        # hidden 64 does not)
         for hidden, t_steps in ((64, 100), (128, 20), (1024, 4)):
             model = small_model(joints=17, hidden=hidden, t_steps=t_steps)
             fast = make_eval_forward(model)
+            table, _ = denoiser._project_temb(model.ema_params, np.arange(1, t_steps + 1))
             rng = RngStream(25, 0)
             for t in range(1, t_steps + 1):
                 x = rng.standard_normal((1, 51))
-                temb, _ = denoiser._project_temb(model.ema_params, np.array([t]),
-                                                 denoiser._rowwise)
+                step, _ = denoiser._project_temb(model.ema_params, np.array([t]))
+                assert np.allclose(table[t - 1], step[0], rtol=1e-12, atol=1e-12), (hidden, t)
                 alone, _ = denoiser._forward_core(model.ema_params, model.bn_stats, x, None,
-                                                  train=False, temb=temb[0])
+                                                  train=False, temb=table[t - 1])
                 assert np.array_equal(fast(x, t), alone), (hidden, t)
+
+    def test_table_bits_do_not_depend_on_blas_threads(self):
+        # the paper-size table (hidden 1024, T = 1000) is one GEMM per
+        # linear; it must come out the same at one and two BLAS threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from poseprior import denoiser\n"
+            "from poseprior.numeric import RngStream\n"
+            "from poseprior.schedule import cosine_schedule\n"
+            "model = denoiser.DenoiserModel.initialize(\n"
+            "    17, 1024, cosine_schedule(1000, 0.008), RngStream(29, 0))\n"
+            "table, _ = denoiser._project_temb(model.ema_params, np.arange(1, 1001))\n"
+            "print(hashlib.sha256(table.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("rows", [2, 5, 50, 65])
     def test_block_equals_rows_bitwise(self, rows):
