@@ -23,10 +23,14 @@ import numpy as np
 
 from . import dataio, denoiser, metrics, sampler
 from .errors import DivergenceError, PosePriorError, SchemaError
-from .geometry import project, to_absolute
+from .geometry import project
 from .numeric import RngStream
 from .observation import fit_gaussian_heatmap
 from .schedule import cosine_schedule
+
+# Not called in this module: the benchmark tracer (perfbench/tracing.py)
+# patches this name here, so it stays importable until it is re-pointed.
+from .geometry import to_absolute  # noqa: F401
 
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
@@ -66,8 +70,17 @@ def _frame_config(gcfg: sampler.GuidanceConfig, frame_idx: int) -> sampler.Guida
     return replace(gcfg, stream_offset=frame_idx << _FRAME_SHIFT)
 
 
+def _check_hypothesis_count(m: int):
+    if m < 1:
+        raise PosePriorError(f"-M must be >= 1, got {m}")
+
+
 def cmd_train(args) -> int:
     _echo_config(args)
+    if args.hidden % 2 != 0 or args.hidden < 4:
+        raise PosePriorError(f"--hidden must be even and >= 4, got {args.hidden}")
+    if args.T < 1:
+        raise PosePriorError(f"--T must be >= 1, got {args.T}")
     for flag, value in (("--steps", args.steps), ("--checkpoint-every", args.checkpoint_every)):
         if value < 0:
             raise PosePriorError(f"{flag} must be >= 0, got {value}")
@@ -101,7 +114,8 @@ def cmd_train(args) -> int:
 
 
 def _load_model_for(model_path, records):
-    model = dataio.load_checkpoint(model_path)
+    """The checkpoint's sampling state, checked against the observations' joint count."""
+    model = dataio.load_checkpoint(model_path, train_state=False)
     for rec in records:
         if rec.keypoints.num_joints != model.joints:
             raise SchemaError(
@@ -156,17 +170,21 @@ def _write_hypotheses(path, joint_names, per_frame, header_meta):
 
 
 def _mean_reprojection(hyp, keypoints, cam):
-    """Mean pixel residual over all (hypothesis, joint) pairs in front of the camera."""
-    total, count = 0.0, 0
-    for pose, root in zip(hyp.poses, hyp.roots):
-        joints = to_absolute(pose, root).joints
-        ok = keypoints.valid & (joints[:, 2] > 0.0)
-        if not np.any(ok):
-            continue
-        residual = np.linalg.norm(project(joints[ok], cam) - keypoints.means[ok], axis=1)
-        total += float(residual.sum())
-        count += residual.size
-    return total / count if count else float("nan")
+    """Mean pixel residual over all (hypothesis, joint) pairs in front of the camera.
+
+    One projection over the stacked (M, J, 3) absolute joints; each
+    hypothesis's residuals are summed on their own, in hypothesis order.
+    """
+    joints = np.stack([pose.joints for pose in hyp.poses]) + hyp.roots[:, None, :]
+    ok = keypoints.valid & (joints[..., 2] > 0.0)
+    if not np.any(ok):
+        return float("nan")
+    means = np.broadcast_to(keypoints.means, joints.shape[:2] + (2,))
+    residual = np.linalg.norm(project(joints[ok], cam) - means[ok], axis=1)
+    total = 0.0
+    for part in np.split(residual, np.cumsum(ok.sum(axis=1))[:-1]):
+        total += float(part.sum())
+    return total / residual.size
 
 
 def _metric_row(poses, gt, reprojection_px):
@@ -236,20 +254,22 @@ def _run_estimation(args, records, mask=None) -> int:
 
 
 def cmd_estimate(args) -> int:
+    _check_hypothesis_count(args.M)
     return _run_estimation(args, dataio.load_observations(args.obs))
 
 
 def cmd_complete(args) -> int:
     if not args.mask.strip():
         raise PosePriorError("--mask is empty: name at least one joint, or 'all'")
+    _check_hypothesis_count(args.M)
     return _run_estimation(args, dataio.load_observations(args.obs), mask=args.mask)
 
 
 def cmd_sample(args) -> int:
     _echo_config(args)
-    model = dataio.load_checkpoint(args.model)
     if args.n < 0:
-        raise PosePriorError(f"sample count must be >= 0, got {args.n}")
+        raise PosePriorError(f"-n must be >= 0, got {args.n}")
+    model = dataio.load_checkpoint(args.model, train_state=False)
     poses = []
     if args.n > 0:
         hyp = sampler.sample_unconditional(model, model.sched,
@@ -283,6 +303,7 @@ def cmd_sweep(args) -> int:
     if getattr(args, args.sweep.replace("-", "_")) is not None:
         raise PosePriorError(f"--{args.sweep} is the swept setting: give its values with --values")
     values = _sweep_values(args.values)
+    _check_hypothesis_count(args.M)
     if args.sweep == "cov-scale" and args.M < 2:
         raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
     records = dataio.load_observations(args.obs)

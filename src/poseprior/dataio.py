@@ -299,6 +299,7 @@ def load_heatmap(path) -> Heatmap:
 
 def save_checkpoint(model: dn.DenoiserModel, path):
     """Write the model to a binary checkpoint (parameters as float32)."""
+    model.require_train_state("save")
     if model.norm_mean.shape != (model.dim,) or model.norm_std.shape != (model.dim,):
         raise ValueError("model normalization statistics have the wrong shape")
     with open(path, "wb") as fh:
@@ -315,12 +316,19 @@ def save_checkpoint(model: dn.DenoiserModel, path):
             fh.write(model.bn_stats[key].astype("<f4").tobytes())
 
 
-def load_checkpoint(path) -> dn.DenoiserModel:
+def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
     """Read a checkpoint; rebuilds the schedule from the stored config.
 
     The file size is checked against the header before any tensor is
     read, and tensors are read one at a time in small pieces, so the
     whole file is never held in memory next to the model it becomes.
+
+    With ``train_state=False`` only what sampling uses is read: the
+    normalization statistics, the EMA weights and the batch-norm
+    statistics. The reader seeks past the parameters and both Adam
+    moments (three of the four weight groups), which stay None in the
+    model. It samples as the full load does, bit for bit; ``train`` and
+    ``save_checkpoint`` refuse it.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -349,10 +357,19 @@ def load_checkpoint(path) -> dn.DenoiserModel:
                 part[:] = np.frombuffer(fh.read(width * part.size), dtype)
             return out
 
+        def group(keep):
+            """The next weight group as float64 tensors, or None after seeking past it."""
+            if not keep:
+                fh.seek(4 * n_param, os.SEEK_CUR)
+                return None
+            return {key: read("<f4", shapes[key]) for key in dn.PARAM_KEYS}
+
         norm_mean = read("<f8", d)
         norm_std = read("<f8", d)
-        params, ema, adam_m, adam_v = (
-            {key: read("<f4", shapes[key]) for key in dn.PARAM_KEYS} for _ in range(4))
+        params = group(train_state)
+        ema = group(True)
+        adam_m = group(train_state)
+        adam_v = group(train_state)
         stats = {key: read("<f4", hidden) for key in dn.STAT_KEYS}
 
     return dn.DenoiserModel(

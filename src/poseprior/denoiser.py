@@ -105,21 +105,34 @@ def _snap(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenoiserModel:
+    """The denoiser and its training state.
+
+    ``params``, ``adam_m`` and ``adam_v`` are None in a model read with
+    ``load_checkpoint(path, train_state=False)``: it holds only what
+    sampling uses, and can be neither trained nor saved.
+    """
+
     joints: int
     hidden_dim: int
     sched: DiffusionSchedule
-    params: dict = field(repr=False)
+    params: dict | None = field(repr=False)
     ema_params: dict = field(repr=False)
     bn_stats: dict = field(repr=False)
     norm_mean: np.ndarray = field(repr=False)
     norm_std: np.ndarray = field(repr=False)
-    adam_m: dict = field(repr=False)
-    adam_v: dict = field(repr=False)
+    adam_m: dict | None = field(repr=False)
+    adam_v: dict | None = field(repr=False)
     adam_steps: int = 0
 
     @property
     def dim(self) -> int:
         return 3 * self.joints
+
+    def require_train_state(self, action: str):
+        """Raise ValueError unless the parameters and Adam moments are loaded."""
+        if self.params is None or self.adam_m is None or self.adam_v is None:
+            raise ValueError(f"cannot {action} a model loaded without its training state "
+                             f"(load_checkpoint(..., train_state=False))")
 
     @classmethod
     def initialize(cls, joints: int, hidden_dim: int, sched: DiffusionSchedule,
@@ -387,6 +400,7 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     "step,loss,grad_norm" line per step; ``checkpoint_sink(model, step)``
     is called every ``checkpoint_every`` steps when set.
     """
+    model.require_train_state("train")
     poses = np.asarray(poses, dtype=np.float64)
     if poses.ndim == 3:
         poses = poses.reshape(poses.shape[0], -1)

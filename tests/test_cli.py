@@ -91,6 +91,72 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+@pytest.mark.parametrize("command,flags,named", [
+    ("train", ["--hidden", "3"], "--hidden must be even and >= 4, got 3"),
+    ("train", ["--hidden", "2"], "--hidden must be even and >= 4, got 2"),
+    ("train", ["--T", "0"], "--T must be >= 1, got 0"),
+    ("estimate", ["-M", "0"], "-M must be >= 1, got 0"),
+    ("complete", ["-M", "0"], "-M must be >= 1, got 0"),
+    ("sweep", ["-M", "0"], "-M must be >= 1, got 0"),
+    ("sample", ["-n", "-1"], "-n must be >= 0, got -1"),
+], ids=["hidden-odd", "hidden-small", "T-zero", "estimate-M", "complete-M", "sweep-M",
+        "sample-n"])
+def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
+                                                       capsys, command, flags, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the flags were checked")
+
+    for name in ("load_poses", "load_observations", "load_checkpoint"):
+        monkeypatch.setattr(dataio, name, refuse)
+    out = tmp_path / "out"
+    model_obs = ["--model", str(tiny_setup["ckpt"]), "--obs", str(tiny_setup["obs"]),
+                 "--out", str(out)]
+    args = {
+        "train": ["--poses", str(tiny_setup["train"]), "--out", str(out), "--steps", "0",
+                  "--hidden", "8", "--T", "10"],
+        "estimate": model_obs,
+        "complete": [*model_obs, "--mask", "0"],
+        "sweep": [*model_obs, "--sweep", "gamma", "--values", "0"],
+        "sample": ["--model", str(tiny_setup["ckpt"]), "--out", str(out)],
+    }[command]
+    assert cli.main([command, *args, *flags]) == 2
+    assert f"error: {named}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "complete", "sweep", "sample"])
+def test_sampling_commands_load_only_the_sampling_state(tiny_setup, tmp_path, monkeypatch,
+                                                        command):
+    obs = ["--obs", str(tiny_setup["obs"])]
+    flags = {
+        "estimate": [*obs, "-M", "3"],
+        "complete": [*obs, "-M", "2", "--mask", "l_wrist,3"],
+        "sweep": [*obs, "-M", "2", "--sweep", "gamma", "--values", "0,1e-4"],
+        "sample": ["-n", "4"],
+    }[command]
+    original = dataio.load_checkpoint
+    calls = []
+
+    def spy(path, **kwargs):
+        calls.append(kwargs)
+        return original(path, **kwargs)
+
+    def full_load(path, **kwargs):
+        return original(path)
+
+    outputs = []
+    for loader in (spy, full_load):
+        monkeypatch.setattr(dataio, "load_checkpoint", loader)
+        out = tmp_path / loader.__name__ / "out"
+        out.parent.mkdir()
+        assert cli.main([command, "--model", str(tiny_setup["ckpt"]), "--out", str(out),
+                         "--seed", "4", *flags]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.parent.iterdir())})
+    assert calls == [{"train_state": False}]
+    assert outputs[0] == outputs[1]
+    assert "out" in outputs[0]
+
+
 class TestSynthCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--obs-sigma", "-1"), ("--obs-sigma", "0"), ("--obs-sigma", "nan"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poseprior import dataio
-from poseprior.denoiser import DenoiserModel, make_eval_forward
+from poseprior.denoiser import DenoiserModel, make_eval_forward, train
 from poseprior.errors import (
     FormatError,
     ParseError,
@@ -319,6 +319,83 @@ class TestCheckpoint:
         largest = max(v.nbytes for v in back.params.values())
         assert peak < model_bytes + 2 * largest
         assert path.stat().st_size > 2 * largest
+
+    def trained_model(self):
+        """A model whose parameters, EMA and Adam moments all differ."""
+        model = self.make_model()
+        poses = 100.0 * RngStream(86, 0).standard_normal((16, 3, 3))
+        poses[:, 0] = 0.0
+        return train(model, poses, steps=3, batch_size=4, lr=1e-2, ema_decay=0.5,
+                     rng=RngStream(86, 1))
+
+    def test_sampling_state_equals_full_load(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(self.trained_model(), path)
+        full = dataio.load_checkpoint(path)
+        back = dataio.load_checkpoint(path, train_state=False)
+        assert back.params is None and back.adam_m is None and back.adam_v is None
+        assert (back.joints, back.hidden_dim, back.adam_steps) == (3, 8, 3)
+        assert (back.sched.T, back.sched.offset) == (full.sched.T, full.sched.offset)
+        assert np.array_equal(back.sched.alphabar, full.sched.alphabar)
+        for name in ("ema_params", "bn_stats"):
+            ours, theirs = getattr(back, name), getattr(full, name)
+            assert ours.keys() == theirs.keys()
+            for key in ours:
+                assert ours[key].dtype == theirs[key].dtype
+                assert np.array_equal(ours[key], theirs[key])
+        assert not np.array_equal(full.params["in_w"], full.ema_params["in_w"])
+        assert np.array_equal(back.norm_mean, full.norm_mean)
+        assert np.array_equal(back.norm_std, full.norm_std)
+        x = RngStream(87, 0).standard_normal((3, 9))
+        assert np.array_equal(make_eval_forward(back)(x, 7), make_eval_forward(full)(x, 7))
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob[:-17],
+        lambda blob: blob + b"\x00",
+        lambda blob: blob[:20],
+        lambda blob: b"XXXX" + blob[4:],
+        lambda blob: blob[:4] + b"\x63" + blob[5:],
+    ], ids=["truncated", "extended", "truncated-header", "bad-magic", "bad-version"])
+    def test_sampling_state_rejects_what_full_load_rejects(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(self.make_model(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises((FormatError, VersionError)) as full:
+            dataio.load_checkpoint(path)
+        with pytest.raises(full.type, match=f"^{re.escape(str(full.value))}$"):
+            dataio.load_checkpoint(path, train_state=False)
+
+    def test_sampling_state_cannot_be_saved_or_trained(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(self.make_model(), path)
+        model = dataio.load_checkpoint(path, train_state=False)
+        norm_mean = model.norm_mean.copy()
+        with pytest.raises(ValueError, match="loaded without its training state"):
+            dataio.save_checkpoint(model, tmp_path / "again.ckpt")
+        assert not (tmp_path / "again.ckpt").exists()
+        with pytest.raises(ValueError, match="loaded without its training state"):
+            train(model, np.zeros((4, 3, 3)), steps=1, batch_size=2, lr=1e-3,
+                  ema_decay=0.5, rng=RngStream(88, 0))
+        assert np.array_equal(model.norm_mean, norm_mean) and model.adam_steps == 0
+
+    def test_sampling_state_load_holds_only_ema_and_stats(self, tmp_path):
+        # the parameters and Adam moments are skipped, not read: the peak
+        # allocation is the EMA weights and BN statistics plus one tensor
+        sched = cosine_schedule(4, 0.008)
+        model = DenoiserModel.initialize(17, 256, sched, RngStream(85, 0))
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(model, path)
+        tracemalloc.start()
+        try:
+            back = dataio.load_checkpoint(path, train_state=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(v.nbytes for group in (back.ema_params, back.bn_stats)
+                   for v in group.values())
+        largest = max(v.nbytes for v in back.ema_params.values())
+        assert peak < held + 2 * largest
+        assert path.stat().st_size > held + 2 * largest
 
 
 class TestSynthetic:

@@ -423,3 +423,30 @@ class TestReprojectionError:
         means[1] += [3.0, 4.0]
         obs = self.make_obs(means, np.isin(np.arange(8), [1, 2, 3]))
         assert _mean_reprojection(hyp, obs, CAM) == pytest.approx(2.5)
+
+    def test_equals_per_hypothesis_projection_bitwise(self):
+        # the batched rule gives the bits of projecting each hypothesis on
+        # its own and summing its residuals in hypothesis order
+        rng = RngStream(80, 0)
+        poses, roots = [], []
+        for m in range(7):
+            rel = random_pose(rng).joints.copy()
+            if m in (2, 5):
+                rel[[3, 6], 2] = -self.ROOT[2] - 50.0      # behind the camera
+            if m == 4:
+                rel[1:, 2] = -self.ROOT[2] - 10.0          # only the root in front
+            poses.append(Pose(rel, ROOT_RELATIVE))
+            roots.append(self.ROOT + 30.0 * rng.standard_normal(3))
+        hyp = HypothesisSet(poses=poses, roots=np.stack(roots))
+        means = project(to_absolute(poses[0], roots[0]).joints, CAM) \
+            + rng.standard_normal((8, 2))
+        obs = self.make_obs(means, np.arange(8) != 0)
+        total, count = 0.0, 0
+        for pose, root in zip(poses, roots):
+            joints = to_absolute(pose, root).joints
+            ok = obs.valid & (joints[:, 2] > 0.0)
+            if np.any(ok):
+                residual = np.linalg.norm(project(joints[ok], CAM) - means[ok], axis=1)
+                total += float(residual.sum())
+                count += residual.size
+        assert _mean_reprojection(hyp, obs, CAM) == total / count
