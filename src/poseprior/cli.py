@@ -81,6 +81,8 @@ def cmd_train(args) -> int:
         raise PosePriorError(f"--hidden must be even and >= 4, got {args.hidden}")
     if args.T < 1:
         raise PosePriorError(f"--T must be >= 1, got {args.T}")
+    if not 0.0 < args.offset < 1.0:
+        raise PosePriorError(f"--offset must be in (0, 1), got {args.offset}")
     for flag, value in (("--steps", args.steps), ("--checkpoint-every", args.checkpoint_every)):
         if value < 0:
             raise PosePriorError(f"{flag} must be >= 0, got {value}")

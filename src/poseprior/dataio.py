@@ -46,12 +46,13 @@ HEATMAP_MAGIC = b"HMP1"
 CHECKPOINT_MAGIC = b"PPD1"
 CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIIIdQ")
-# Checkpoint tensors are read this many values at a time, so no read
-# buffer reaches glibc's initial 128 KB mmap threshold. Freeing a larger
-# buffer raises that threshold, and the training arrays that follow then
-# come from the heap: train-paper's peak RSS read 398.6 MB with one
-# buffer per tensor, against 392-394 MB with a whole-file read or these.
-_CKPT_READ_VALUES = 8192
+# Checkpoint tensors are read and written this many values at a time,
+# so no I/O buffer reaches glibc's initial 128 KB mmap threshold.
+# Freeing a larger buffer raises that threshold, and the training arrays
+# that follow then come from the heap: train-paper's peak RSS read
+# 398.6 MB with one read buffer per tensor, against 392-394 MB with a
+# whole-file read or these.
+_CKPT_IO_VALUES = 8192
 
 DEFAULT_JOINT_NAMES = (
     "pelvis", "r_hip", "r_knee", "r_ankle", "l_hip", "l_knee", "l_ankle",
@@ -310,8 +311,8 @@ def save_checkpoint(model: dn.DenoiserModel, path):
         fh.write(model.norm_mean.astype("<f8").tobytes())
         fh.write(model.norm_std.astype("<f8").tobytes())
         for group in (model.params, model.ema_params, model.adam_m, model.adam_v):
-            for key in dn.PARAM_KEYS:
-                fh.write(group[key].astype("<f4").tobytes())
+            for i in range(0, group.flat.size, _CKPT_IO_VALUES):
+                fh.write(group.flat[i:i + _CKPT_IO_VALUES].astype("<f4"))
         for key in dn.STAT_KEYS:
             fh.write(model.bn_stats[key].astype("<f4").tobytes())
 
@@ -320,8 +321,9 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
     """Read a checkpoint; rebuilds the schedule from the stored config.
 
     The file size is checked against the header before any tensor is
-    read, and tensors are read one at a time in small pieces, so the
-    whole file is never held in memory next to the model it becomes.
+    read. Each weight group is read in small pieces straight into its
+    ``ParamGroup`` buffer, so the whole file is never held in memory
+    next to the model it becomes.
 
     With ``train_state=False`` only what sampling uses is read: the
     normalization statistics, the EMA weights and the batch-norm
@@ -348,29 +350,31 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         if size != expected:
             raise FormatError(f"checkpoint is {size} bytes, expected {expected}")
 
-        def read(dtype, shape):
-            out = np.empty(shape)
-            flat = out.reshape(-1)
+        def fill(flat, dtype):
+            """Read the next ``flat.size`` values of ``dtype`` into the 1-D ``flat``."""
             width = np.dtype(dtype).itemsize
-            for i in range(0, flat.size, _CKPT_READ_VALUES):
-                part = flat[i:i + _CKPT_READ_VALUES]
+            for i in range(0, flat.size, _CKPT_IO_VALUES):
+                part = flat[i:i + _CKPT_IO_VALUES]
                 part[:] = np.frombuffer(fh.read(width * part.size), dtype)
-            return out
+            return flat
 
         def group(keep):
-            """The next weight group as float64 tensors, or None after seeking past it."""
+            """The next weight group, read into a ParamGroup's buffer, or None
+            after seeking past it."""
             if not keep:
                 fh.seek(4 * n_param, os.SEEK_CUR)
                 return None
-            return {key: read("<f4", shapes[key]) for key in dn.PARAM_KEYS}
+            out = dn.ParamGroup(shapes)
+            fill(out.flat, "<f4")
+            return out
 
-        norm_mean = read("<f8", d)
-        norm_std = read("<f8", d)
+        norm_mean = fill(np.empty(d), "<f8")
+        norm_std = fill(np.empty(d), "<f8")
         params = group(train_state)
         ema = group(True)
         adam_m = group(train_state)
         adam_v = group(train_state)
-        stats = {key: read("<f4", hidden) for key in dn.STAT_KEYS}
+        stats = {key: fill(np.empty(hidden), "<f4") for key in dn.STAT_KEYS}
 
     return dn.DenoiserModel(
         joints=joints, hidden_dim=hidden, sched=cosine_schedule(t_steps, offset),

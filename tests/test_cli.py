@@ -95,12 +95,15 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("train", ["--hidden", "3"], "--hidden must be even and >= 4, got 3"),
     ("train", ["--hidden", "2"], "--hidden must be even and >= 4, got 2"),
     ("train", ["--T", "0"], "--T must be >= 1, got 0"),
+    ("train", ["--offset", "0"], "--offset must be in (0, 1), got 0.0"),
+    ("train", ["--offset", "1"], "--offset must be in (0, 1), got 1.0"),
+    ("train", ["--offset", "nan"], "--offset must be in (0, 1), got nan"),
     ("estimate", ["-M", "0"], "-M must be >= 1, got 0"),
     ("complete", ["-M", "0"], "-M must be >= 1, got 0"),
     ("sweep", ["-M", "0"], "-M must be >= 1, got 0"),
     ("sample", ["-n", "-1"], "-n must be >= 0, got -1"),
-], ids=["hidden-odd", "hidden-small", "T-zero", "estimate-M", "complete-M", "sweep-M",
-        "sample-n"])
+], ids=["hidden-odd", "hidden-small", "T-zero", "offset-zero", "offset-one", "offset-nan",
+        "estimate-M", "complete-M", "sweep-M", "sample-n"])
 def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
                                                        capsys, command, flags, named):
     def refuse(*args, **kwargs):

@@ -1,6 +1,9 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from poseprior import dataio, denoiser
 from poseprior.denoiser import (
     PARAM_KEYS,
     DenoiserModel,
+    ParamGroup,
     adam_step,
     ema_update,
     loss_and_grads,
@@ -272,6 +276,127 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(model, poses, steps=50, batch_size=8, lr=1e18, ema_decay=0.99,
                   rng=RngStream(24, 1))
+
+
+def _snap(arr):
+    return arr.astype(np.float32).astype(np.float64)
+
+
+def reference_adam_ema(model, grads, lr, decay):
+    """The per-key Adam and EMA formulas, one numpy expression per key, on
+    plain-dict copies of the model's groups; the flat passes must match
+    them bit for bit."""
+    params, ema, adam_m, adam_v = ({k: v.copy() for k, v in group.items()} for group in (
+        model.params, model.ema_params, model.adam_m, model.adam_v))
+    step = model.adam_steps + 1
+    bc1 = 1.0 - denoiser.ADAM_BETA1**step
+    bc2 = 1.0 - denoiser.ADAM_BETA2**step
+    for key in PARAM_KEYS:
+        g = grads[key]
+        m = denoiser.ADAM_BETA1 * adam_m[key] + (1.0 - denoiser.ADAM_BETA1) * g
+        v = denoiser.ADAM_BETA2 * adam_v[key] + (1.0 - denoiser.ADAM_BETA2) * g * g
+        adam_m[key] = _snap(m)
+        adam_v[key] = _snap(v)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + denoiser.ADAM_EPS)
+        params[key] = _snap(params[key] - update)
+    for key in PARAM_KEYS:
+        ema[key] = _snap(decay * ema[key] + (1.0 - decay) * params[key])
+    return params, ema, adam_m, adam_v
+
+
+class TestFlatGroups:
+    @pytest.mark.parametrize("hidden", [128, 64])
+    def test_flat_passes_equal_per_key_formulas_bitwise(self, hidden):
+        # hidden 128 holds 113,331 parameters: three full UPDATE_CHUNK
+        # chunks and a ragged tail; hidden 64 fits in one chunk
+        model = small_model(joints=17, hidden=hidden, t_steps=20)
+        rng = RngStream(40, hidden)
+        n = model.params.flat.size
+        assert (n > 3 * denoiser.UPDATE_CHUNK) == (hidden == 128)
+        # resumed at step 9, with moments and shadows that differ from
+        # the parameters
+        model.adam_steps = 9
+        model.adam_m.flat[:] = _snap(0.1 * rng.standard_normal(n))
+        model.adam_v.flat[:] = _snap(0.01 * rng.standard_normal(n) ** 2)
+        model.ema_params.flat[:] = _snap(model.params.flat + 0.01 * rng.standard_normal(n))
+        for _ in range(3):
+            grads = {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
+            grads["out_b"][:3] = 0.0
+            want = reference_adam_ema(model, grads, 1e-3, 0.99)
+            adam_step(model, ParamGroup.of(grads), 1e-3)
+            ema_update(model, 0.99)
+            got = (model.params, model.ema_params, model.adam_m, model.adam_v)
+            for group, ref in zip(got, want):
+                for key in PARAM_KEYS:
+                    assert np.array_equal(group[key], ref[key]), key
+        assert model.adam_steps == 12
+
+    def test_assigning_a_key_writes_into_the_buffer(self):
+        group = small_model().params
+        value = np.full(group["out_b"].shape, 2.5)
+        group["out_b"] = value
+        assert np.shares_memory(group["out_b"], group.flat)
+        assert np.count_nonzero(group.flat == 2.5) == value.size
+        with pytest.raises(ValueError, match="out_b has shape"):
+            group["out_b"] = np.ones(value.size + 1)
+        with pytest.raises(KeyError):
+            group["nope"] = value
+
+    def test_plain_dict_groups_are_packed_and_updated(self):
+        model = small_model()
+        model.params = {k: v + 0.5 for k, v in model.params.items()}
+        model.ema_params = {k: np.zeros_like(v) for k, v in model.params.items()}
+        assert isinstance(model.params, ParamGroup) and isinstance(model.ema_params, ParamGroup)
+        exposed, shadow = model.params["out_b"], model.ema_params["out_b"]
+        before = exposed.copy()
+        grads = {k: np.ones_like(v) for k, v in model.params.items()}
+        adam_step(model, grads, lr=1e-2)
+        ema_update(model, 0.5)
+        assert exposed is model.params["out_b"] and not np.array_equal(exposed, before)
+        assert shadow is model.ema_params["out_b"]
+        assert np.array_equal(shadow, _snap(0.5 * exposed))
+
+    def test_copies_have_their_own_buffers(self):
+        model = small_model()
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            for name in ("params", "ema_params", "adam_m", "adam_v"):
+                ours, theirs = getattr(clone, name), getattr(model, name)
+                assert isinstance(ours, ParamGroup)
+                assert np.array_equal(ours.flat, theirs.flat)
+                assert not np.shares_memory(ours.flat, theirs.flat)
+                assert all(np.shares_memory(ours[k], ours.flat) for k in PARAM_KEYS)
+            before = model.params.flat.copy()
+            adam_step(clone, {k: np.ones_like(v) for k, v in clone.params.items()}, lr=1e-2)
+            assert np.array_equal(model.params.flat, before)
+            assert not np.array_equal(clone.params.flat, before)
+
+    def test_model_without_training_groups_is_refused(self, tmp_path):
+        model = small_model()
+        model.params = None
+        assert model.params is None
+        with pytest.raises(ValueError, match="loaded without its training state"):
+            train(model, np.zeros((4, 2, 3)), steps=1, batch_size=2, lr=1e-3,
+                  ema_decay=0.5, rng=RngStream(41, 0))
+        with pytest.raises(ValueError, match="loaded without its training state"):
+            dataio.save_checkpoint(model, tmp_path / "m.ckpt")
+
+    def test_training_allocates_under_twice_the_parameters(self):
+        # the gradient group is allocated once per call and reused, and
+        # the gradient norm and the Adam/EMA passes work in small
+        # scratch, so no step allocates parameter-sized temporaries
+        poses = synthetic_flat_poses(100)
+        model = DenoiserModel.initialize(17, 256, cosine_schedule(20, 0.008),
+                                         RngStream(42, 0))
+        param_bytes = model.params.flat.nbytes
+        tracemalloc.start()
+        try:
+            train(model, poses, steps=3, batch_size=32, lr=1e-3, ema_decay=0.99,
+                  rng=RngStream(42, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.adam_steps == 3
+        assert peak < 2 * param_bytes
 
 
 class TestEvalForwardClosure:
