@@ -70,28 +70,45 @@ def _frame_config(gcfg: sampler.GuidanceConfig, frame_idx: int) -> sampler.Guida
     return replace(gcfg, stream_offset=frame_idx << _FRAME_SHIFT)
 
 
-def _check_hypothesis_count(m: int):
-    if m < 1:
-        raise PosePriorError(f"-M must be >= 1, got {m}")
+def _at_least(low):
+    return (lambda value: value >= low), f">= {low}"
+
+
+# Each flag's range as (predicate, rule), checked by `main` on the parsed
+# flags (argparse's dest; absent or None is skipped) before any command
+# runs. Checks that need another flag, a file or the checkpoint stay in the
+# commands; GuidanceConfig, which holds their defaults, checks --gamma,
+# --cov-scale and --cov-rotate.
+_FLAG_RULES = {
+    "--hidden": (lambda value: value % 2 == 0 and value >= 4, "even and >= 4"),
+    "--T": _at_least(1),
+    "--offset": (lambda value: 0.0 < value < 1.0, "in (0, 1)"),
+    "--steps": _at_least(0),
+    "--checkpoint-every": _at_least(0),
+    "--batch": _at_least(1),
+    "--ema": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
+    "--lr": (lambda value: 0.0 < value < math.inf, "finite and > 0"),
+    "-M": _at_least(1),
+    "-n": _at_least(0),
+    "--mask": (lambda value: bool(value.strip()), "joint names or indices, or 'all'"),
+    "--floor": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
+    "--stride": _at_least(1),
+    "--n-train": _at_least(1),
+    "--n-eval": _at_least(1),
+    "--obs-sigma": (lambda value: 0.0 < value < math.inf, "finite and > 0"),
+}
+
+
+def _check_flags(args):
+    """Raise for the first flag of _FLAG_RULES whose parsed value breaks its rule."""
+    for flag, (ok, rule) in _FLAG_RULES.items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is not None and not ok(value):
+            raise PosePriorError(f"{flag} must be {rule}, got {value!r}")
 
 
 def cmd_train(args) -> int:
     _echo_config(args)
-    if args.hidden % 2 != 0 or args.hidden < 4:
-        raise PosePriorError(f"--hidden must be even and >= 4, got {args.hidden}")
-    if args.T < 1:
-        raise PosePriorError(f"--T must be >= 1, got {args.T}")
-    if not 0.0 < args.offset < 1.0:
-        raise PosePriorError(f"--offset must be in (0, 1), got {args.offset}")
-    for flag, value in (("--steps", args.steps), ("--checkpoint-every", args.checkpoint_every)):
-        if value < 0:
-            raise PosePriorError(f"{flag} must be >= 0, got {value}")
-    if args.batch < 1:
-        raise PosePriorError(f"--batch must be >= 1, got {args.batch}")
-    if not 0.0 <= args.ema < 1.0:
-        raise PosePriorError(f"--ema must be in [0, 1), got {args.ema}")
-    if not (math.isfinite(args.lr) and args.lr > 0.0):
-        raise PosePriorError(f"--lr must be finite and > 0, got {args.lr}")
     dataset = dataio.load_poses(args.poses)
     if dataset.num_poses == 0:
         raise PosePriorError("training pose file holds no records")
@@ -213,7 +230,10 @@ def _write_metrics_csv(path, rows, m):
             writer.writerow(["aggregate", m] + [f"{agg[k]:.6f}" for k in _METRIC_COLUMNS])
 
 
-def _run_estimation(args, records, mask=None) -> int:
+def cmd_estimate(args) -> int:
+    """`estimate`, and `complete`, whose parsed flags hold a --mask."""
+    records = dataio.load_observations(args.obs)
+    mask = getattr(args, "mask", None)
     _echo_config(args)
     _check_stream_ranges(len(records), args.M)
     if args.report and all(rec.gt_pose is None for rec in records):
@@ -255,22 +275,8 @@ def _run_estimation(args, records, mask=None) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    _check_hypothesis_count(args.M)
-    return _run_estimation(args, dataio.load_observations(args.obs))
-
-
-def cmd_complete(args) -> int:
-    if not args.mask.strip():
-        raise PosePriorError("--mask is empty: name at least one joint, or 'all'")
-    _check_hypothesis_count(args.M)
-    return _run_estimation(args, dataio.load_observations(args.obs), mask=args.mask)
-
-
 def cmd_sample(args) -> int:
     _echo_config(args)
-    if args.n < 0:
-        raise PosePriorError(f"-n must be >= 0, got {args.n}")
     model = dataio.load_checkpoint(args.model, train_state=False)
     poses = []
     if args.n > 0:
@@ -305,7 +311,6 @@ def cmd_sweep(args) -> int:
     if getattr(args, args.sweep.replace("-", "_")) is not None:
         raise PosePriorError(f"--{args.sweep} is the swept setting: give its values with --values")
     values = _sweep_values(args.values)
-    _check_hypothesis_count(args.M)
     if args.sweep == "cov-scale" and args.M < 2:
         raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
     records = dataio.load_observations(args.obs)
@@ -341,9 +346,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit_heatmap(args) -> int:
     _echo_config(args)
+    heatmaps = [dataio.load_heatmap(path) for path in args.heatmaps]
     with open(args.out, "w") as fh:
-        for joint_idx, path in enumerate(args.heatmaps):
-            hm = dataio.load_heatmap(path)
+        for joint_idx, (path, hm) in enumerate(zip(args.heatmaps, heatmaps)):
             try:
                 mean, cov = fit_gaussian_heatmap(hm, floor=args.floor)
                 rec = {"joint": joint_idx, "file": path, "valid": True,
@@ -358,8 +363,6 @@ def cmd_fit_heatmap(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _echo_config(args)
-    if args.stride < 1:
-        raise PosePriorError(f"--stride must be >= 1, got {args.stride}")
     hyp_data = dataio.load_poses(args.hyp)
     gt_data = dataio.load_poses(args.gt)
     if hyp_data.num_joints != gt_data.num_joints:
@@ -398,12 +401,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     _echo_config(args)
-    if args.n_train < 1:
-        raise PosePriorError(f"--n-train must be >= 1, got {args.n_train}")
-    if args.n_eval < 1:
-        raise PosePriorError(f"--n-eval must be >= 1, got {args.n_eval}")
-    if not (math.isfinite(args.obs_sigma) and args.obs_sigma > 0.0):
-        raise PosePriorError(f"--obs-sigma must be finite and > 0, got {args.obs_sigma}")
     skel = dataio.SyntheticSkeletonConfig(
         n_train=args.n_train, n_eval=args.n_eval, seed=args.seed,
         obs_sigma_px=args.obs_sigma)
@@ -474,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.add_argument("--mask", required=True,
                    help="comma-separated joint names/indices, or 'all'")
-    p.set_defaults(func=cmd_complete)
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="unconditional pose generation")
     p.add_argument("--model", required=True)
@@ -521,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: diverged: {exc} {exc.diagnostics}", file=sys.stderr)

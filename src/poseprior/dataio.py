@@ -292,6 +292,8 @@ def load_heatmap(path) -> Heatmap:
         raise FormatError(f"heatmap payload is {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4", count=w * h, offset=20)
     values = values.reshape(h, w).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"non-finite heatmap values in {path}")
     if np.any(values < 0.0):
         raise FormatError("negative heatmap values")
     return Heatmap(width=w, height=h, values=values,

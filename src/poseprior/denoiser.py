@@ -15,11 +15,11 @@ linear over the batch. The eval forward, ``make_eval_forward``, uses the
 EMA weights and the running statistics, projects the embeddings of all
 T steps once, and multiplies row by row, so rows are independent: a
 row's output does not depend on the other rows of its block. It copies
-each wide weight once into column panels of PANEL_COLS columns and runs
-every row over one panel before moving to the next, so a panel is read
-from cache by all rows of the block. Each row still runs its own
-product over the full inner dimension, and the panel split keeps every
-bit of the 2-D product (see ``_panels``).
+each weight once into column panels and runs every row over one panel
+before moving to the next, so a panel is read from cache by all rows of
+the block. Each row still runs its own product over the full inner
+dimension, and the panels keep every bit of the 2-D product (see
+``_panels``).
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -260,9 +260,9 @@ def sinusoidal_embedding(t, dim: int) -> np.ndarray:
 
 
 def _panels(w):
-    """Weight ``w`` (K, N) as a contiguous (N / PANEL_COLS, 1, K, PANEL_COLS)
-    stack of column panels, or ``w`` itself unless N is a multiple of
-    PANEL_COLS larger than it.
+    """Weight ``w`` (K, N) copied into a contiguous (N / C, 1, K, C) stack
+    of column panels: C = PANEL_COLS when N is a multiple of PANEL_COLS
+    larger than it, else one full-width panel (C = N).
 
     The panels give ``_rowwise`` the bits of the 2-D product: each output
     column is the same K-long dot product, computed by the same kernel
@@ -271,23 +271,19 @@ def _panels(w):
     different, hence the multiple-of rule.
     """
     k, n = w.shape
-    if n <= PANEL_COLS or n % PANEL_COLS:
-        return w
-    stack = w.reshape(k, n // PANEL_COLS, PANEL_COLS).transpose(1, 0, 2)
-    return np.ascontiguousarray(stack)[:, None]
+    cols = PANEL_COLS if n > PANEL_COLS and n % PANEL_COLS == 0 else n
+    return w.reshape(k, n // cols, cols).transpose(1, 0, 2).copy()[:, None]
 
 
 def _rowwise(a, w):
     """``a @ w`` computed one row at a time, so a row's result does not
     depend on the other rows in the block (a GEMM over the block does).
 
-    ``w`` is a 2-D weight or a panel stack from ``_panels``. For a stack,
-    numpy's matmul loops over the panels outside and the rows inside, so
-    each panel stays in cache while every row multiplies it; the (panel,
-    row) results are then put back in (row, column) order.
+    ``w`` is a panel stack from ``_panels``. numpy's matmul loops over the
+    panels outside and the rows inside, so each panel stays in cache while
+    every row multiplies it; the (panel, row) results are then put back in
+    (row, column) order.
     """
-    if w.ndim == 2:
-        return (a[:, None, :] @ w)[:, 0, :]
     out = (a[None, :, None, :] @ w)[:, :, 0, :]
     return out.transpose(1, 0, 2).reshape(a.shape[0], -1)
 
@@ -542,17 +538,20 @@ def make_eval_forward(model: DenoiserModel):
     by ``_project_temb``, the GEMM training uses; the table depends only
     on the weights and t, not on the block. The per-step linears
     multiply row by row, so each row's output equals that of its own
-    1-row block bit for bit. Each of their weights whose column count is
-    a multiple of PANEL_COLS, and larger than it, is copied once into
-    column panels (``_panels``), which keep every bit of the 2-D product.
+    1-row block bit for bit. The closure owns every tensor it reads, so a
+    later ``ema_update`` does not move its outputs: the weights are copied
+    into column panels (``_panels``), which keep every bit of the 2-D
+    product, and the biases, batch-norm parameters and running
+    statistics are copied too.
     """
     ema = model.ema_params
     temb, _ = _project_temb(ema, np.arange(1, model.sched.T + 1))
-    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k]
+    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k].copy()
               for k in PARAM_KEYS if not k.startswith("te")}
+    bn_stats = {k: v.copy() for k, v in model.bn_stats.items()}
 
     def eval_forward(x, t: int):
-        out, _ = _forward_core(params, model.bn_stats, x, None, train=False, temb=temb[t - 1])
+        out, _ = _forward_core(params, bn_stats, x, None, train=False, temb=temb[t - 1])
         return out
 
     return eval_forward

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -98,18 +99,34 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("train", ["--offset", "0"], "--offset must be in (0, 1), got 0.0"),
     ("train", ["--offset", "1"], "--offset must be in (0, 1), got 1.0"),
     ("train", ["--offset", "nan"], "--offset must be in (0, 1), got nan"),
+    ("train", ["--steps", "-3"], "--steps must be >= 0, got -3"),
+    ("train", ["--checkpoint-every", "-5"], "--checkpoint-every must be >= 0, got -5"),
+    ("train", ["--batch", "0"], "--batch must be >= 1, got 0"),
+    ("train", ["--ema", "1"], "--ema must be in [0, 1), got 1.0"),
+    ("train", ["--lr", "inf"], "--lr must be finite and > 0, got inf"),
     ("estimate", ["-M", "0"], "-M must be >= 1, got 0"),
     ("complete", ["-M", "0"], "-M must be >= 1, got 0"),
+    ("complete", ["--mask", " "], "--mask must be joint names or indices, or 'all', got ' '"),
     ("sweep", ["-M", "0"], "-M must be >= 1, got 0"),
     ("sample", ["-n", "-1"], "-n must be >= 0, got -1"),
+    ("evaluate", ["--stride", "0"], "--stride must be >= 1, got 0"),
+    ("synth", ["--n-train", "0"], "--n-train must be >= 1, got 0"),
+    ("synth", ["--n-eval", "0"], "--n-eval must be >= 1, got 0"),
+    ("synth", ["--obs-sigma", "nan"], "--obs-sigma must be finite and > 0, got nan"),
+    ("fit-heatmap", ["--floor", "nan"], "--floor must be in [0, 1), got nan"),
+    ("fit-heatmap", ["--floor", "inf"], "--floor must be in [0, 1), got inf"),
+    ("fit-heatmap", ["--floor", "1.5"], "--floor must be in [0, 1), got 1.5"),
+    ("fit-heatmap", ["--floor", "-1"], "--floor must be in [0, 1), got -1.0"),
 ], ids=["hidden-odd", "hidden-small", "T-zero", "offset-zero", "offset-one", "offset-nan",
-        "estimate-M", "complete-M", "sweep-M", "sample-n"])
+        "steps", "checkpoint-every", "batch", "ema", "lr", "estimate-M", "complete-M",
+        "mask-blank", "sweep-M", "sample-n", "stride", "n-train", "n-eval", "obs-sigma",
+        "floor-nan", "floor-inf", "floor-above-1", "floor-negative"])
 def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
                                                        capsys, command, flags, named):
     def refuse(*args, **kwargs):
         raise AssertionError("a file was read before the flags were checked")
 
-    for name in ("load_poses", "load_observations", "load_checkpoint"):
+    for name in ("load_poses", "load_observations", "load_checkpoint", "load_heatmap"):
         monkeypatch.setattr(dataio, name, refuse)
     out = tmp_path / "out"
     model_obs = ["--model", str(tiny_setup["ckpt"]), "--obs", str(tiny_setup["obs"]),
@@ -121,10 +138,26 @@ def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monk
         "complete": [*model_obs, "--mask", "0"],
         "sweep": [*model_obs, "--sweep", "gamma", "--values", "0"],
         "sample": ["--model", str(tiny_setup["ckpt"]), "--out", str(out)],
+        "evaluate": ["--hyp", str(tiny_setup["gt"]), "--gt", str(tiny_setup["gt"]),
+                     "--out", str(out)],
+        "synth": ["--out-train", str(out), "--out-obs", str(tmp_path / "obs"),
+                  "--out-gt", str(tmp_path / "gt")],
+        "fit-heatmap": [str(tiny_setup["root"] / "joint0.hmp"), "--out", str(out)],
     }[command]
     assert cli.main([command, *args, *flags]) == 2
     assert f"error: {named}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_flag_rule_names_an_option_and_its_dest():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    dests = {flag: action.dest for command in commands.values()
+             for action in command._actions for flag in action.option_strings}
+    for flag in cli._FLAG_RULES:
+        assert flag in dests, flag
+        assert dests[flag] == flag.lstrip("-").replace("-", "_"), flag
 
 
 @pytest.mark.parametrize("command", ["estimate", "complete", "sweep", "sample"])
@@ -631,6 +664,20 @@ class TestFitHeatmapCommand:
         assert recs[0]["valid"] and np.allclose(recs[0]["mean"], center, atol=0.1)
         assert not recs[1]["valid"]
         assert "warning" in proc.stderr
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_heatmap_value_exits_2_naming_file(self, tmp_path, value):
+        good_path, bad_path = tmp_path / "good.hmp", tmp_path / "bad.hmp"
+        dataio.save_heatmap(Heatmap(4, 4, np.ones((4, 4))), good_path)
+        values = np.ones((4, 4))
+        values[1, 2] = value
+        dataio.save_heatmap(Heatmap(4, 4, values), bad_path)
+        out = tmp_path / "fit.jsonl"
+        proc = run_cli(["fit-heatmap", str(good_path), str(bad_path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"error: non-finite heatmap values in {bad_path}" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])
     def test_takes_no_seed_or_config(self, tmp_path, flag, value):

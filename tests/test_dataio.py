@@ -226,6 +226,15 @@ class TestHeatmapFile:
         with pytest.raises(FormatError):
             dataio.load_heatmap(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected_naming_file(self, tmp_path, value):
+        values = np.ones((3, 4))
+        values[2, 1] = value
+        path = tmp_path / "h.hmp"
+        dataio.save_heatmap(Heatmap(4, 3, values), path)
+        with pytest.raises(FormatError, match=re.escape(f"non-finite heatmap values in {path}")):
+            dataio.load_heatmap(path)
+
     def test_one_by_one_loads(self, tmp_path):
         hm = Heatmap(1, 1, np.array([[2.0]]))
         path = tmp_path / "h.hmp"

@@ -11,6 +11,7 @@ import pytest
 from poseprior import dataio, denoiser
 from poseprior.denoiser import (
     PARAM_KEYS,
+    STAT_KEYS,
     DenoiserModel,
     ParamGroup,
     adam_step,
@@ -460,6 +461,19 @@ class TestEvalForwardClosure:
         fast = make_eval_forward(model)
         assert np.all(fast(np.ones((1, 6)), 3) == 0.0)
 
+    @pytest.mark.parametrize("hidden", [8, 128])
+    def test_closure_owns_every_tensor_it_reads(self, hidden):
+        model = small_model(hidden=hidden)
+        model.params.flat[:] = RngStream(29, 0).standard_normal(model.params.flat.size)
+        block = RngStream(29, 1).standard_normal((3, 6))
+        fast = make_eval_forward(model)
+        before = fast(block, 5)
+        ema_update(model, 0.5)
+        for key in STAT_KEYS:
+            model.bn_stats[key] += 0.25
+        assert np.array_equal(fast(block, 5), before)
+        assert not np.array_equal(make_eval_forward(model)(block, 5), before)
+
 
 class TestPanels:
     @pytest.mark.parametrize("k, n", [(51, 1024), (1024, 1024), (1024, 51), (64, 64),
@@ -469,7 +483,7 @@ class TestPanels:
         panels = denoiser._panels(w)
         split = n > denoiser.PANEL_COLS and n % denoiser.PANEL_COLS == 0
         assert panels.shape == ((n // denoiser.PANEL_COLS, 1, k, denoiser.PANEL_COLS)
-                                if split else (k, n))
+                                if split else (1, 1, k, n))
         for m in (1, 2, 5, 50, 1000):
             a = RngStream(28, m).standard_normal((m, k))
             assert np.array_equal(denoiser._rowwise(a, panels), (a[:, None, :] @ w)[:, 0, :])
