@@ -46,7 +46,8 @@ HEATMAP_MAGIC = b"HMP1"
 CHECKPOINT_MAGIC = b"PPD1"
 CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIIIdQ")
-# Checkpoint tensors are read and written this many values at a time,
+# Checkpoint tensors that change dtype on the way (float64 in memory,
+# float32 on disk) are read and written this many values at a time,
 # so no I/O buffer reaches glibc's initial 128 KB mmap threshold.
 # Freeing a larger buffer raises that threshold, and the training arrays
 # that follow then come from the heap: train-paper's peak RSS read
@@ -284,24 +285,29 @@ def load_heatmap(path) -> Heatmap:
     if blob[:4] != HEATMAP_MAGIC:
         raise FormatError(f"bad heatmap magic in {path}")
     if len(blob) < 20:
-        raise FormatError("truncated heatmap header")
+        raise FormatError(f"truncated heatmap header in {path}")
     w, h = struct.unpack_from("<HH", blob, 4)
     ox, oy, stride = struct.unpack_from("<fff", blob, 8)
+    if not (np.isfinite(ox) and np.isfinite(oy)):
+        raise FormatError(f"heatmap origin must be finite, got ({ox}, {oy}) in {path}")
+    if not (np.isfinite(stride) and stride > 0.0):
+        raise FormatError(f"heatmap stride must be finite and > 0, got {stride} in {path}")
     expected = 20 + 4 * w * h
     if len(blob) != expected:
-        raise FormatError(f"heatmap payload is {len(blob)} bytes, expected {expected}")
+        raise FormatError(f"heatmap payload of {path} is {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4", count=w * h, offset=20)
     values = values.reshape(h, w).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise FormatError(f"non-finite heatmap values in {path}")
     if np.any(values < 0.0):
-        raise FormatError("negative heatmap values")
+        raise FormatError(f"negative heatmap values in {path}")
     return Heatmap(width=w, height=h, values=values,
                    origin=np.array([ox, oy], dtype=np.float64), stride=float(stride))
 
 
 def save_checkpoint(model: dn.DenoiserModel, path):
-    """Write the model to a binary checkpoint (parameters as float32)."""
+    """Write the model to a binary checkpoint (weights as float32; the
+    EMA shadows and Adam moments straight from their float32 buffers)."""
     model.require_train_state("save")
     if model.norm_mean.shape != (model.dim,) or model.norm_std.shape != (model.dim,):
         raise ValueError("model normalization statistics have the wrong shape")
@@ -314,7 +320,7 @@ def save_checkpoint(model: dn.DenoiserModel, path):
         fh.write(model.norm_std.astype("<f8").tobytes())
         for group in (model.params, model.ema_params, model.adam_m, model.adam_v):
             for i in range(0, group.flat.size, _CKPT_IO_VALUES):
-                fh.write(group.flat[i:i + _CKPT_IO_VALUES].astype("<f4"))
+                fh.write(group.flat[i:i + _CKPT_IO_VALUES].astype("<f4", copy=False))
         for key in dn.STAT_KEYS:
             fh.write(model.bn_stats[key].astype("<f4").tobytes())
 
@@ -323,9 +329,10 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
     """Read a checkpoint; rebuilds the schedule from the stored config.
 
     The file size is checked against the header before any tensor is
-    read. Each weight group is read in small pieces straight into its
-    ``ParamGroup`` buffer, so the whole file is never held in memory
-    next to the model it becomes.
+    read. Each weight group is read straight into its ``ParamGroup``
+    buffer, so the whole file is never held in memory next to the model
+    it becomes: the float32 groups (EMA shadows, Adam moments) in one
+    read with no conversion, the float64 parameters in small pieces.
 
     With ``train_state=False`` only what sampling uses is read: the
     normalization statistics, the EMA weights and the batch-norm
@@ -354,28 +361,32 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
 
         def fill(flat, dtype):
             """Read the next ``flat.size`` values of ``dtype`` into the 1-D ``flat``."""
+            if flat.dtype == np.dtype(dtype):
+                if fh.readinto(flat) != flat.nbytes:
+                    raise FormatError(f"checkpoint {path} ended early")
+                return flat
             width = np.dtype(dtype).itemsize
             for i in range(0, flat.size, _CKPT_IO_VALUES):
                 part = flat[i:i + _CKPT_IO_VALUES]
                 part[:] = np.frombuffer(fh.read(width * part.size), dtype)
             return flat
 
-        def group(keep):
+        def group(name, keep):
             """The next weight group, read into a ParamGroup's buffer, or None
             after seeking past it."""
             if not keep:
                 fh.seek(4 * n_param, os.SEEK_CUR)
                 return None
-            out = dn.ParamGroup(shapes)
+            out = dn.ParamGroup(shapes, dtype=dn.GROUP_DTYPES[name])
             fill(out.flat, "<f4")
             return out
 
         norm_mean = fill(np.empty(d), "<f8")
         norm_std = fill(np.empty(d), "<f8")
-        params = group(train_state)
-        ema = group(True)
-        adam_m = group(train_state)
-        adam_v = group(train_state)
+        params = group("params", train_state)
+        ema = group("ema_params", True)
+        adam_m = group("adam_m", train_state)
+        adam_v = group("adam_v", train_state)
         stats = {key: fill(np.empty(hidden), "<f4") for key in dn.STAT_KEYS}
 
     return dn.DenoiserModel(

@@ -28,15 +28,18 @@ trip without changing the model.
 
 Each weight group (parameters, EMA shadows, both Adam moments, and the
 gradients ``train`` reuses across its steps) is a ``ParamGroup``: one
-contiguous float64 buffer in PARAM_KEYS order, the checkpoint's order,
-whose per-key tensors are views. The backward pass writes gradients
-into their views with ``out=``. Adam and EMA each make one pass over
-the flat buffers in chunks of UPDATE_CHUNK elements, through scratch
-that stays in cache, with the per-element operations of the per-key
-formulas in the same order, so every bit is kept. A numpy op over a
-whole tensor would make a tensor-sized temporary, which misses cache
-and faults in fresh pages; that, not memory traffic, is what the
-chunks save.
+contiguous buffer in PARAM_KEYS order, the checkpoint's order, whose
+per-key tensors are views. The EMA shadows and Adam moments are stored
+as float32 (GROUP_DTYPES): they hold only float32 values, so float32
+storage keeps every bit at half the bytes. The parameters and the
+gradients stay float64, as every training GEMM reads them. The backward
+pass writes gradients into their views with ``out=``. Adam and EMA each
+make one pass over the flat buffers in chunks of UPDATE_CHUNK elements,
+through float64 scratch that stays in cache, with the per-element
+operations of the per-key formulas in the same order, so every bit is
+kept. A numpy op over a whole tensor would make a tensor-sized
+temporary, which misses cache and faults in fresh pages; that, not
+memory traffic, is what the chunks save.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "ParamGroup",
     "PARAM_KEYS",
     "STAT_KEYS",
+    "GROUP_DTYPES",
 ]
 
 BN_EPS = 1e-5
@@ -100,6 +104,10 @@ STAT_KEYS = (
 )
 _BLOCKS = ("b1", "b2")
 
+# Buffer dtype of each weight group of a DenoiserModel (see above).
+GROUP_DTYPES = {"params": np.float64, "ema_params": np.float32,
+                "adam_m": np.float32, "adam_v": np.float32}
+
 
 def param_shapes(joints: int, hidden_dim: int) -> dict:
     d, h = 3 * joints, hidden_dim
@@ -138,25 +146,27 @@ def _chunks(*flats):
 
 class ParamGroup(dict):
     """One tensor per PARAM_KEYS key, each a view into one contiguous
-    float64 buffer ``flat`` in PARAM_KEYS order.
+    buffer ``flat`` (float64 by default, or float32) in PARAM_KEYS order.
 
     Assigning a key copies the value into its view, so ``flat`` stays
-    the group's one storage; a value of another shape raises ValueError.
+    the group's one storage. A value of another shape raises ValueError,
+    and so does one a float32 group cannot hold exactly (NaN and
+    infinities it can).
     """
 
-    def __init__(self, shapes: dict, flat=None):
+    def __init__(self, shapes: dict, flat=None, dtype=np.float64):
         super().__init__()
         sizes = [math.prod(shapes[key]) for key in PARAM_KEYS]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.flat = np.zeros(sum(sizes), dtype) if flat is None else flat
         lo = 0
         for key, size in zip(PARAM_KEYS, sizes):
             dict.__setitem__(self, key, self.flat[lo:lo + size].reshape(shapes[key]))
             lo += size
 
     @classmethod
-    def of(cls, tensors) -> "ParamGroup":
-        """A new group holding a copy of ``tensors``, a dict keyed by PARAM_KEYS."""
-        group = cls({key: np.shape(tensors[key]) for key in PARAM_KEYS})
+    def of(cls, tensors, dtype=np.float64) -> "ParamGroup":
+        """A new ``dtype`` group holding a copy of ``tensors``, a dict keyed by PARAM_KEYS."""
+        group = cls({key: np.shape(tensors[key]) for key in PARAM_KEYS}, dtype=dtype)
         for key in PARAM_KEYS:
             group[key] = tensors[key]
         return group
@@ -168,6 +178,12 @@ class ParamGroup(dict):
         view = self[key]
         if np.shape(value) != view.shape:
             raise ValueError(f"{key} has shape {view.shape}, got {np.shape(value)}")
+        if view.dtype != np.float64:
+            with np.errstate(over="ignore"):
+                stored = np.asarray(value, view.dtype)
+            if not np.array_equal(stored, value, equal_nan=True):
+                raise ValueError(f"{key} holds values a {view.dtype} group cannot store exactly")
+            value = stored
         view[...] = value
 
     def __reduce__(self):
@@ -180,8 +196,11 @@ class DenoiserModel:
 
     ``params``, ``adam_m`` and ``adam_v`` are None in a model read with
     ``load_checkpoint(path, train_state=False)``: it holds only what
-    sampling uses, and can be neither trained nor saved. A weight group
-    given as a plain dict is packed into a ``ParamGroup``.
+    sampling uses, and can be neither trained nor saved. Each weight
+    group is stored as a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
+    ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``. A group
+    given as a plain dict or in the other dtype is copied into one, and a
+    value off the float32 grid raises ValueError naming its key.
     """
 
     joints: int
@@ -197,8 +216,10 @@ class DenoiserModel:
     adam_steps: int = 0
 
     def __setattr__(self, name, value):
-        if name in ("params", "ema_params", "adam_m", "adam_v") and type(value) is dict:
-            value = ParamGroup.of(value)
+        dtype = GROUP_DTYPES.get(name)
+        if dtype is not None and value is not None and not (
+                isinstance(value, ParamGroup) and value.flat.dtype == dtype):
+            value = ParamGroup.of(value, dtype)
         super().__setattr__(name, value)
 
     @property
@@ -236,11 +257,11 @@ class DenoiserModel:
         return cls(
             joints=joints, hidden_dim=hidden_dim, sched=sched,
             params=params,
-            ema_params=ParamGroup(shapes, params.flat.copy()),
+            ema_params=ParamGroup(shapes, params.flat.astype(np.float32)),
             bn_stats=stats,
             norm_mean=np.zeros(d), norm_std=np.ones(d),
-            adam_m=ParamGroup(shapes),
-            adam_v=ParamGroup(shapes),
+            adam_m=ParamGroup(shapes, dtype=np.float32),
+            adam_v=ParamGroup(shapes, dtype=np.float32),
         )
 
     def normalize(self, poses_flat: np.ndarray) -> np.ndarray:
@@ -260,7 +281,7 @@ def sinusoidal_embedding(t, dim: int) -> np.ndarray:
 
 
 def _panels(w):
-    """Weight ``w`` (K, N) copied into a contiguous (N / C, 1, K, C) stack
+    """Weight ``w`` (K, N) copied into a contiguous float64 (N / C, 1, K, C) stack
     of column panels: C = PANEL_COLS when N is a multiple of PANEL_COLS
     larger than it, else one full-width panel (C = N).
 
@@ -272,7 +293,7 @@ def _panels(w):
     """
     k, n = w.shape
     cols = PANEL_COLS if n > PANEL_COLS and n % PANEL_COLS == 0 else n
-    return w.reshape(k, n // cols, cols).transpose(1, 0, 2).copy()[:, None]
+    return w.reshape(k, n // cols, cols).transpose(1, 0, 2).astype(np.float64, order="C")[:, None]
 
 
 def _rowwise(a, w):
@@ -437,29 +458,32 @@ def adam_step(model: DenoiserModel, grads: dict, lr: float):
 
     The step is ``model.adam_steps + 1``, so a resumed model continues
     its bias correction where the checkpoint left it. Per element:
-    m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g; m and v store
-    snap(m'), snap(v'), and p stores snap(p - lr (m' / bc1) /
-    (sqrt(v' / bc2) + eps)), from the unsnapped m' and v'.
+    m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g; the float32
+    m and v store m' and v' rounded, and p stores snap(p - lr (m' / bc1)
+    / (sqrt(v' / bc2) + eps)), from the unrounded m' and v'.
     """
     step = model.adam_steps + 1
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
     if not isinstance(grads, ParamGroup):
         grads = ParamGroup.of(grads)
-    mt, vt = np.empty((2, UPDATE_CHUNK))
+    mt, vt, wide = np.empty((3, UPDATE_CHUNK))
     single = np.empty(UPDATE_CHUNK, np.float32)
     for g, m, v, p in _chunks(grads.flat, model.adam_m.flat, model.adam_v.flat,
                               model.params.flat):
-        a, b = mt[:g.size], vt[:g.size]
-        m *= ADAM_BETA1
+        a, b, c = mt[:g.size], vt[:g.size], wide[:g.size]
+        # widen m and v first: float32 times a Python float stays float32
+        c[...] = m
+        c *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        np.add(m, a, out=a)
-        v *= ADAM_BETA2
+        a += c
+        c[...] = v
+        c *= ADAM_BETA2
         np.multiply(g, 1.0 - ADAM_BETA2, out=b)
         b *= g
-        np.add(v, b, out=b)
-        _snap_into(m, a, single)
-        _snap_into(v, b, single)
+        b += c
+        m[...] = a
+        v[...] = b
         a /= bc1
         a *= lr
         b /= bc2
@@ -473,17 +497,17 @@ def adam_step(model: DenoiserModel, grads: dict, lr: float):
 
 
 def ema_update(model: DenoiserModel, decay: float):
-    """Shadow-parameter update: ema <- snap(decay * ema + (1 - decay) * params)."""
+    """Shadow-parameter update: ema <- float32(decay * ema + (1 - decay) * params)."""
     if not 0.0 <= decay < 1.0:
         raise ValueError(f"decay must be in [0, 1), got {decay}")
-    scratch = np.empty(UPDATE_CHUNK)
-    single = np.empty(UPDATE_CHUNK, np.float32)
+    scratch, wide = np.empty((2, UPDATE_CHUNK))
     for e, p in _chunks(model.ema_params.flat, model.params.flat):
-        a = scratch[:e.size]
-        e *= decay
+        a, c = scratch[:e.size], wide[:e.size]
+        c[...] = e  # widened, so the product runs in float64
+        c *= decay
         np.multiply(p, 1.0 - decay, out=a)
-        np.add(e, a, out=a)
-        _snap_into(e, a, single)
+        a += c
+        e[...] = a
     return model
 
 
@@ -542,11 +566,12 @@ def make_eval_forward(model: DenoiserModel):
     later ``ema_update`` does not move its outputs: the weights are copied
     into column panels (``_panels``), which keep every bit of the 2-D
     product, and the biases, batch-norm parameters and running
-    statistics are copied too.
+    statistics are copied too. The copies of the float32 EMA weights are
+    float64, so every eval product runs in float64.
     """
     ema = model.ema_params
     temb, _ = _project_temb(ema, np.arange(1, model.sched.T + 1))
-    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k].copy()
+    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k].astype(np.float64)
               for k in PARAM_KEYS if not k.startswith("te")}
     bn_stats = {k: v.copy() for k, v in model.bn_stats.items()}
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import struct
 import subprocess
 import sys
 
@@ -677,6 +678,32 @@ class TestFitHeatmapCommand:
         assert proc.returncode == 2
         assert f"error: non-finite heatmap values in {bad_path}" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("origin, stride, field", [
+        ((float("nan"), 0.0), 1.0, "origin"),
+        ((0.0, float("-inf")), 1.0, "origin"),
+        ((0.0, 0.0), float("inf"), "stride"),
+        ((0.0, 0.0), float("nan"), "stride"),
+        ((0.0, 0.0), 0.0, "stride"),
+        ((0.0, 0.0), -2.0, "stride"),
+    ], ids=["nan-origin", "inf-origin", "inf-stride", "nan-stride", "zero-stride",
+            "negative-stride"])
+    def test_bad_header_exits_2_naming_file_and_field(self, tmp_path, origin, stride, field):
+        # a 32 x 32 Gaussian that fits well under a sane header, written by hand
+        xs = np.arange(32, dtype=float)
+        gx, gy = np.meshgrid(xs, xs)
+        values = np.exp(-0.5 * ((gx - 15.0) ** 2 + (gy - 12.0) ** 2) / 9.0)
+        bad_path = tmp_path / "bad.hmp"
+        bad_path.write_bytes(dataio.HEATMAP_MAGIC + struct.pack("<HH", 32, 32)
+                             + struct.pack("<fff", *origin, stride)
+                             + values.astype("<f4").tobytes())
+        out = tmp_path / "fit.jsonl"
+        proc = run_cli(["fit-heatmap", str(bad_path), "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: heatmap {field} must be" in proc.stderr
+        assert str(bad_path) in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])

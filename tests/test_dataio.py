@@ -205,15 +205,20 @@ class TestHeatmapFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hmp"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"bad heatmap magic in {path}")):
             dataio.load_heatmap(path)
 
     def test_truncation(self, tmp_path):
         hm = Heatmap(4, 4, np.ones((4, 4)))
         path = tmp_path / "h.hmp"
         dataio.save_heatmap(hm, path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FormatError):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-5])
+        with pytest.raises(FormatError, match=re.escape(
+                f"heatmap payload of {path} is 79 bytes, expected 84")):
+            dataio.load_heatmap(path)
+        path.write_bytes(blob[:12])
+        with pytest.raises(FormatError, match=re.escape(f"truncated heatmap header in {path}")):
             dataio.load_heatmap(path)
 
     def test_negative_values_rejected(self, tmp_path):
@@ -223,7 +228,7 @@ class TestHeatmapFile:
         blob += struct.pack("<fff", 0.0, 0.0, 1.0)
         blob += np.array([-1.0], dtype="<f4").tobytes()
         path.write_bytes(blob)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"negative heatmap values in {path}")):
             dataio.load_heatmap(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -266,11 +271,12 @@ class TestCheckpoint:
             assert np.array_equal(model.adam_m[key], back.adam_m[key])
 
     def test_save_load_save_bytes_stable(self, tmp_path):
-        model = self.make_model()
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        dataio.save_checkpoint(model, p1)
-        dataio.save_checkpoint(dataio.load_checkpoint(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        # the trained model's parameters, EMA shadows and Adam moments all differ
+        for model in (self.make_model(), self.trained_model()):
+            p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+            dataio.save_checkpoint(model, p1)
+            dataio.save_checkpoint(dataio.load_checkpoint(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_rejected(self, tmp_path):
         model = self.make_model()

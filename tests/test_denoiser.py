@@ -285,10 +285,12 @@ def _snap(arr):
 
 def reference_adam_ema(model, grads, lr, decay):
     """The per-key Adam and EMA formulas, one numpy expression per key, on
-    plain-dict copies of the model's groups; the flat passes must match
-    them bit for bit."""
-    params, ema, adam_m, adam_v = ({k: v.copy() for k, v in group.items()} for group in (
-        model.params, model.ema_params, model.adam_m, model.adam_v))
+    plain-dict float64 copies of the model's groups; the flat passes must
+    match them bit for bit. (A float32 copy would compute in float32: a
+    float32 array times a Python float stays float32.)"""
+    groups = (model.params, model.ema_params, model.adam_m, model.adam_v)
+    params, ema, adam_m, adam_v = ({k: v.astype(np.float64) for k, v in group.items()}
+                                   for group in groups)
     step = model.adam_steps + 1
     bc1 = 1.0 - denoiser.ADAM_BETA1**step
     bc2 = 1.0 - denoiser.ADAM_BETA2**step
@@ -370,6 +372,43 @@ class TestFlatGroups:
             adam_step(clone, {k: np.ones_like(v) for k, v in clone.params.items()}, lr=1e-2)
             assert np.array_equal(model.params.flat, before)
             assert not np.array_equal(clone.params.flat, before)
+
+    def test_shadows_and_moments_are_float32_wherever_the_model_comes_from(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(model, path)
+        models = [model, dataio.load_checkpoint(path),
+                  dataio.load_checkpoint(path, train_state=False),
+                  copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+        for m in models:
+            for name, dtype in (("params", np.float64), ("ema_params", np.float32),
+                                ("adam_m", np.float32), ("adam_v", np.float32)):
+                group = getattr(m, name)
+                if group is not None:
+                    assert group.flat.dtype == dtype, name
+                    assert all(v.dtype == dtype for v in group.values()), name
+        assert models[2].ema_params is not None
+
+    def test_float32_groups_refuse_values_off_the_grid(self):
+        model = small_model()
+        shape = model.params["in_b"].shape
+        for value in (0.1, 1e300):  # 1e300 overflows float32 to inf
+            with pytest.raises(ValueError, match="in_b"):
+                model.ema_params["in_b"] = np.full(shape, value)
+        off_grid = {k: np.zeros(v.shape) for k, v in model.params.items()}
+        off_grid["in_b"] = np.full(shape, 0.1)
+        for name in ("ema_params", "adam_m", "adam_v"):
+            before = getattr(model, name)
+            with pytest.raises(ValueError, match="in_b"):
+                setattr(model, name, off_grid)
+            assert getattr(model, name) is before
+        # NaN and the infinities are float32 values; a float64 group on
+        # the grid is copied into a float32 one
+        model.adam_v["in_b"] = np.array([np.nan, np.inf, -np.inf, 0.5] * (shape[0] // 4))
+        model.ema_params = model.params
+        assert model.ema_params.flat.dtype == np.float32
+        assert not np.shares_memory(model.ema_params.flat, model.params.flat)
+        assert np.array_equal(model.ema_params.flat, model.params.flat)
 
     def test_model_without_training_groups_is_refused(self, tmp_path):
         model = small_model()
