@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataio, denoiser, metrics, sampler
 from .errors import DivergenceError, PosePriorError, SchemaError
-from .geometry import project
+from .geometry import Pose, project
 from .numeric import RngStream
 from .observation import fit_gaussian_heatmap
 from .schedule import cosine_schedule
@@ -178,13 +178,9 @@ def _mask_indices(spec: str, joints: int) -> set:
 
 
 def _write_hypotheses(path, joint_names, per_frame, header_meta):
-    poses, meta = [], []
-    for frame_id, hyp in per_frame:
-        for m, pose in enumerate(hyp.poses):
-            poses.append(pose.joints)
-            meta.append({"frame_id": frame_id, "hypothesis": m,
-                         "root": hyp.roots[m].tolist()})
-    arr = np.stack(poses) if poses else np.zeros((0, len(joint_names), 3))
+    meta = [{"frame_id": frame_id, "hypothesis": m, "root": root.tolist()}
+            for frame_id, hyp in per_frame for m, root in enumerate(hyp.roots)]
+    arr = np.concatenate([hyp.joints for _, hyp in per_frame]) if per_frame else np.zeros(0)
     dataio.save_poses(dataio.PoseDataset(joint_names, arr, meta, header_meta), path)
 
 
@@ -194,7 +190,7 @@ def _mean_reprojection(hyp, keypoints, cam):
     One projection over the stacked (M, J, 3) absolute joints; each
     hypothesis's residuals are summed on their own, in hypothesis order.
     """
-    joints = np.stack([pose.joints for pose in hyp.poses]) + hyp.roots[:, None, :]
+    joints = hyp.joints + hyp.roots[:, None, :]
     ok = keypoints.valid & (joints[..., 2] > 0.0)
     if not np.any(ok):
         return float("nan")
@@ -206,15 +202,15 @@ def _mean_reprojection(hyp, keypoints, cam):
     return total / residual.size
 
 
-def _metric_row(poses, gt, reprojection_px):
-    """Best-of-M metrics for one frame: the row written by `_write_metrics_csv`."""
-    errors, pa_errors = metrics.hypothesis_errors(poses, gt)
-    best = int(np.argmin(errors))
+def _metric_row(joints, gt, reprojection_px):
+    """Best-of-M metrics of one frame's (M, J, 3) hypotheses: a `_write_metrics_csv` row."""
+    errors, pa_errors = metrics.hypothesis_errors(joints, gt)
+    best = Pose(joints[int(np.argmin(errors))])
     return {
-        "mpjpe": float(errors[best]),
+        "mpjpe": float(np.min(errors)),
         "pa_mpjpe": float(np.min(pa_errors)),
-        "pck150": metrics.pck(poses[best], gt),
-        "auc": metrics.auc(poses[best], gt),
+        "pck150": metrics.pck(best, gt),
+        "auc": metrics.auc(best, gt),
         "reprojection_px": reprojection_px,
     }
 
@@ -256,7 +252,7 @@ def cmd_estimate(args) -> int:
         diagnostics.update(hyp.diagnostics)
         if rec.gt_pose is not None:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
-            metric_rows.append((rec.frame_id, _metric_row(hyp.poses, rec.gt_pose, reprojection)))
+            metric_rows.append((rec.frame_id, _metric_row(hyp.joints, rec.gt_pose, reprojection)))
 
     header_meta = {"seed": args.seed, "gamma": args.gamma,
                    "cov_scale": args.cov_scale, "cov_rotate": args.cov_rotate,
@@ -278,14 +274,12 @@ def cmd_estimate(args) -> int:
 def cmd_sample(args) -> int:
     _echo_config(args)
     model = dataio.load_checkpoint(args.model, train_state=False)
-    poses = []
+    joints = np.zeros(0)
     if args.n > 0:
-        hyp = sampler.sample_unconditional(model, model.sched,
-                                           RngStream(args.seed, 0), args.n)
-        poses = hyp.poses
-    arr = np.stack([p.joints for p in poses]) if poses else np.zeros((0, model.joints, 3))
-    dataset = dataio.PoseDataset(_joint_names(model.joints), arr,
-                                 [{"sample": i} for i in range(len(poses))],
+        joints = sampler.sample_unconditional(model, model.sched,
+                                              RngStream(args.seed, 0), args.n).joints
+    dataset = dataio.PoseDataset(_joint_names(model.joints), joints,
+                                 [{"sample": i} for i in range(len(joints))],
                                  {"seed": args.seed, "n": args.n})
     dataio.save_poses(dataset, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -369,7 +363,7 @@ def cmd_evaluate(args) -> int:
         raise SchemaError(f"{args.hyp} has {hyp_data.num_joints} joints "
                           f"but {args.gt} has {gt_data.num_joints}")
 
-    by_frame: dict[str, dict] = {}
+    by_frame: dict[str, dict] = {}  # frame id -> {hypothesis index: record row}
     for i in range(hyp_data.num_poses):
         meta = hyp_data.meta[i]
         index = meta.get("hypothesis", 0)
@@ -381,18 +375,16 @@ def cmd_evaluate(args) -> int:
         if index in frame:
             raise SchemaError(f"{args.hyp}: record {i + 1}: repeats hypothesis {index} "
                               f"of frame {frame_id}")
-        frame[index] = hyp_data.pose_at(i)
-
-    gt_frames = [(str(gt_data.meta[i].get("frame_id", i)), gt_data.pose_at(i))
-                 for i in range(gt_data.num_poses)]
-    gt_frames = gt_frames[::args.stride]
+        frame[index] = i
 
     rows = []
-    for frame_id, gt_pose in gt_frames:
+    for i in range(0, gt_data.num_poses, args.stride):
+        frame_id = str(gt_data.meta[i].get("frame_id", i))
         if frame_id not in by_frame:
-            raise dataio.SchemaError(f"no hypotheses for frame {frame_id}")
-        poses = [by_frame[frame_id][index] for index in sorted(by_frame[frame_id])]
-        rows.append((frame_id, _metric_row(poses, gt_pose, float("nan"))))
+            raise SchemaError(f"no hypotheses for frame {frame_id}")
+        frame = by_frame[frame_id]
+        joints = hyp_data.poses[[frame[index] for index in sorted(frame)]]
+        rows.append((frame_id, _metric_row(joints, Pose(gt_data.poses[i]), float("nan"))))
     m = max(len(v) for v in by_frame.values()) if by_frame else 0
     _write_metrics_csv(args.out, rows, m)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -92,9 +92,6 @@ class PoseDataset:
     def num_joints(self) -> int:
         return len(self.joint_names)
 
-    def pose_at(self, i: int) -> Pose:
-        return Pose(self.poses[i], "root_relative")
-
 
 @dataclass
 class ObservationRecord:

@@ -55,21 +55,31 @@ class Pose:
     frame: str = ROOT_RELATIVE
 
     def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        if joints.ndim != 2 or joints.shape[1] != 3 or len(joints) == 0:
-            raise ValueError(f"joints must be (J, 3), got {joints.shape}")
-        if not np.all(np.isfinite(joints)):
-            raise ValueError("non-finite joint coordinates")
         if self.frame not in (ROOT_RELATIVE, ABSOLUTE_CAMERA):
             raise ValueError(f"unknown frame tag {self.frame!r}")
-        if self.frame == ROOT_RELATIVE and np.any(joints[0] != 0.0):
-            raise ValueError("root-relative pose must have the root joint at the origin")
-        joints.setflags(write=False)
-        object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "joints", checked_joints(self.joints, self.frame == ROOT_RELATIVE))
 
     @property
     def num_joints(self) -> int:
         return self.joints.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.joints, dtype=dtype, copy=copy)
+
+
+def checked_joints(joints, root_relative: bool, batched: bool = False) -> np.ndarray:
+    """A read-only float64 copy of a (J, 3) pose, or of (M, J, 3) poses when batched;
+    ValueError for another shape, a non-finite value or a root-relative root off the origin."""
+    joints = np.array(joints, dtype=np.float64)
+    if joints.ndim != 2 + batched or joints.shape[-1] != 3 or 0 in joints.shape:
+        raise ValueError(f"joints must be {'(M, J, 3)' if batched else '(J, 3)'}, "
+                         f"got {joints.shape}")
+    if not np.all(np.isfinite(joints)):
+        raise ValueError("non-finite joint coordinates")
+    if root_relative and np.any(joints[..., 0, :] != 0.0):
+        raise ValueError("root-relative pose must have the root joint at the origin")
+    joints.setflags(write=False)
+    return joints
 
 
 @dataclass(frozen=True)

@@ -41,28 +41,20 @@ class SimilarityTransform:
         return self.scale * points @ self.rotation.T + self.translation
 
 
-def _paired_joints(pred: Pose, gt: Pose):
-    if pred.num_joints != gt.num_joints:
-        raise ValueError(f"joint count mismatch: {pred.num_joints} vs {gt.num_joints}")
-    return to_root_relative(pred).joints, to_root_relative(gt).joints
-
-
-def _stack(poses, gt: Pose):
-    """The joints of a pose list as one (M, J, 3) array, checked against gt's J."""
-    stacked = np.stack([p.joints for p in poses])
+def _hypotheses(hypotheses, gt: Pose):
+    """An (M, J, 3) array, a `HypothesisSet` or a `Pose` list as one array, checked against gt."""
+    stacked = np.asarray(hypotheses, dtype=np.float64)
+    if len(stacked) == 0:
+        raise ValueError("empty hypothesis set")
     if stacked.shape[1:] != gt.joints.shape:
         raise ValueError(f"joint count mismatch: {stacked.shape[1:]} vs {gt.joints.shape}")
     return stacked
 
 
-def _mpjpe_stack(stacked, gt: Pose) -> np.ndarray:
-    """MPJPE of each pose of an (M, J, 3) stack after root alignment.
-
-    A root-relative pose's root is at the origin, so subtracting it
-    leaves the pose as `to_root_relative` does.
-    """
-    g = to_root_relative(gt).joints
-    return np.mean(np.linalg.norm(stacked - stacked[:, :1] - g, axis=2), axis=1)
+def _distances(stacked, gt: Pose) -> np.ndarray:
+    """Per-joint distances (M, J) of an (M, J, 3) stack to gt after root alignment; a
+    root-relative pose's root is at the origin, so subtracting it changes nothing."""
+    return np.linalg.norm(stacked - stacked[:, :1] - to_root_relative(gt).joints, axis=2)
 
 
 def _procrustes(stacked, gt: Pose):
@@ -102,21 +94,21 @@ def _procrustes(stacked, gt: Pose):
     return rot, scale, translation, aligned
 
 
-def hypothesis_errors(poses, gt: Pose):
+def hypothesis_errors(hypotheses, gt: Pose):
     """MPJPE and PA-MPJPE of every hypothesis against gt, two (M,) arrays.
 
     One pass over the (M, J, 3) stack; each value equals `mpjpe` and
     `pa_mpjpe` of that hypothesis alone, bit for bit.
     """
-    stacked = _stack(getattr(poses, "poses", poses), gt)
+    stacked = _hypotheses(hypotheses, gt)
     aligned = _procrustes(stacked, gt)[3]
     pa = np.mean(np.linalg.norm(aligned - gt.joints, axis=2), axis=1)
-    return _mpjpe_stack(stacked, gt), pa
+    return np.mean(_distances(stacked, gt), axis=1), pa
 
 
 def mpjpe(pred: Pose, gt: Pose) -> float:
     """Mean per-joint Euclidean distance after root alignment."""
-    return float(_mpjpe_stack(_stack([pred], gt), gt)[0])
+    return float(np.mean(_distances(_hypotheses([pred], gt), gt), axis=1)[0])
 
 
 def procrustes_align(pred: Pose, gt: Pose):
@@ -124,7 +116,7 @@ def procrustes_align(pred: Pose, gt: Pose):
 
     Returns the transform and the transformed prediction.
     """
-    rot, scale, translation, aligned = _procrustes(_stack([pred], gt), gt)
+    rot, scale, translation, aligned = _procrustes(_hypotheses([pred], gt), gt)
     transform = SimilarityTransform(rotation=rot[0], scale=float(scale[0]),
                                     translation=translation[0])
     return transform, aligned[0]
@@ -141,8 +133,7 @@ def _pck_at(pred: Pose, gt: Pose, thresholds) -> np.ndarray:
     A threshold is strict (a joint exactly at it does not count), except
     that an exactly correct joint counts at every threshold, zero included.
     """
-    p, g = _paired_joints(pred, gt)
-    dist = np.linalg.norm(p - g, axis=1)
+    dist = _distances(_hypotheses([pred], gt), gt)[0]
     return 100.0 * np.mean((dist < thresholds[:, None]) | (dist == 0.0), axis=1)
 
 
@@ -157,22 +148,16 @@ def auc(pred: Pose, gt: Pose) -> float:
 
 
 def best_of_m(hypotheses, gt: Pose) -> float:
-    """Minimum MPJPE over a hypothesis set."""
-    poses = getattr(hypotheses, "poses", hypotheses)
-    if len(poses) == 0:
-        raise ValueError("empty hypothesis set")
-    return float(np.min(_mpjpe_stack(_stack(poses, gt), gt)))
+    """Minimum MPJPE over an (M, J, 3) array, a `HypothesisSet` or a list of `Pose`."""
+    return float(np.min(np.mean(_distances(_hypotheses(hypotheses, gt), gt), axis=1)))
 
 
 def per_joint_std(hypotheses) -> float:
-    """Mean over joints of the norm of the per-axis standard deviations.
-
-    Positions are root-relative; needs at least two hypotheses.
-    """
-    poses = getattr(hypotheses, "poses", hypotheses)
-    if len(poses) < 2:
+    """Mean over joints of the norm of the per-axis standard deviations of the root-relative
+    positions of M >= 2 hypotheses: an array, a `HypothesisSet` or a list of `Pose`."""
+    stacked = np.asarray(hypotheses, dtype=np.float64)
+    if len(stacked) < 2:
         raise ValueError("need at least 2 hypotheses for a spread estimate")
-    stacked = np.stack([to_root_relative(p).joints for p in poses])  # (M, J, 3)
-    axis_std = stacked.std(axis=0)  # (J, 3), population std
+    axis_std = (stacked - stacked[:, :1]).std(axis=0)  # (J, 3), population std
     return float(np.mean(np.linalg.norm(axis_std, axis=1)))
 

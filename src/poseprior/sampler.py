@@ -11,7 +11,8 @@ counter-based, so this gives the bits of one draw per step. Keeping the
 root on a separate stream makes the zero-guidance path bit-identical to
 unconditional sampling, and since no row's arithmetic depends on the
 other rows, a hypothesis comes out the same whatever the number of
-hypotheses M.
+hypotheses M. The result is one `HypothesisSet`: the (M, J, 3) array of
+root-relative poses, checked once, with each hypothesis's root.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .denoiser import DenoiserModel, make_eval_forward
 from .errors import DivergenceError
-from .geometry import ROOT_RELATIVE, Camera, Pose, RootEstimate, sample_root
+from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
 from .numeric import RngStream
 from .observation import KeypointObservation, grad_and_residual
@@ -103,14 +104,28 @@ class GuidanceConfig:
             raise ValueError(f"unknown gradient space {self.grad_space!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisSet:
-    poses: list
-    roots: np.ndarray           # (M, 3); zeros when no root estimate was used
+    """Root-relative hypotheses ``joints`` (M, J, 3) mm, read-only and checked once
+    as `Pose` checks one pose, and ``roots`` (M, 3), zeros without a root estimate."""
+
+    joints: np.ndarray
+    roots: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "joints", checked_joints(self.joints, True, batched=True))
+
     def __len__(self):
-        return len(self.poses)
+        return len(self.joints)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.joints, dtype=dtype, copy=copy)
+
+    @property
+    def poses(self) -> list:
+        """A new `Pose` per hypothesis, for the per-pose API the acceptance gate uses."""
+        return [Pose(p) for p in self.joints]
 
 
 def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
@@ -208,9 +223,9 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     one of another T or offset raises ``ValueError``.
 
     All M hypotheses advance together as one (M, 3J) state, and every
-    row's arithmetic is independent of the other rows. If a state turns
-    non-finite, ``DivergenceError`` reports the step and, in
-    ``diagnostics["hypothesis"]``, the lowest-index non-finite row.
+    row's arithmetic is independent of the other rows. If a state or a
+    final pose (step 0) turns non-finite, ``DivergenceError`` reports the
+    step and, in ``diagnostics["hypothesis"]``, the lowest non-finite row.
     The returned ``diagnostics`` count joint-steps: observed joints
     skipped behind the camera (``behind_camera_skips``), joints whose
     non-finite gradient was zeroed (``nonfinite_grad_zeroed``), and
@@ -296,12 +311,12 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         else:
             ab = sched.alphabar[t]
             x = np.sqrt(ab) * x0_hat + (1.0 - ab) * noise.standard_normal(x0_hat.shape)
-    _check_finite(x, "final state", 0)
 
-    pose_mm = model.denormalize(x).reshape(n, joints, 3)
-    pose_mm = pose_mm - pose_mm[:, :1]
-    return HypothesisSet(poses=[Pose(p, ROOT_RELATIVE) for p in pose_mm], roots=roots,
-                         diagnostics=counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports overflow
+        pose_mm = model.denormalize(x).reshape(n, joints, 3)
+        pose_mm = pose_mm - pose_mm[:, :1]
+    _check_finite(pose_mm.reshape(n, -1), "final pose", 0)
+    return HypothesisSet(pose_mm, roots, counts)
 
 
 def sample_unconditional(model: DenoiserModel, sched: DiffusionSchedule | None,
@@ -339,5 +354,5 @@ def diversity_sweep(model: DenoiserModel, sched: DiffusionSchedule | None,
     rows = []
     for s in s_values:
         hyp = sample_guided(model, sched, obs, cam, root_est, replace(cfg, cov_scale=float(s)))
-        rows.append((float(s), per_joint_std(hyp)))
+        rows.append((float(s), per_joint_std(hyp.joints)))
     return rows

@@ -92,6 +92,5 @@ def test_traced_run_counts_layers_and_changes_no_output():
         assert np.array_equal(traced_model.params[key], model.params[key])
         assert np.array_equal(traced_model.ema_params[key], model.ema_params[key])
     assert np.array_equal(traced_hyp.roots, hyp.roots)
-    for traced_pose, pose in zip(traced_hyp.poses, hyp.poses):
-        assert np.array_equal(traced_pose.joints, pose.joints)
+    assert np.array_equal(traced_hyp.joints, hyp.joints)
     assert traced_hyp.diagnostics == hyp.diagnostics

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from poseprior import cli, dataio, sampler
+from poseprior import cli, dataio, metrics, sampler
 from poseprior.errors import PosePriorError
+from poseprior.geometry import Pose
 from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
 
@@ -470,6 +471,18 @@ class TestSampleCommand:
         ds = dataio.load_poses(out)
         assert ds.num_poses == 0
 
+    def test_overflowing_final_pose_exits_3(self, tiny_setup, tmp_path, capsys):
+        # a finite last state whose denormalized pose overflows is a
+        # divergence (exit 3) naming the hypothesis, not an input error
+        model = dataio.load_checkpoint(tiny_setup["ckpt"])
+        model.norm_std = np.full_like(model.norm_std, 1e308)
+        ckpt = tmp_path / "huge.ckpt"
+        dataio.save_checkpoint(model, ckpt)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["sample", "--model", str(ckpt), "--out", str(out), "-n", "4"]) == 3
+        assert "error: diverged: non-finite final pose in hypothesis" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_under_a_file_exits_2(self, tiny_setup):
         out = tiny_setup["ckpt"] / "x.jsonl"
         proc = run_cli(["sample", "--model", str(tiny_setup["ckpt"]), "--out", str(out),
@@ -737,6 +750,39 @@ class TestEvaluateCommand:
         assert float(agg["mpjpe"]) == 0.0
         assert float(agg["pck150"]) == 100.0
         assert float(agg["auc"]) == 100.0
+
+    def test_gathers_interleaved_records_by_frame_and_index(self, tiny_setup, tmp_path,
+                                                            capsys):
+        # records that interleave the frames and list hypothesis indices out of
+        # order and with gaps score as the same records sorted
+        gt = dataio.load_poses(tiny_setup["gt"])
+        frames = [meta["frame_id"] for meta in gt.meta]
+        rng = np.random.default_rng(7)
+        indices = [5, 0, 9, 2]
+        hyp = {}
+        for i, frame in enumerate(frames):
+            for m in indices:
+                pose = gt.poses[i] + 40.0 * rng.standard_normal(gt.poses[i].shape)
+                hyp[frame, m] = pose - pose[0]
+        scrambled = [(frame, m) for m in indices for frame in reversed(frames)]
+        csvs = []
+        for name, keys in (("sorted", sorted(hyp)), ("scrambled", scrambled)):
+            path = tmp_path / f"{name}.jsonl"
+            dataio.save_poses(dataio.PoseDataset(
+                gt.joint_names, np.stack([hyp[k] for k in keys]),
+                [{"frame_id": f, "hypothesis": m} for f, m in keys]), path)
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["evaluate", "--hyp", str(path), "--gt", str(tiny_setup["gt"]),
+                             "--out", str(out)]) == 0, capsys.readouterr().err
+            csvs.append(out.read_bytes())
+        assert scrambled != sorted(hyp)
+        assert csvs[0] == csvs[1]
+        rows = list(csv.DictReader(csvs[0].decode().splitlines()))
+        for i, frame in enumerate(frames):
+            best = min(metrics.mpjpe(Pose(hyp[frame, m]), Pose(gt.poses[i])) for m in indices)
+            assert rows[i]["frame_id"] == frame
+            assert rows[i]["mpjpe"] == f"{best:.6f}"
+            assert rows[i]["M"] == str(len(indices))
 
     def test_stride_selects_frames(self, tiny_setup, tmp_path):
         gt = dataio.load_poses(tiny_setup["gt"])

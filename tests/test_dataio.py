@@ -457,7 +457,7 @@ class TestSynthetic:
         cfg = dataio.SyntheticSkeletonConfig(n_train=1, n_eval=200, seed=5,
                                              obs_sigma_px=3.0)
         _, _, records = dataio.generate_synthetic(cfg)
-        errs = [_mean_reprojection(HypothesisSet([to_root_relative(r.gt_pose)],
+        errs = [_mean_reprojection(HypothesisSet(to_root_relative(r.gt_pose).joints[None],
                                                  r.gt_pose.joints[:1]), r.keypoints, r.camera)
                 for r in records]
         # mean norm of an isotropic 2D Gaussian is sigma * sqrt(pi/2)

@@ -543,7 +543,7 @@ class TestSampleMoments:
 
         hyp = sampler_mod.sample_unconditional(
             toy_world.model, toy_world.model.sched, RngStream(7100, 0), 2000)
-        samp = np.stack([p.joints for p in hyp.poses]).reshape(2000, -1)
+        samp = hyp.joints.reshape(2000, -1)
         data = toy_world.train.poses.reshape(toy_world.train.num_poses, -1)
         live = data.std(axis=0) > 1.0
 

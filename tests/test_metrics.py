@@ -212,12 +212,17 @@ class TestHypothesisErrors:
             assert best_of_m(poses, gt) == min(reference_mpjpe(p, gt) for p in poses)
 
     def test_takes_a_hypothesis_set(self):
+        # an (M, J, 3) array, a list of Pose and a HypothesisSet give the same bits
         rng = RngStream(164, 0)
         gt = random_pose(rng)
         poses = [random_pose(rng) for _ in range(3)]
-        hyp = HypothesisSet(poses=poses, roots=np.zeros((3, 3)))
-        for got, want in zip(hypothesis_errors(hyp, gt), hypothesis_errors(poses, gt)):
-            assert np.array_equal(got, want)
+        arr = np.stack([p.joints for p in poses])
+        hyp = HypothesisSet(arr, np.zeros((3, 3)))
+        for form in (poses, hyp):
+            for got, want in zip(hypothesis_errors(form, gt), hypothesis_errors(arr, gt)):
+                assert np.array_equal(got, want)
+            assert best_of_m(form, gt) == best_of_m(arr, gt)
+            assert per_joint_std(form) == per_joint_std(arr)
 
     def test_coincident_hypothesis_raises_like_pa_mpjpe(self):
         rng = RngStream(165, 0)
@@ -386,7 +391,7 @@ class TestReprojectionError:
         means = project(to_absolute(pose, self.ROOT).joints, CAM)
         rel = pose.joints.copy()
         rel[list(behind), 2] = -self.ROOT[2] - 100.0 * np.arange(len(behind))
-        return HypothesisSet(poses=[Pose(rel, ROOT_RELATIVE)], roots=self.ROOT[None]), means
+        return HypothesisSet(rel[None], self.ROOT[None]), means
 
     def test_exact_projection(self):
         hyp, means = self.make_case(75)
@@ -419,7 +424,8 @@ class TestReprojectionError:
         # mean of the per-hypothesis means
         skipped, means = self.make_case(79, behind=(2, 3))
         full, _ = self.make_case(79)
-        hyp = HypothesisSet(poses=skipped.poses + full.poses, roots=np.stack([self.ROOT] * 2))
+        hyp = HypothesisSet(np.concatenate([skipped.joints, full.joints]),
+                            np.stack([self.ROOT] * 2))
         means[1] += [3.0, 4.0]
         obs = self.make_obs(means, np.isin(np.arange(8), [1, 2, 3]))
         assert _mean_reprojection(hyp, obs, CAM) == pytest.approx(2.5)
@@ -437,7 +443,7 @@ class TestReprojectionError:
                 rel[1:, 2] = -self.ROOT[2] - 10.0          # only the root in front
             poses.append(Pose(rel, ROOT_RELATIVE))
             roots.append(self.ROOT + 30.0 * rng.standard_normal(3))
-        hyp = HypothesisSet(poses=poses, roots=np.stack(roots))
+        hyp = HypothesisSet(poses, np.stack(roots))
         means = project(to_absolute(poses[0], roots[0]).joints, CAM) \
             + rng.standard_normal((8, 2))
         obs = self.make_obs(means, np.arange(8) != 0)

@@ -17,14 +17,13 @@ class TestUnconditional:
     def test_deterministic(self, toy_world):
         a = sampler.sample_unconditional(toy_world.model, None, RngStream(71, 0), 4)
         b = sampler.sample_unconditional(toy_world.model, None, RngStream(71, 0), 4)
-        for pa, pb in zip(a.poses, b.poses):
-            assert np.array_equal(pa.joints, pb.joints)
+        assert np.array_equal(a.joints, b.joints)
 
     def test_root_relative_output(self, toy_world):
         hyp = sampler.sample_unconditional(toy_world.model, None, RngStream(72, 0), 3)
+        assert np.all(hyp.joints[:, 0] == 0.0)
         for pose in hyp.poses:
             assert pose.frame == "root_relative"
-            assert np.all(pose.joints[0] == 0.0)
 
     def test_collapse_on_single_pose_prior(self):
         # a prior trained on one fixed pose generates that pose
@@ -37,8 +36,66 @@ class TestUnconditional:
                        ema_decay=0.99, rng=RngStream(32, 1))
         hyp = sampler.sample_unconditional(model, sched, RngStream(33, 0), 50)
         scale = np.linalg.norm(single.poses[0], axis=1).max()
-        devs = [np.linalg.norm(p.joints - single.poses[0], axis=1).mean() for p in hyp.poses]
+        devs = np.linalg.norm(hyp.joints - single.poses[0], axis=2).mean(axis=1)
         assert np.mean(devs) < 0.10 * scale
+
+
+class TestHypothesisSet:
+    def joints(self, m=3, j=4):
+        arr = RngStream(60, 0).standard_normal((m, j, 3))
+        return arr - arr[:, :1]
+
+    def test_joints_are_a_read_only_copy(self):
+        arr = self.joints()
+        hyp = sampler.HypothesisSet(arr, np.zeros((3, 3)))
+        assert np.array_equal(hyp.joints, arr)
+        with pytest.raises(ValueError, match="read-only"):
+            hyp.joints[0, 1, 0] = 1.0
+        arr[0, 1, 0] = 5.0  # the caller's array stays its own
+        assert hyp.joints[0, 1, 0] != 5.0
+        assert len(hyp) == 3
+
+    @pytest.mark.parametrize("case,message", [
+        ("two-coordinate joints", r"joints must be \(M, J, 3\), got \(3, 4, 2\)"),
+        ("one pose", r"joints must be \(M, J, 3\), got \(4, 3\)"),
+        ("no hypotheses", r"joints must be \(M, J, 3\), got \(0, 4, 3\)"),
+        ("nan", "non-finite joint coordinates"),
+        ("inf", "non-finite joint coordinates"),
+        ("root off the origin", "root-relative pose must have the root joint at the origin"),
+    ])
+    def test_rejects_what_pose_rejects(self, case, message):
+        arr = self.joints()
+        arr = {"two-coordinate joints": arr[..., :2], "one pose": arr[0],
+               "no hypotheses": arr[:0]}.get(case, arr)
+        if case in ("nan", "inf"):
+            arr[2, 3, 1] = np.nan if case == "nan" else np.inf
+        if case == "root off the origin":
+            arr[1, 0, 2] = 1e-9
+        with pytest.raises(ValueError, match=message):
+            sampler.HypothesisSet(arr, np.zeros((3, 3)))
+
+    def test_sampled_joints_equal_the_pose_view_bitwise(self, toy_world):
+        rec = toy_world.records[2]
+        cfg = sampler.GuidanceConfig(num_hypotheses=5, seed=61)
+        hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints, rec.camera,
+                                    rec.root, cfg)
+        assert hyp.joints.shape == (5, toy_world.model.joints, 3)
+        assert np.array_equal(hyp.joints, np.stack([p.joints for p in hyp.poses]))
+        assert np.array_equal(np.asarray(hyp), hyp.joints)
+
+    def test_overflowing_final_pose_is_a_divergence(self):
+        # the last state is finite, but denormalizing it overflows: that is
+        # a divergence at step 0 naming a hypothesis, not a bad input
+        sched = cosine_schedule(5, 0.008)
+        model = denoiser.DenoiserModel.initialize(5, 8, sched, RngStream(62, 0))
+        model.norm_std = np.full(15, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="non-finite final pose in hypothesis"
+                               ) as exc:
+                sampler.sample_unconditional(model, None, RngStream(62, 1), 4)
+        assert exc.value.step == 0
+        assert exc.value.diagnostics["hypothesis"] in range(4)
 
 
 class TestScheduleCheck:
@@ -67,8 +124,7 @@ class TestScheduleCheck:
         same = sampler.sample_unconditional(tiny_model, cosine_schedule(20, 0.008),
                                             RngStream(4, 0), 3)
         default = sampler.sample_unconditional(tiny_model, None, RngStream(4, 0), 3)
-        for a, b in zip(same.poses, default.poses):
-            assert np.array_equal(a.joints, b.joints)
+        assert np.array_equal(same.joints, default.joints)
 
 
 class TestGuided:
@@ -78,8 +134,7 @@ class TestGuided:
         guided = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                        rec.camera, rec.root, cfg)
         uncond = sampler.sample_unconditional(toy_world.model, None, RngStream(901, 0), 5)
-        for g, u in zip(guided.poses, uncond.poses):
-            assert np.array_equal(g.joints, u.joints)
+        assert np.array_equal(guided.joints, uncond.joints)
 
     def test_hypotheses_independent_of_batch(self, toy_world):
         # reruns are identical, and hypothesis m of a batch equals the lone
@@ -99,7 +154,7 @@ class TestGuided:
                                          stream_offset=offset, **extra)
             hyp = sampler.sample_guided(toy_world.model, None, obs, rec.camera,
                                         rec.root, cfg)
-            return np.stack([p.joints for p in hyp.poses]), hyp.roots
+            return hyp.joints, hyp.roots
 
         for name, (obs, extra) in cases.items():
             poses, roots = run(obs, extra, 6)
@@ -163,7 +218,7 @@ class TestGuided:
         double = sampler.sample_guided(toy_world.model, None,
                                        [rec.keypoints, rec.keypoints],
                                        rec.camera, rec.root, cfg)
-        assert not np.array_equal(single.poses[0].joints, double.poses[0].joints)
+        assert not np.array_equal(single.joints[0], double.joints[0])
 
     def test_behind_camera_joints_skipped_and_counted(self, toy_world):
         # a root far behind the camera puts joints at negative depth for
@@ -175,8 +230,8 @@ class TestGuided:
         hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                     rec.camera, behind, cfg)
         assert hyp.diagnostics["behind_camera_skips"] > 0
+        assert np.all(np.isfinite(hyp.joints))
         for pose in hyp.poses:
-            assert np.all(np.isfinite(pose.joints))
             assert pose.frame == "root_relative"
 
     @pytest.mark.parametrize("case", ["behind_camera", "nonfinite_grad"])
@@ -204,8 +259,7 @@ class TestGuided:
         else:
             assert counts["behind_camera_skips"] == 0
             assert counts["nonfinite_grad_zeroed"] == 2 * toy_world.model.sched.T
-        for pose in hyp.poses:
-            assert np.all(np.isfinite(pose.joints))
+        assert np.all(np.isfinite(hyp.joints))
 
     @pytest.mark.parametrize("grad_space", [sampler.GRAD_X0HAT, sampler.GRAD_XT])
     def test_overflowing_gamma_warns_nothing(self, toy_world, grad_space):
@@ -218,8 +272,7 @@ class TestGuided:
             warnings.simplefilter("error", RuntimeWarning)
             hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                         rec.camera, rec.root, cfg)
-        for pose in hyp.poses:
-            assert np.all(np.isfinite(pose.joints))
+        assert np.all(np.isfinite(hyp.joints))
 
     def test_one_projection_per_step_and_no_per_source_path(self, toy_world, monkeypatch):
         # the guidance step projects the stacked joints once and no longer goes
@@ -247,7 +300,7 @@ class TestGuided:
                                          renoise_variant=variant)
             hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                         rec.camera, rec.root, cfg)
-            out[variant] = np.stack([p.joints for p in hyp.poses])
+            out[variant] = hyp.joints
             assert np.all(np.isfinite(out[variant]))
         assert not np.array_equal(out[sampler.RENOISE_EQ2], out[sampler.RENOISE_ALG1])
 
@@ -348,8 +401,7 @@ class TestCompletion:
         hyp = sampler.complete_pose(toy_world.model, None, masked, rec.camera,
                                     rec.root, cfg)
         uncond = sampler.sample_unconditional(toy_world.model, None, RngStream(909, 0), 4)
-        for g, u in zip(hyp.poses, uncond.poses):
-            assert np.array_equal(g.joints, u.joints)
+        assert np.array_equal(hyp.joints, uncond.joints)
 
     def test_masked_joints_get_no_guidance(self, toy_world):
         # changing the observed mean of a masked joint cannot change anything
@@ -364,8 +416,7 @@ class TestCompletion:
         cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=2, seed=910)
         h1 = sampler.complete_pose(toy_world.model, None, kp1, rec.camera, rec.root, cfg)
         h2 = sampler.complete_pose(toy_world.model, None, kp2, rec.camera, rec.root, cfg)
-        for a, b in zip(h1.poses, h2.poses):
-            assert np.array_equal(a.joints, b.joints)
+        assert np.array_equal(h1.joints, h2.joints)
 
 
 class TestBestOfM:
@@ -374,7 +425,7 @@ class TestBestOfM:
         cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=12, seed=911)
         hyp = sampler.sample_guided(toy_world.model, None, rec.keypoints,
                                     rec.camera, rec.root, cfg)
-        values = [metrics.best_of_m(hyp.poses[:m], rec.gt_pose) for m in (1, 3, 6, 12)]
+        values = [metrics.best_of_m(hyp.joints[:m], rec.gt_pose) for m in (1, 3, 6, 12)]
         assert all(values[i + 1] <= values[i] for i in range(3))
 
     def test_prefix_equals_smaller_run(self, toy_world):
@@ -385,8 +436,7 @@ class TestBestOfM:
         big = sampler.sample_guided(
             toy_world.model, None, rec.keypoints, rec.camera, rec.root,
             sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=5, seed=912))
-        for a, b in zip(small.poses, big.poses[:2]):
-            assert np.array_equal(a.joints, b.joints)
+        assert np.array_equal(small.joints, big.joints[:2])
 
 
 class PerStepNoise:
@@ -424,8 +474,7 @@ class TestChunkedNoise:
                     patch.setattr(sampler, "_TrajectoryNoise", PerStepNoise)
                     patch.setattr(sampler, "renoise", per_row_renoise)
                     old = sampler.sample_guided(*args)
-                assert np.array_equal(np.stack([p.joints for p in new.poses]),
-                                      np.stack([p.joints for p in old.poses]))
+                assert np.array_equal(new.joints, old.joints)
                 assert np.array_equal(new.roots, old.roots)
                 assert new.diagnostics == old.diagnostics
 
