@@ -215,15 +215,20 @@ def _metric_row(joints, gt, reprojection_px):
     }
 
 
-def _write_metrics_csv(path, rows, m):
+def _write_metrics_csv(path, rows):
+    """Rows of (frame id, hypothesis count M, `_metric_row`), then their mean.
+
+    The aggregate row's M is the largest count among the rows.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_id", "M", *_METRIC_COLUMNS])
-        for frame_id, vals in rows:
+        for frame_id, m, vals in rows:
             writer.writerow([frame_id, m] + [f"{vals[k]:.6f}" for k in _METRIC_COLUMNS])
         if rows:
-            agg = {k: float(np.mean([v[k] for _, v in rows])) for k in _METRIC_COLUMNS}
-            writer.writerow(["aggregate", m] + [f"{agg[k]:.6f}" for k in _METRIC_COLUMNS])
+            agg = {k: float(np.mean([v[k] for _, _, v in rows])) for k in _METRIC_COLUMNS}
+            writer.writerow(["aggregate", max(m for _, m, _ in rows)]
+                            + [f"{agg[k]:.6f}" for k in _METRIC_COLUMNS])
 
 
 def cmd_estimate(args) -> int:
@@ -252,7 +257,8 @@ def cmd_estimate(args) -> int:
         diagnostics.update(hyp.diagnostics)
         if rec.gt_pose is not None:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
-            metric_rows.append((rec.frame_id, _metric_row(hyp.joints, rec.gt_pose, reprojection)))
+            metric_rows.append((rec.frame_id, len(hyp),
+                                _metric_row(hyp.joints, rec.gt_pose, reprojection)))
 
     header_meta = {"seed": args.seed, "gamma": args.gamma,
                    "cov_scale": args.cov_scale, "cov_rotate": args.cov_rotate,
@@ -264,7 +270,7 @@ def cmd_estimate(args) -> int:
     print(f"diagnostics: {json.dumps(diagnostics)}", file=sys.stderr)
     if metric_rows:
         report = args.report or args.out + ".metrics.csv"
-        _write_metrics_csv(report, metric_rows, args.M)
+        _write_metrics_csv(report, metric_rows)
         print(f"wrote {args.out} and {report}", file=sys.stderr)
     else:
         print(f"wrote {args.out}", file=sys.stderr)
@@ -302,14 +308,20 @@ def _sweep_values(spec: str) -> list:
 
 def cmd_sweep(args) -> int:
     _echo_config(args)
-    if getattr(args, args.sweep.replace("-", "_")) is not None:
+    swept = args.sweep.replace("-", "_")  # the GuidanceConfig field and the flag's dest
+    if getattr(args, swept) is not None:
         raise PosePriorError(f"--{args.sweep} is the swept setting: give its values with --values")
     values = _sweep_values(args.values)
     if args.sweep == "cov-scale" and args.M < 2:
         raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
+    gcfg = _guidance_config(args)
+    for value in values:
+        try:
+            replace(gcfg, **{swept: value})
+        except ValueError as exc:
+            raise PosePriorError(f"--values: {exc}") from None
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), args.M)
-    gcfg = _guidance_config(args)
     model = _load_model_for(args.model, records)
     rows = []
     if args.sweep == "cov-scale":
@@ -363,7 +375,9 @@ def cmd_evaluate(args) -> int:
         raise SchemaError(f"{args.hyp} has {hyp_data.num_joints} joints "
                           f"but {args.gt} has {gt_data.num_joints}")
 
-    by_frame: dict[str, dict] = {}  # frame id -> {hypothesis index: record row}
+    gt_frames = [str(meta.get("frame_id", i)) for i, meta in enumerate(gt_data.meta)]
+    # frame id -> {hypothesis index: record row}
+    by_frame: dict[str, dict] = {frame_id: {} for frame_id in gt_frames}
     for i in range(hyp_data.num_poses):
         meta = hyp_data.meta[i]
         index = meta.get("hypothesis", 0)
@@ -371,22 +385,22 @@ def cmd_evaluate(args) -> int:
             raise SchemaError(f"{args.hyp}: record {i + 1}: \"hypothesis\" must be a "
                               f"non-negative integer, got {json.dumps(index)}")
         frame_id = str(meta.get("frame_id"))
-        frame = by_frame.setdefault(frame_id, {})
+        if frame_id not in by_frame:
+            raise SchemaError(f"{args.hyp}: record {i + 1}: frame {frame_id} is not in {args.gt}")
+        frame = by_frame[frame_id]
         if index in frame:
             raise SchemaError(f"{args.hyp}: record {i + 1}: repeats hypothesis {index} "
                               f"of frame {frame_id}")
         frame[index] = i
 
     rows = []
-    for i in range(0, gt_data.num_poses, args.stride):
-        frame_id = str(gt_data.meta[i].get("frame_id", i))
-        if frame_id not in by_frame:
-            raise SchemaError(f"no hypotheses for frame {frame_id}")
+    for frame_id, gt_pose in zip(gt_frames[::args.stride], gt_data.poses[::args.stride]):
         frame = by_frame[frame_id]
+        if not frame:
+            raise SchemaError(f"no hypotheses for frame {frame_id}")
         joints = hyp_data.poses[[frame[index] for index in sorted(frame)]]
-        rows.append((frame_id, _metric_row(joints, Pose(gt_data.poses[i]), float("nan"))))
-    m = max(len(v) for v in by_frame.values()) if by_frame else 0
-    _write_metrics_csv(args.out, rows, m)
+        rows.append((frame_id, len(frame), _metric_row(joints, Pose(gt_pose), float("nan"))))
+    _write_metrics_csv(args.out, rows)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

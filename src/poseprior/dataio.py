@@ -124,8 +124,13 @@ def save_poses(dataset: PoseDataset, path):
 
 
 def _read_jsonl(path, expected_format):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise ParseError("empty file: missing header", line=1)
     try:

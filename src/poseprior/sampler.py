@@ -132,7 +132,9 @@ def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
     """Apply the (scale, rotation) covariance edits once, up front.
 
     Every joint's covariance is rotated by ``R(theta) S R(theta)^T`` when
-    theta is nonzero (off-diagonal symmetrized), then scaled.
+    theta is nonzero (off-diagonal symmetrized), then scaled. A scale that
+    leaves a valid joint's covariance or its determinant non-finite, or
+    not positive, in float64 raises ``ValueError`` naming cov_scale.
     """
     sources = list(obs) if isinstance(obs, (list, tuple)) else [obs]
     for src in sources:
@@ -149,7 +151,15 @@ def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
         if cfg.cov_rotate != 0.0:
             m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
             covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
-        out.append(src.with_covariances(cfg.cov_scale * covs))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            covs = cfg.cov_scale * covs
+            det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+        bad = src.valid & ~(np.isfinite(det) & (det > 0.0))
+        if np.any(bad):
+            raise ValueError(f"cov_scale = {cfg.cov_scale!r} takes the covariances of joints "
+                             f"{np.nonzero(bad)[0].tolist()} out of float64's finite, "
+                             f"positive definite range")
+        out.append(src.with_covariances(covs))
     return out
 
 

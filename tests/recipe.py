@@ -15,7 +15,9 @@ The manifest records the numpy and BLAS build it was made on, and
 float bits may move with the BLAS build, so a hash mismatch on another
 build is a finding to report, not a failure to hide. BLAS runs on one
 thread unless OPENBLAS_NUM_THREADS says otherwise. The exit code is 0
-when every file matches, 1 otherwise. pytest does not collect this file.
+when every file matches, 1 otherwise. The suite runs ``--check`` in a
+child process (tests/test_recipe.py), so a change that moves an output
+byte fails the tests; pytest does not collect this file itself.
 """
 
 from __future__ import annotations

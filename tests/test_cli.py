@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import struct
 import subprocess
@@ -15,12 +17,21 @@ from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
 
 
-def run_cli(args, env_extra=None):
-    import os
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run_cli(args):
+    """Run `poseprior args` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(args):
+    """Run `python -m poseprior.cli args` in a child, through the `__main__` exit path."""
     return subprocess.run([sys.executable, "-m", "poseprior.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -221,15 +232,16 @@ class TestTrainCommand:
         assert model.adam_steps == 0
 
     def test_missing_input_exits_2(self, tmp_path):
-        proc = run_cli(["train", "--poses", str(tmp_path / "nope.jsonl"),
-                        "--out", str(tmp_path / "m.ckpt")])
+        proc = run_cli_process(["train", "--poses", str(tmp_path / "nope.jsonl"),
+                                "--out", str(tmp_path / "m.ckpt")])
         assert proc.returncode == 2
 
     def test_divergence_exits_3(self, tiny_setup, tmp_path):
-        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
-                        "--out", str(tmp_path / "m.ckpt"),
-                        "--steps", "60", "--batch", "8", "--hidden", "8", "--T", "10",
-                        "--lr", "1e18", "--seed", "2"])
+        # a child process: its overflow RuntimeWarning would be an error in this one
+        proc = run_cli_process(["train", "--poses", str(tiny_setup["train"]),
+                                "--out", str(tmp_path / "m.ckpt"),
+                                "--steps", "60", "--batch", "8", "--hidden", "8", "--T", "10",
+                                "--lr", "1e18", "--seed", "2"])
         assert proc.returncode == 3
 
     def test_resolved_config_echoed(self, tiny_setup, tmp_path):
@@ -396,6 +408,27 @@ class TestEstimateCommand:
         assert proc.returncode == 2
         assert f"{flag[2:].replace('-', '_')} must be finite" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e300", "1e-300"])
+    def test_cov_scale_out_of_float_range_names_it(self, tiny_setup, tmp_path, value):
+        # the scaled covariances, or their determinants, overflow or underflow
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "-M", "1", "--seed", "1", "--cov-scale", value])
+        assert proc.returncode == 2
+        assert f"error: cov_scale = {float(value)!r} takes the covariances" in proc.stderr
+        assert not out.exists()
+
+    def test_non_utf8_observation_file_exits_2_naming_file_and_line(self, tiny_setup,
+                                                                    tmp_path):
+        lines = tiny_setup["obs"].read_bytes().splitlines(keepends=True)
+        obs = tmp_path / "obs.jsonl"
+        obs.write_bytes(b"".join(lines[:2]) + b"\xfc\x00\xff\n" + b"".join(lines[2:]))
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(obs),
+                        "--out", str(tmp_path / "x.jsonl"), "-M", "1"])
+        assert proc.returncode == 2
+        assert f"error: line 3: {obs} is not UTF-8 text (byte 0xfc)" in proc.stderr
 
     @pytest.mark.parametrize("grad_space", ["x0hat", "xt"])
     def test_overflowing_guidance_step_is_clipped(self, tiny_setup, tmp_path, grad_space):
@@ -609,6 +642,34 @@ class TestSweepCommand:
                         "--sweep", "gamma", f"--values={values}", "-M", "2"])
         assert proc.returncode == 2
         assert f"--values: {item} is not a finite number" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep,values,named", [
+        ("gamma", "1e-4,-1", "--values: gamma must be >= 0, got -1.0"),
+        ("cov-scale", "1,0", "--values: cov_scale must be > 0, got 0.0"),
+    ], ids=["gamma", "cov-scale"])
+    def test_out_of_range_value_exits_2_before_sampling(self, tiny_setup, tmp_path, monkeypatch,
+                                                        capsys, sweep, values, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before every --values item was checked")
+
+        monkeypatch.setattr(sampler, "sample_guided", refuse)
+        monkeypatch.setattr(dataio, "load_checkpoint", refuse)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--model", str(tiny_setup["ckpt"]),
+                         "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                         "--sweep", sweep, "--values", values, "-M", "2"]) == 2
+        assert f"error: {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e-300"])
+    def test_cov_scale_value_out_of_float_range_exits_2(self, tiny_setup, tmp_path, value):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli(["sweep", "--model", str(tiny_setup["ckpt"]),
+                        "--obs", str(tiny_setup["obs"]), "--out", str(out),
+                        "--sweep", "cov-scale", "--values", f"1,{value}", "-M", "2"])
+        assert proc.returncode == 2
+        assert f"error: cov_scale = {float(value)!r} takes the covariances" in proc.stderr
         assert not out.exists()
 
 
@@ -899,6 +960,57 @@ class TestEvaluateCommand:
                         "--out", str(out), flag, value])
         assert proc.returncode == 2
         assert f"unrecognized arguments: {flag}" in proc.stderr
+        assert not out.exists()
+
+    @staticmethod
+    def write_counted(gt, counts, path):
+        """A hypothesis file with counts[k] copies of each listed frame's pose."""
+        keys = [(frame, m) for frame, count in counts for m in range(count)]
+        index = {meta["frame_id"]: i for i, meta in enumerate(gt.meta)}
+        dataio.save_poses(dataio.PoseDataset(
+            gt.joint_names, np.stack([gt.poses[index.get(f, 0)] for f, _ in keys]),
+            [{"frame_id": f, "hypothesis": m} for f, m in keys]), path)
+
+    @pytest.mark.parametrize("stride,scored,aggregate_m", [("1", [0, 1], "5"), ("2", [0], "2")],
+                             ids=["every-frame", "stride-2"])
+    def test_m_column_counts_each_scored_frame(self, tiny_setup, tmp_path, capsys, stride,
+                                               scored, aggregate_m):
+        # frame 0 has 2 hypotheses and frame 1 has 5; a row gives its own
+        # frame's count, the aggregate row the largest count it scores
+        gt = dataio.load_poses(tiny_setup["gt"])
+        frames = [meta["frame_id"] for meta in gt.meta]
+        hyp = tmp_path / "hyp.jsonl"
+        self.write_counted(gt, [(frames[0], 2), (frames[1], 5)], hyp)
+        out = tmp_path / "eval.csv"
+        assert cli.main(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                         "--out", str(out), "--stride", stride]) == 0, capsys.readouterr().err
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["frame_id"], r["M"]) for r in rows] == (
+            [(frames[i], ["2", "5"][i]) for i in scored] + [("aggregate", aggregate_m)])
+
+    @pytest.mark.parametrize("stride", ["1", "2"])
+    def test_frame_missing_from_ground_truth_exits_2(self, tiny_setup, tmp_path, stride):
+        gt = dataio.load_poses(tiny_setup["gt"])
+        hyp = tmp_path / "hyp.jsonl"
+        self.write_counted(gt, [(meta["frame_id"], 2) for meta in gt.meta] + [("not-in-gt", 1)],
+                           hyp)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out), "--stride", stride])
+        assert proc.returncode == 2
+        assert (f"{hyp}: record {2 * gt.num_poses + 1}: frame not-in-gt is not in "
+                f"{tiny_setup['gt']}") in proc.stderr
+        assert not out.exists()
+
+    def test_non_utf8_file_exits_2_naming_file_and_line(self, tiny_setup, tmp_path):
+        lines = tiny_setup["gt"].read_bytes().splitlines(keepends=True)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_bytes(b"".join(lines[:2]) + b'{"joints": [0\xfc]}\n' + b"".join(lines[2:]))
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"error: line 3: {hyp} is not UTF-8 text (byte 0xfc)" in proc.stderr
         assert not out.exists()
 
     def test_frame_mismatch_exits_2(self, tiny_setup, tmp_path):

@@ -70,6 +70,17 @@ class TestPoseFile:
         with pytest.raises(ParseError, match="line 3"):
             dataio.load_poses(path)
 
+    @pytest.mark.parametrize("load", [dataio.load_poses, dataio.load_observations],
+                             ids=["poses", "observations"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, load):
+        path = tmp_path / "bad.jsonl"
+        header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":0}'
+        path.write_bytes(header.encode() + b'\n{"joints":[0,0,0,0,0,0]}\n{"meta":"\xfc"}\n')
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {path} is not UTF-8 text (byte 0xfc)"
+
     def test_wrong_coordinate_count(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":0}'

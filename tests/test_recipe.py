@@ -1,0 +1,16 @@
+"""The 17-file toy-world recipe (tests/recipe.py) against its sha256 manifest."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+RECIPE = Path(__file__).with_name("recipe.py")
+
+
+def test_recipe_outputs_match_manifest():
+    # a child process: OPENBLAS_NUM_THREADS only takes effect before numpy loads
+    proc = subprocess.run([sys.executable, str(RECIPE), "--check"], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0 and "17 of 17 files match" in proc.stdout, (
+        f"tests/recipe.py --check exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")

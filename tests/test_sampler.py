@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -537,3 +538,25 @@ class TestTransformedSources:
         src = KeypointObservation(np.zeros((3, 2)), np.tile([4.0, 1.0, 2.0], (3, 1)),
                                   np.ones(3, dtype=bool))
         assert sampler._transformed_sources(src, sampler.GuidanceConfig(), 3) == [src]
+
+    @pytest.mark.parametrize("scale,theta", [(1e308, 0.0), (1e300, 0.0), (1e155, 0.7),
+                                             (1e-300, 0.0), (1e-170, 0.7)])
+    def test_scale_out_of_float_range_names_cov_scale(self, scale, theta):
+        # the scaled covariances, or their determinants, stop being finite and
+        # positive; only the valid joints count
+        covs = np.tile([4.0, 1.0, 3.0], (4, 1))
+        src = KeypointObservation(np.zeros((4, 2)), covs, np.array([True, False, True, True]))
+        cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=theta)
+        message = f"cov_scale = {scale!r} takes the covariances of joints [0, 2, 3] out of"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sampler._transformed_sources(src, cfg, 4)
+
+    def test_extreme_scale_in_range_keeps_the_edit(self):
+        src = KeypointObservation(np.zeros((2, 2)), np.tile([4.0, 1.0, 3.0], (2, 1)),
+                                  np.ones(2, dtype=bool))
+        for scale in (1e150, 1e-150):
+            cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=0.3)
+            got, = sampler._transformed_sources(src, cfg, 2)
+            assert np.array_equal(got.covs, per_joint_edit(src, 0.3, scale))
