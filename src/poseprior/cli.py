@@ -143,6 +143,21 @@ def _load_model_for(model_path, records):
     return model
 
 
+def _check_cov_scales(frames, gcfg: sampler.GuidanceConfig, scales, joints: int):
+    """Apply each covariance scale to each frame's covariances before any frame is sampled.
+
+    ``frames`` holds (frame id, keypoints) pairs, with the keypoints the
+    sampler will be given. A scale that takes a frame's covariances out
+    of float64's range raises, naming the scale and the frame.
+    """
+    for frame_id, keypoints in frames:
+        for scale in scales:
+            try:
+                sampler._transformed_sources(keypoints, replace(gcfg, cov_scale=scale), joints)
+            except ValueError as exc:
+                raise PosePriorError(f"{exc} (frame {frame_id})") from None
+
+
 def _check_stream_ranges(frames: int, m: int):
     """Keep the stream ids (frame << 24) + hypothesis of a run below the training streams."""
     if m > 1 << _FRAME_SHIFT or frames > _INIT_STREAM >> _FRAME_SHIFT:
@@ -244,13 +259,15 @@ def cmd_estimate(args) -> int:
     model = _load_model_for(args.model, records)
     mask_indices = _mask_indices(mask, model.joints) if mask else None
     sample = sampler.complete_pose if mask_indices else sampler.sample_guided
+    frame_keypoints = [rec.keypoints for rec in records]
+    if mask_indices:
+        valid = np.ones(model.joints, dtype=bool)
+        valid[list(mask_indices)] = False
+        frame_keypoints = [kp.with_validity(kp.valid & valid) for kp in frame_keypoints]
+    _check_cov_scales([(rec.frame_id, kp) for rec, kp in zip(records, frame_keypoints)],
+                      gcfg, [gcfg.cov_scale], model.joints)
     per_frame, metric_rows, diagnostics = [], [], Counter()
-    for idx, rec in enumerate(records):
-        keypoints = rec.keypoints
-        if mask_indices:
-            valid = keypoints.valid.copy()
-            valid[list(mask_indices)] = False
-            keypoints = keypoints.with_validity(valid)
+    for idx, (rec, keypoints) in enumerate(zip(records, frame_keypoints)):
         hyp = sample(model, model.sched, keypoints, rec.camera, rec.root,
                      _frame_config(gcfg, idx))
         per_frame.append((rec.frame_id, hyp))
@@ -323,6 +340,8 @@ def cmd_sweep(args) -> int:
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), args.M)
     model = _load_model_for(args.model, records)
+    _check_cov_scales([(rec.frame_id, rec.keypoints) for rec in records], gcfg,
+                      values if args.sweep == "cov-scale" else [gcfg.cov_scale], model.joints)
     rows = []
     if args.sweep == "cov-scale":
         for idx, rec in enumerate(records):

@@ -13,13 +13,14 @@ projection, ``_project_temb``, gives both their step embeddings with
 one GEMM per linear. Training uses batch statistics and one GEMM per
 linear over the batch. The eval forward, ``make_eval_forward``, uses the
 EMA weights and the running statistics, projects the embeddings of all
-T steps once, and multiplies row by row, so rows are independent: a
-row's output does not depend on the other rows of its block. It copies
-each weight once into column panels and runs every row over one panel
-before moving to the next, so a panel is read from cache by all rows of
-the block. Each row still runs its own product over the full inner
-dimension, and the panels keep every bit of the 2-D product (see
-``_panels``).
+T steps once into a table and keeps nothing else of that projection,
+folds each batch-norm layer into a (scale, shift) pair once, and
+multiplies row by row, so rows are independent: a row's output does not
+depend on the other rows of its block. It copies each weight once into
+column panels and runs every row over one panel before moving to the
+next, so a panel is read from cache by all rows of the block. Each row
+still runs its own product over the full inner dimension, and the
+panels keep every bit of the 2-D product (see ``_panels``).
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -310,16 +311,17 @@ def _rowwise(a, w):
 
 
 def _project_temb(params, t_arr) -> tuple:
-    """Two-layer feed-forward projection of the sinusoidal encoding, one
-    GEMM per linear over all steps in ``t_arr``."""
+    """Two-layer feed-forward projection of the sinusoidal encoding, one GEMM per
+    linear over all steps in ``t_arr``: (embeddings, (encoding, hidden layer after ReLU))."""
     dim = params["te1_b"].shape[0]
     e_sin = sinusoidal_embedding(t_arr, dim)
-    z1 = e_sin @ params["te1_w"]
-    z1 += params["te1_b"]  # in place: one (T, h) temporary fewer for the eval table
-    r1 = np.maximum(z1, 0.0)
+    r1 = e_sin @ params["te1_w"]
+    # bias and ReLU in place: two (T, h) temporaries fewer for the eval table
+    r1 += params["te1_b"]
+    np.maximum(r1, 0.0, out=r1)
     e = r1 @ params["te2_w"]
     e += params["te2_b"]
-    return e, (e_sin, z1, r1)
+    return e, (e_sin, r1)
 
 
 def _bn_train(z, gamma, beta):
@@ -330,23 +332,22 @@ def _bn_train(z, gamma, beta):
     return gamma * zhat + beta, (zhat, inv_std, mu, var)
 
 
-def _bn_eval(z, gamma, beta, rm, rv):
-    scale = gamma / np.sqrt(rv + BN_EPS)
-    return z * scale + (beta - rm * scale)
-
-
-def _forward_core(params, bn_stats, x, t_arr, train: bool, temb=None):
+def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
     """The network body for training and eval. Returns (out, cache).
 
-    Training multiplies the whole batch with one GEMM and keeps a cache
-    for the backward pass. Eval multiplies row by row and returns no
-    cache, so each output row equals its own 1-row call bit for bit.
+    Training multiplies the whole batch with one GEMM, normalizes with
+    batch statistics (it ignores ``bn_pairs``) and keeps a cache for the
+    backward pass. Eval multiplies row by row and returns no cache, so
+    each output row equals its own 1-row call bit for bit; it normalizes
+    in place on each product's buffer with ``bn_pairs``, the folded
+    (scale, shift) per batch-norm layer from ``make_eval_forward``.
     Training projects the step embedding from ``t_arr``; eval takes it
     precomputed as ``temb``.
     """
     matmul = np.matmul if train else _rowwise
     e, temb_cache = _project_temb(params, t_arr) if train else (temb, None)
-    h = matmul(x, params["in_w"]) + params["in_b"]
+    h = matmul(x, params["in_w"])
+    h += params["in_b"]
     cache = {"x": x, "temb": temb_cache, "e": e, "h_in": h, "blocks": []} if train else None
 
     for blk in _BLOCKS:
@@ -354,21 +355,25 @@ def _forward_core(params, bn_stats, x, t_arr, train: bool, temb=None):
         blk_cache = {"h_skip": h_skip}
         for i, (lin, bn) in enumerate((("l1", "bn1"), ("l2", "bn2"))):
             a = h + e
-            z = matmul(a, params[f"{blk}_{lin}_w"]) + params[f"{blk}_{lin}_b"]
+            z = matmul(a, params[f"{blk}_{lin}_w"])
+            z += params[f"{blk}_{lin}_b"]
             if train:
                 n, bn_cache = _bn_train(z, params[f"{blk}_{bn}_g"], params[f"{blk}_{bn}_b"])
                 blk_cache[f"a{i}"] = a
                 blk_cache[f"bn{i}"] = bn_cache
                 blk_cache[f"n{i}"] = n
+                h = np.maximum(n, 0.0)
             else:
-                n = _bn_eval(z, params[f"{blk}_{bn}_g"], params[f"{blk}_{bn}_b"],
-                             bn_stats[f"{blk}_{bn}_m"], bn_stats[f"{blk}_{bn}_v"])
-            h = np.maximum(n, 0.0)
+                scale, shift = bn_pairs[f"{blk}_{bn}"]
+                z *= scale
+                z += shift
+                h = np.maximum(z, 0.0, out=z)
         h = h_skip + h
         if train:
             cache["blocks"].append(blk_cache)
     a_out = h + e
-    out = matmul(a_out, params["out_w"]) + params["out_b"]
+    out = matmul(a_out, params["out_w"])
+    out += params["out_b"]
     if train:
         cache["a_out"] = a_out
     return out, cache
@@ -410,11 +415,11 @@ def _backward_core(params, cache, dout, grads=None):
     np.matmul(cache["x"].T, dh, out=grads["in_w"])
     dh.sum(axis=0, out=grads["in_b"])
 
-    e_sin, z1, r1 = cache["temb"]
+    e_sin, r1 = cache["temb"]
     np.matmul(r1.T, de, out=grads["te2_w"])
     de.sum(axis=0, out=grads["te2_b"])
     dr1 = de @ params["te2_w"].T
-    dz1 = dr1 * (z1 > 0.0)
+    dz1 = dr1 * (r1 > 0.0)  # > 0 where the pre-ReLU value is; NaN fails both
     np.matmul(e_sin.T, dz1, out=grads["te1_w"])
     dz1.sum(axis=0, out=grads["te1_b"])
     return grads
@@ -558,25 +563,30 @@ def make_eval_forward(model: DenoiserModel):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
     Uses the EMA weights and the batch-norm running statistics. The
-    projected step embeddings of all T steps are built once per closure
-    by ``_project_temb``, the GEMM training uses; the table depends only
-    on the weights and t, not on the block. The per-step linears
-    multiply row by row, so each row's output equals that of its own
-    1-row block bit for bit. The closure owns every tensor it reads, so a
-    later ``ema_update`` does not move its outputs: the weights are copied
-    into column panels (``_panels``), which keep every bit of the 2-D
-    product, and the biases, batch-norm parameters and running
-    statistics are copied too. The copies of the float32 EMA weights are
-    float64, so every eval product runs in float64.
+    closure holds only float64 copies of its own, so a later
+    ``ema_update`` does not move its outputs: the (T, h) table of all T
+    projected step embeddings, built once by ``_project_temb``, the GEMM
+    training uses (nothing of training's embedding cache is kept); the
+    weights of the six per-step linears in column panels (``_panels``),
+    which keep every bit of the 2-D product, and their biases; and each
+    batch-norm layer folded once into a (scale, shift) pair, scale =
+    g / sqrt(var + eps) and shift = b - mean * scale. The linears multiply
+    row by row, so each row's output equals that of its own 1-row block
+    bit for bit.
     """
     ema = model.ema_params
-    temb, _ = _project_temb(ema, np.arange(1, model.sched.T + 1))
+    temb = _project_temb(ema, np.arange(1, model.sched.T + 1))[0]
     params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k].astype(np.float64)
-              for k in PARAM_KEYS if not k.startswith("te")}
-    bn_stats = {k: v.copy() for k, v in model.bn_stats.items()}
+              for k in PARAM_KEYS if not k.startswith("te") and "_bn" not in k}
+    stats, bn_pairs = model.bn_stats, {}
+    for blk in _BLOCKS:
+        for bn in ("bn1", "bn2"):
+            key = f"{blk}_{bn}"
+            scale = ema[f"{key}_g"].astype(np.float64) / np.sqrt(stats[f"{key}_v"] + BN_EPS)
+            bn_pairs[key] = (scale, ema[f"{key}_b"].astype(np.float64) - stats[f"{key}_m"] * scale)
 
     def eval_forward(x, t: int):
-        out, _ = _forward_core(params, bn_stats, x, None, train=False, temb=temb[t - 1])
+        out, _ = _forward_core(params, bn_pairs, x, None, train=False, temb=temb[t - 1])
         return out
 
     return eval_forward

@@ -206,6 +206,42 @@ def test_sampling_commands_load_only_the_sampling_state(tiny_setup, tmp_path, mo
     assert "out" in outputs[0]
 
 
+@pytest.mark.parametrize("flags,wide,scale,frame", [
+    (["estimate", "--cov-scale", "1e150"], True, 1e150, "synth00001"),
+    (["complete", "--cov-scale", "1e150", "--mask", "l_wrist"], True, 1e150, "synth00001"),
+    (["sweep", "--sweep", "gamma", "--values", "0,2e-4", "--cov-scale", "1e150"], True,
+     1e150, "synth00001"),
+    (["sweep", "--sweep", "cov-scale", "--values", "1,1e150"], True, 1e150, "synth00001"),
+    (["sweep", "--sweep", "cov-scale", "--values", "1,1e308"], False, 1e308, "synth00000"),
+], ids=["estimate", "complete", "sweep-gamma", "sweep-cov-scale", "sweep-cov-scale-1e308"])
+def test_cov_scale_out_of_range_for_any_frame_exits_2_before_sampling(
+        tiny_setup, tmp_path, monkeypatch, capsys, flags, wide, scale, frame):
+    # with `wide`, frame synth00001 has a joint whose covariance is 1e10
+    # times frame synth00000's: at scale 1e150 the first frame's
+    # covariances stay in float64's range and the second's determinant
+    # overflows, so a check made frame by frame would sample the first
+    obs = tiny_setup["obs"]
+    if wide:
+        header, *records = [json.loads(line) for line in open(obs)]
+        records[1]["keypoints"][3]["cov"] = [4e10, 0.0, 4e10]
+        obs = tmp_path / "wide.jsonl"
+        obs.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+    sampled = []
+
+    def spy(*args, **kwargs):
+        sampled.append(args[-1].cov_scale)
+
+    monkeypatch.setattr(sampler, "sample_guided", spy)
+    out = tmp_path / "out"
+    assert cli.main([flags[0], "--model", str(tiny_setup["ckpt"]), "--obs", str(obs),
+                     "--out", str(out), "-M", "2", *flags[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cov_scale = {scale!r} takes the covariances" in err
+    assert err.endswith(f"(frame {frame})\n")
+    assert sampled == []
+    assert not out.exists()
+
+
 class TestSynthCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--obs-sigma", "-1"), ("--obs-sigma", "0"), ("--obs-sigma", "nan"),

@@ -439,25 +439,92 @@ class TestFlatGroups:
         assert peak < 2 * param_bytes
 
 
+def reference_eval_rows(model, block, emb):
+    """The eval forward of each row of ``block`` on its own, from the unfolded formulas.
+
+    Each linear is a 1-row product over the 2-D float64 EMA weight, and
+    each batch norm is ``z * scale + (b - mean * scale)`` with
+    ``scale = g / sqrt(var + eps)`` from the model's running statistics.
+    """
+    ema = {key: value.astype(np.float64) for key, value in model.ema_params.items()}
+
+    def linear(a, key):
+        return (a[:, None, :] @ ema[f"{key}_w"])[:, 0, :] + ema[f"{key}_b"]
+
+    rows = []
+    for x in block:
+        h = linear(x[None], "in")
+        for blk in ("b1", "b2"):
+            h_skip = h
+            for lin, bn in (("l1", "bn1"), ("l2", "bn2")):
+                z = linear(h + emb, f"{blk}_{lin}")
+                g, b = ema[f"{blk}_{bn}_g"], ema[f"{blk}_{bn}_b"]
+                mean, var = model.bn_stats[f"{blk}_{bn}_m"], model.bn_stats[f"{blk}_{bn}_v"]
+                scale = g / np.sqrt(var + denoiser.BN_EPS)
+                h = np.maximum(z * scale + (b - mean * scale), 0.0)
+            h = h_skip + h
+        rows.append(linear(h + emb, "out"))
+    return np.concatenate(rows)
+
+
 class TestEvalForwardClosure:
     def test_table_matches_per_step_projection(self):
         # the closure projects all T step embeddings with training's GEMM;
         # row t - 1 of that table must match step t projected alone, and
-        # each step's output must equal the body run on that row (hidden
-        # 128 and 1024 multiply the per-step linears over weight panels,
-        # hidden 64 does not)
+        # each step's output must equal the unfolded reference run on that
+        # row (hidden 128 and 1024 multiply the per-step linears over weight
+        # panels, hidden 64 does not); the batch norms get statistics and
+        # affine parameters away from their initial values
         for hidden, t_steps in ((64, 100), (128, 20), (1024, 4)):
             model = small_model(joints=17, hidden=hidden, t_steps=t_steps)
+            rng = RngStream(25, hidden)
+            for key in STAT_KEYS:
+                draw = (rng.uniform(-1.0, 1.0, hidden) if key.endswith("_m")
+                        else rng.uniform(0.25, 4.0, hidden))
+                model.bn_stats[key] = draw.astype(np.float32).astype(np.float64)
+            for key in PARAM_KEYS:
+                if "_bn" in key:
+                    model.ema_params[key] = rng.uniform(-2.0, 2.0, hidden).astype(np.float32)
             fast = make_eval_forward(model)
             table, _ = denoiser._project_temb(model.ema_params, np.arange(1, t_steps + 1))
-            rng = RngStream(25, 0)
             for t in range(1, t_steps + 1):
-                x = rng.standard_normal((1, 51))
                 step, _ = denoiser._project_temb(model.ema_params, np.array([t]))
                 assert np.allclose(table[t - 1], step[0], rtol=1e-12, atol=1e-12), (hidden, t)
-                alone, _ = denoiser._forward_core(model.ema_params, model.bn_stats, x, None,
-                                                  train=False, temb=table[t - 1])
-                assert np.array_equal(fast(x, t), alone), (hidden, t)
+                for m in (1, 5):
+                    block = rng.standard_normal((m, 51))
+                    assert np.array_equal(fast(block, t),
+                                          reference_eval_rows(model, block, table[t - 1])), \
+                        (hidden, t, m)
+
+    def test_paper_size_memory_under_tracemalloc(self):
+        # at hidden 1024 and T = 1000 a "table" is one (T, h) float64
+        # array, 8 MB. make_eval_forward keeps the step-embedding table,
+        # the weight panels and the folded batch norms, and holds nothing
+        # of the projection's cache on the way (3 tables more before).
+        # _project_temb's peak is its output, the encoding and the hidden
+        # layer, 3 tables, plus the float64 copy numpy's matmul makes of a
+        # float32 (h, h) weight, 1.02 tables, for the EMA group (1 table
+        # more each before, when the hidden layer was kept before its ReLU)
+        t_steps, hidden = 1000, 1024
+        model = DenoiserModel.initialize(17, hidden, cosine_schedule(t_steps, 0.008),
+                                         RngStream(29, 0))
+        table = t_steps * hidden * 8
+        steps = np.arange(1, t_steps + 1)
+        tracemalloc.start()
+        try:
+            fast = make_eval_forward(model)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert peak - kept <= table
+            del fast
+            for group, tables in ((model.params, 3.5), (model.ema_params, 4.5)):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                out = denoiser._project_temb(group, steps)
+                _, peak = tracemalloc.get_traced_memory()
+                del out
+                assert peak - before <= tables * table, group.flat.dtype
+        finally:
+            tracemalloc.stop()
 
     def test_table_bits_do_not_depend_on_blas_threads(self):
         # the paper-size table (hidden 1024, T = 1000) is one GEMM per
