@@ -452,44 +452,50 @@ class SyntheticSkeletonConfig:
         for i, p in enumerate(self.parents[1:], start=1):
             if not 0 <= p < i:
                 raise ValueError(f"parent of joint {i} must precede it, got {p}")
-            if self.bone_lengths[i] <= 0.0:
-                raise ValueError(f"bone length of joint {i} must be positive")
+            if not (np.isfinite(self.bone_lengths[i]) and self.bone_lengths[i] > 0.0):
+                raise ValueError(f"bone_lengths of joint {i} must be finite and > 0, "
+                                 f"got {self.bone_lengths[i]!r}")
+        for name in ("rest_dirs", "angle_limits"):
+            for i, vec in enumerate(getattr(self, name)):
+                if not (np.shape(vec) == (3,) and np.all(np.isfinite(vec))):
+                    raise ValueError(f"{name} of joint {i} must be a finite 3-vector, got {vec!r}")
+        if not (np.isfinite(self.obs_sigma_px) and self.obs_sigma_px > 0.0):
+            raise ValueError(f"obs_sigma_px must be finite and > 0, got {self.obs_sigma_px!r}")
 
     @property
     def num_joints(self) -> int:
         return len(self.parents)
 
 
-def _euler_rotation(angles) -> np.ndarray:
-    ax, ay, az = angles
-    cx, sx = np.cos(ax), np.sin(ax)
-    cy, sy = np.cos(ay), np.sin(ay)
-    cz, sz = np.cos(az), np.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """``rz @ ry @ rx`` for every Euler angle triple: (..., 3) -> (..., 3, 3)."""
+    cx, cy, cz = np.moveaxis(np.cos(angles), -1, 0)
+    sx, sy, sz = np.moveaxis(np.sin(angles), -1, 0)
+    one, zero = np.ones_like(cx), np.zeros_like(cx)
+    shape = angles.shape[:-1] + (3, 3)
+    rx = np.stack((one, zero, zero, zero, cx, -sx, zero, sx, cx), axis=-1).reshape(shape)
+    ry = np.stack((cy, zero, sy, zero, one, zero, -sy, zero, cy), axis=-1).reshape(shape)
+    rz = np.stack((cz, -sz, zero, sz, cz, zero, zero, zero, one), axis=-1).reshape(shape)
     return rz @ ry @ rx
 
 
-def _forward_kinematics(cfg: SyntheticSkeletonConfig, angles: np.ndarray) -> np.ndarray:
-    j = cfg.num_joints
-    pos = np.zeros((j, 3))
-    rot = [None] * j
-    rot[0] = _euler_rotation(angles[0])
-    for i in range(1, j):
-        p = cfg.parents[i]
-        rot[i] = rot[p] @ _euler_rotation(angles[i])
-        offset = cfg.bone_lengths[i] * np.asarray(cfg.rest_dirs[i], dtype=np.float64)
-        pos[i] = pos[p] + rot[i] @ offset
-    return pos
-
-
 def _sample_poses(cfg: SyntheticSkeletonConfig, n: int, rng: RngStream) -> np.ndarray:
+    """``n`` poses (n, J, 3): uniform joint angles within limits, then forward kinematics.
+
+    One pass over the joints serves every pose and gives the bytes of a
+    per-pose loop: the (n, J, 3) uniform block holds the doubles that n
+    per-pose draws take, in the same order, and ``matmul`` on a stack runs
+    the same 3x3 routine on each matrix as on a single one.
+    """
     limits = np.asarray(cfg.angle_limits, dtype=np.float64)
+    local = _rotations(rng.uniform(-1.0, 1.0, (n,) + limits.shape) * limits)
     poses = np.zeros((n, cfg.num_joints, 3))
-    for k in range(n):
-        angles = rng.uniform(-1.0, 1.0, limits.shape) * limits
-        poses[k] = _forward_kinematics(cfg, angles)
+    rot = [local[:, 0]]
+    for i in range(1, cfg.num_joints):
+        p = cfg.parents[i]
+        rot.append(rot[p] @ local[:, i])
+        offset = cfg.bone_lengths[i] * np.asarray(cfg.rest_dirs[i], dtype=np.float64)
+        poses[:, i] = poses[:, p] + rot[i] @ offset
     return poses
 
 

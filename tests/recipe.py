@@ -8,7 +8,8 @@ package in this checkout's ``src/``: ``synth``, a 2000-step toy
 ``train`` (hidden 64, T = 100), three ``estimate`` runs at M = 50
 (default, ``--grad-space xt``, ``--renoise alg1`` with an edited
 covariance), ``complete``, ``sample``, both ``sweep`` kinds at M = 20,
-and ``evaluate``. It takes about 15 s on one core.
+and ``evaluate``. It takes about 15 s on one core, and prints one
+``step <command> <seconds> s`` line per step as it goes.
 
 The manifest records the numpy and BLAS build it was made on, and
 ``--check`` prints every field of this build that differs from it:
@@ -31,6 +32,7 @@ import os
 import platform
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -78,14 +80,16 @@ def build_info() -> dict:
 
 
 def run(workdir: Path) -> dict:
-    """Run every step in ``workdir``; the sha256 of each output file by name."""
+    """Run and time every step in ``workdir``; the sha256 of each output file by name."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         for argv in STEPS:
             log = io.StringIO()
+            t0 = time.perf_counter()
             with contextlib.redirect_stderr(log):
                 code = cli.main(argv)
+            print(f"step {argv[0]} {time.perf_counter() - t0:.3f} s", flush=True)
             if code != 0:
                 raise SystemExit(f"poseprior {' '.join(argv)} exited {code}:\n{log.getvalue()}")
     finally:

@@ -424,7 +424,76 @@ class TestCheckpoint:
         assert path.stat().st_size > held + 2 * largest
 
 
+def _loop_euler_rotation(angles):
+    ax, ay, az = angles
+    cx, sx = np.cos(ax), np.sin(ax)
+    cy, sy = np.cos(ay), np.sin(ay)
+    cz, sz = np.cos(az), np.sin(az)
+    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return rz @ ry @ rx
+
+
+def _loop_forward_kinematics(cfg, angles):
+    j = cfg.num_joints
+    pos = np.zeros((j, 3))
+    rot = [None] * j
+    rot[0] = _loop_euler_rotation(angles[0])
+    for i in range(1, j):
+        p = cfg.parents[i]
+        rot[i] = rot[p] @ _loop_euler_rotation(angles[i])
+        offset = cfg.bone_lengths[i] * np.asarray(cfg.rest_dirs[i], dtype=np.float64)
+        pos[i] = pos[p] + rot[i] @ offset
+    return pos
+
+
+def _loop_sample_poses(cfg, n, rng):
+    """The per-pose reference: one ``uniform`` call and one kinematic walk per pose."""
+    limits = np.asarray(cfg.angle_limits, dtype=np.float64)
+    poses = np.zeros((n, cfg.num_joints, 3))
+    for k in range(n):
+        angles = rng.uniform(-1.0, 1.0, limits.shape) * limits
+        poses[k] = _loop_forward_kinematics(cfg, angles)
+    return poses
+
+
+# parents that are not i - 1, off-axis rest directions and unequal limits
+_BRANCHED = dict(parents=(-1, 0, 0, 2), bone_lengths=(0.0, 100.0, 80.0, 60.0),
+                 rest_dirs=((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, -1.0, 0.0),
+                            (0.0, 0.28, 0.96)),
+                 angle_limits=((0.3, 0.9, 0.3), (1.2, 0.2, 0.7), (0.4, 1.5, 0.1),
+                               (2.0, 0.3, 0.5)),
+                 joint_names=("root", "a", "b", "c"))
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n", [0, 1, 2, 37])
+    @pytest.mark.parametrize("skeleton", [{}, _BRANCHED], ids=["default", "branched"])
+    def test_batched_poses_equal_per_pose_loop_bitwise(self, skeleton, n):
+        cfg = dataio.SyntheticSkeletonConfig(**skeleton)
+        for seed in range(10):
+            rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
+            poses = dataio._sample_poses(cfg, n, rng)
+            assert poses.shape == (n, cfg.num_joints, 3)
+            assert np.array_equal(poses, _loop_sample_poses(cfg, n, ref_rng))
+            # the stream is left where the loop leaves it
+            assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(bone_lengths=(0.0, 100.0, float("nan"), 60.0)),
+         "bone_lengths of joint 2 must be finite and > 0, got nan"),
+        (dict(rest_dirs=((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, -1.0), (0.0, 0.28, 0.96))),
+         r"rest_dirs of joint 2 must be a finite 3-vector, got \(0.0, -1.0\)"),
+        (dict(angle_limits=((0.3, 0.9, 0.3), (1.2, 0.2, 0.7), (0.4, 1.5, 0.1),
+                            (2.0, float("inf"), 0.5))),
+         r"angle_limits of joint 3 must be a finite 3-vector, got \(2.0, inf, 0.5\)"),
+        (dict(obs_sigma_px=float("nan")), "obs_sigma_px must be finite and > 0, got nan"),
+    ], ids=["nan-bone-length", "2d-rest-dir", "inf-angle-limit", "nan-obs-sigma"])
+    def test_bad_skeleton_rejected_up_front(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataio.SyntheticSkeletonConfig(**{**_BRANCHED, **change})
+
     def test_zero_angle_limits_rest_pose(self):
         cfg = dataio.SyntheticSkeletonConfig(
             angle_limits=tuple((0.0, 0.0, 0.0) for _ in range(17)),
