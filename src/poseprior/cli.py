@@ -153,7 +153,7 @@ def _check_cov_scales(frames, gcfg: sampler.GuidanceConfig, scales, joints: int)
     for frame_id, keypoints in frames:
         for scale in scales:
             try:
-                sampler._transformed_sources(keypoints, replace(gcfg, cov_scale=scale), joints)
+                sampler._transformed_observation(keypoints, replace(gcfg, cov_scale=scale), joints)
             except ValueError as exc:
                 raise PosePriorError(f"{exc} (frame {frame_id})") from None
 

@@ -422,6 +422,10 @@ _DEFAULT_ANGLE_LIMITS = (
     (1.2, 0.8, 0.8), (1.5, 0.3, 0.3), (0.5, 0.3, 0.3),
 )
 
+# the synthetic world's camera, and the box (mm) held-out roots are drawn in
+_SYNTH_CAMERA = Camera(1100.0, 1100.0, 500.0, 500.0)
+_ROOT_MEAN = np.array([0.0, 0.0, 4200.0])
+_ROOT_BOX = np.array([400.0, 200.0, 600.0])
 
 @dataclass(frozen=True)
 class SyntheticSkeletonConfig:
@@ -435,11 +439,7 @@ class SyntheticSkeletonConfig:
     n_train: int = 2000
     n_eval: int = 16
     seed: int = 0
-    camera: Camera = field(default_factory=lambda: Camera(1100.0, 1100.0, 500.0, 500.0))
-    root_mean: tuple = (0.0, 0.0, 4200.0)
-    root_box: tuple = (400.0, 200.0, 600.0)
     obs_sigma_px: float = 2.0
-    root_est_cov: tuple = DEFAULT_ROOT_COV
 
     def __post_init__(self):
         j = len(self.parents)
@@ -502,10 +502,10 @@ def _sample_poses(cfg: SyntheticSkeletonConfig, n: int, rng: RngStream) -> np.nd
 def generate_synthetic(cfg: SyntheticSkeletonConfig):
     """Build (train poses, held-out poses, observation records).
 
-    Held-out poses are rendered through the config camera at a root
-    position drawn inside ``root_box``; observed means carry Gaussian
-    noise matching the declared per-joint covariance, and the root
-    estimate carries noise matching its declared covariance.
+    Held-out poses are rendered through _SYNTH_CAMERA at a root position
+    drawn inside the root box; observed means carry Gaussian noise
+    matching the declared per-joint covariance, and the root estimate
+    carries noise matching its declared covariance, DEFAULT_ROOT_COV.
     """
     train = PoseDataset(cfg.joint_names, _sample_poses(cfg, cfg.n_train, RngStream(cfg.seed, 1)))
     eval_poses = _sample_poses(cfg, cfg.n_eval, RngStream(cfg.seed, 2))
@@ -516,23 +516,21 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
 
     obs_rng = RngStream(cfg.seed, 3)
     sigma2 = cfg.obs_sigma_px**2
-    root_mean = np.asarray(cfg.root_mean, dtype=np.float64)
-    root_box = np.asarray(cfg.root_box, dtype=np.float64)
-    root_cov = np.asarray(cfg.root_est_cov, dtype=np.float64)
+    root_cov = np.asarray(DEFAULT_ROOT_COV, dtype=np.float64)
     records = []
     for k in range(cfg.n_eval):
-        root = root_mean + obs_rng.uniform(-1.0, 1.0, 3) * root_box
+        root = _ROOT_MEAN + obs_rng.uniform(-1.0, 1.0, 3) * _ROOT_BOX
         gt_abs = Pose(eval_poses[k] + root, "absolute_camera")
         if np.any(gt_abs.joints[:, 2] <= 0.0):
             raise ValueError("synthetic root placement put joints behind the camera")
-        proj = project(gt_abs.joints, cfg.camera)
+        proj = project(gt_abs.joints, _SYNTH_CAMERA)
         means = proj + cfg.obs_sigma_px * obs_rng.standard_normal(proj.shape)
         covs = np.tile([sigma2, 0.0, sigma2], (cfg.num_joints, 1))
         keypoints = KeypointObservation(means, covs, np.ones(cfg.num_joints, dtype=bool))
         root_est = RootEstimate(
             root + np.sqrt(root_cov) * obs_rng.standard_normal(3), root_cov)
         records.append(ObservationRecord(
-            frame_id=f"synth{k:05d}", camera=cfg.camera, keypoints=keypoints,
+            frame_id=f"synth{k:05d}", camera=_SYNTH_CAMERA, keypoints=keypoints,
             root=root_est, gt_pose=gt_abs,
         ))
     return train, heldout, records

@@ -43,6 +43,8 @@ class Camera:
     cy: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError(f"camera parameters must be finite: {self}")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError(f"focal lengths must be positive: fx={self.fx} fy={self.fy}")
 
@@ -94,8 +96,8 @@ class RootEstimate:
         cov = np.asarray(self.cov, dtype=np.float64)
         if mean.shape != (3,) or cov.shape != (3,):
             raise ValueError("root estimate needs 3-vector mean and diagonal cov")
-        if np.any(cov < 0.0):
-            raise ValueError("root covariance entries must be >= 0")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov) & (cov >= 0.0))):
+            raise ValueError(f"root estimate needs a finite mean and finite cov >= 0: {self}")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

@@ -151,37 +151,36 @@ def log_likelihood_grad(pose: Pose, obs: KeypointObservation, cam: Camera) -> np
     Rows for invalid joints and for joints at non-positive depth are zero.
     """
     _check_pose(pose, obs)
-    return grad_and_residual(pose.joints, [obs], cam)[0]
+    return grad_and_residual(pose.joints, obs, cam)[0]
 
 
-def grad_and_residual(joints: np.ndarray, sources, cam: Camera):
-    """Likelihood gradient summed over sources, and each joint's largest residual.
+def grad_and_residual(joints: np.ndarray, obs: KeypointObservation, cam: Camera):
+    """Likelihood gradient and pixel residual of every joint of a pose stack.
 
-    ``joints`` is an (N, 3) camera-frame stack and every source has N
-    joints. A source uses a joint that it marks valid and that lies in
-    front of the camera (z > 0); the others get a zero gradient row from
-    it. All joints are projected at once, the unusable ones at a safe
-    point, and each source's terms are masked with ``np.where`` instead
-    of gathered. Returns the gradient (N, 3), the sum in source order of
-    `log_likelihood_grad` per source, and the residual (N,): the largest
-    pixel distance between a joint's projection and the mean of a source
-    that uses it, 0 where none does.
+    ``joints`` is a (..., J, 3) camera-frame stack; the J-joint
+    observation applies to each pose in it by broadcasting. A joint is
+    used when the observation marks it valid and it lies in front of the
+    camera (z > 0); the others get a zero gradient row and residual. All
+    joints are projected at once, the unusable ones at a safe point, and
+    the terms are masked with ``np.where`` instead of gathered. Returns
+    the gradient (..., J, 3), `log_likelihood_grad` of each pose, and the
+    residual (..., J): the pixel distance between a used joint's
+    projection and its observed mean.
     """
-    usable = joints[:, 2] > 0.0
+    usable = joints[..., 2] > 0.0
     safe = joints.copy()
     safe[~usable] = _SAFE_POINT
     proj = project(safe, cam)
-    jac = projection_jacobian(safe, cam)                      # (N,2,3)
-    total = residual = None
-    for src in sources:
-        mask = src.valid & usable
-        r = src.means - proj
-        weighted = np.einsum("jik,ji->jk", src._inv_covs, r)  # (N,2)
-        grad = np.where(mask[:, None], np.einsum("jik,ji->jk", jac, weighted), 0.0)
-        dist = np.where(mask, np.linalg.norm(r, axis=1), 0.0)
-        total = grad if total is None else total + grad
-        residual = dist if residual is None else np.maximum(residual, dist)
-    return total, residual
+    jac = projection_jacobian(safe, cam)                                # (..., J, 2, 3)
+    mask = obs.valid & usable
+    r = obs.means - proj
+    r0, r1 = r[..., 0], r[..., 1]
+    # the inverse covariance times r, per component, with the products and
+    # sums of einsum("jik,ji->jk"), which is slow when it broadcasts the inverses
+    i00, i01, i10, i11 = np.ascontiguousarray(obs._inv_covs.reshape(-1, 4).T)
+    weighted = np.stack([r0 * i00 + r1 * i10, r0 * i01 + r1 * i11], axis=-1)
+    grad = np.where(mask[..., None], np.einsum("...jik,...ji->...jk", jac, weighted), 0.0)
+    return grad, np.where(mask, np.linalg.norm(r, axis=-1), 0.0)
 
 
 def sum_sources(grads) -> np.ndarray:

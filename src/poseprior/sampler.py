@@ -2,17 +2,19 @@
 
 All hypotheses of a call advance together as one (M, 3J) state: one
 denoiser evaluation, one guidance step and one renoise of the whole
-block per reverse step. A guidance step projects the M*J joints once,
-in `observation.grad_and_residual`, and its trust region reuses that
-projection's residuals. Each hypothesis owns two random streams derived
-from (seed, index): one for its trajectory, one for its root draw. A
-trajectory stream is drawn NOISE_CHUNK steps per call; the streams are
-counter-based, so this gives the bits of one draw per step. Keeping the
-root on a separate stream makes the zero-guidance path bit-identical to
-unconditional sampling, and since no row's arithmetic depends on the
-other rows, a hypothesis comes out the same whatever the number of
-hypotheses M. The result is one `HypothesisSet`: the (M, J, 3) array of
-root-relative poses, checked once, with each hypothesis's root.
+block per reverse step. A guidance step projects the (M, J, 3) joints
+once, in `observation.grad_and_residual`, which broadcasts the one
+J-joint observation over the hypotheses, and its trust region reuses
+that projection's residuals. Each hypothesis owns two random streams
+derived from (seed, index): one for its trajectory, one for its root
+draw. A trajectory stream is drawn NOISE_CHUNK steps per call; the
+streams are counter-based, so this gives the bits of one draw per step.
+Keeping the root on a separate stream makes the zero-guidance path
+bit-identical to unconditional sampling, and since no row's arithmetic
+depends on the other rows, a hypothesis comes out the same whatever the
+number of hypotheses M. The result is one `HypothesisSet`: the
+(M, J, 3) array of root-relative poses, checked once, with each
+hypothesis's root.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import DivergenceError
 from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
 from .numeric import RngStream
-from .observation import KeypointObservation, grad_and_residual
+from .observation import grad_and_residual
 from .schedule import DiffusionSchedule, estimate_x0, renoise
 
 # Not called in this module: the benchmark tracer (perfbench/tracing.py)
@@ -128,7 +130,7 @@ class HypothesisSet:
         return [Pose(p) for p in self.joints]
 
 
-def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
+def _transformed_observation(obs, cfg: GuidanceConfig, joints: int):
     """Apply the (scale, rotation) covariance edits once, up front.
 
     Every joint's covariance is rotated by ``R(theta) S R(theta)^T`` when
@@ -136,31 +138,25 @@ def _transformed_sources(obs, cfg: GuidanceConfig, joints: int):
     leaves a valid joint's covariance or its determinant non-finite, or
     not positive, in float64 raises ``ValueError`` naming cov_scale.
     """
-    sources = list(obs) if isinstance(obs, (list, tuple)) else [obs]
-    for src in sources:
-        if src.num_joints != joints:
-            raise ValueError(
-                f"observation has {src.num_joints} joints, model expects {joints}")
+    if obs.num_joints != joints:
+        raise ValueError(f"observation has {obs.num_joints} joints, model expects {joints}")
     if cfg.cov_scale == 1.0 and cfg.cov_rotate == 0.0:
-        return sources
-    ct, st = np.cos(cfg.cov_rotate), np.sin(cfg.cov_rotate)
-    rot = np.array([[ct, -st], [st, ct]])
-    out = []
-    for src in sources:
-        covs = src.covs
-        if cfg.cov_rotate != 0.0:
-            m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
-            covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            covs = cfg.cov_scale * covs
-            det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
-        bad = src.valid & ~(np.isfinite(det) & (det > 0.0))
-        if np.any(bad):
-            raise ValueError(f"cov_scale = {cfg.cov_scale!r} takes the covariances of joints "
-                             f"{np.nonzero(bad)[0].tolist()} out of float64's finite, "
-                             f"positive definite range")
-        out.append(src.with_covariances(covs))
-    return out
+        return obs
+    covs = obs.covs
+    if cfg.cov_rotate != 0.0:
+        ct, st = np.cos(cfg.cov_rotate), np.sin(cfg.cov_rotate)
+        rot = np.array([[ct, -st], [st, ct]])
+        m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
+        covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        covs = cfg.cov_scale * covs
+        det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+    bad = obs.valid & ~(np.isfinite(det) & (det > 0.0))
+    if np.any(bad):
+        raise ValueError(f"cov_scale = {cfg.cov_scale!r} takes the covariances of joints "
+                         f"{np.nonzero(bad)[0].tolist()} out of float64's finite, "
+                         f"positive definite range")
+    return obs.with_covariances(covs)
 
 
 class _TrajectoryNoise:
@@ -189,21 +185,26 @@ class _TrajectoryNoise:
 
 
 def _clip_rows(step, norms, rows, limit, g, std):
-    """Scale ``step[rows]`` in place to norm ``limit`` along each row's direction.
+    """Scale the joints' steps that the boolean mask ``rows`` selects in place to norm ``limit``.
 
-    A row is multiplied by limit / norm. A row whose norm overflowed,
-    where that factor would be 0 and inf * 0 NaN, is first replaced by
-    the unit direction of ``g * std * std`` (the step without the
-    positive factor gamma), computed from g scaled by its largest entry
-    so that nothing overflows.
+    ``step`` and ``g`` are (M, J, 3), ``norms`` and ``rows`` (M, J) and
+    ``std`` (J, 3). A joint's step is multiplied by limit / norm. One whose
+    norm overflowed, where that factor would be 0 and inf * 0 NaN, is
+    first replaced by the unit direction of ``g * std * std`` (the step
+    without the positive factor gamma), computed from g scaled by its
+    largest entry so that nothing overflows.
     """
+    rows = np.flatnonzero(rows)
     if not rows.size:
         return
-    row_norms = norms[rows]
+    # flat views of the C-contiguous arrays: row indexing is numpy's fast path
+    step, g = step.reshape(-1, 3), g.reshape(-1, 3)
+    row_norms = norms.ravel()[rows]
     inf = np.isinf(row_norms)
     if np.any(inf):
         i = rows[inf]
-        u = g[i] / np.max(np.abs(g[i]), axis=1, keepdims=True) * std[i] * std[i]
+        s = std[i % len(std)]
+        u = g[i] / np.max(np.abs(g[i]), axis=1, keepdims=True) * s * s
         step[i] = u / np.linalg.norm(u, axis=1, keepdims=True)
         row_norms[inf] = 1.0
     step[rows] *= (limit / row_norms)[:, None]
@@ -220,15 +221,14 @@ def _check_finite(x, what: str, step: int):
 def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
                   obs, cam: Camera | None, root_est: RootEstimate | None,
                   cfg: GuidanceConfig) -> HypothesisSet:
-    """Draw pose hypotheses from the prior steered by 2D observations.
+    """Draw pose hypotheses from the prior steered by one 2D observation.
 
     Per hypothesis: sample a root, start from unit Gaussian noise, and
     walk the reverse process; at every step the clean estimate is
-    nudged by gamma times the observation log-likelihood gradient
-    (summed over sources, zero for invalid or behind-camera joints)
-    before renoising. ``obs`` may be one observation or a list of
-    independent sources sharing the camera; ``gamma = 0`` or no
-    observations reduces exactly to unconditional sampling. ``sched``
+    nudged by gamma times the observation log-likelihood gradient (zero
+    for invalid or behind-camera joints) before renoising. ``obs`` is a
+    `KeypointObservation` seen through ``cam``, or None; ``gamma = 0`` or
+    no observation reduces exactly to unconditional sampling. ``sched``
     must be the model's own schedule (``None`` means ``model.sched``):
     one of another T or offset raises ``ValueError``.
 
@@ -248,9 +248,10 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     elif (sched.T, sched.offset) != (model.sched.T, model.sched.offset):
         raise ValueError(f"schedule (T = {sched.T}, offset = {sched.offset}) is not the model's "
                          f"(T = {model.sched.T}, offset = {model.sched.offset})")
-    sources = _transformed_sources(obs, cfg, model.joints) if obs is not None else []
-    if sources and cam is None:
-        raise ValueError("observations given without a camera")
+    if obs is not None:
+        obs = _transformed_observation(obs, cfg, model.joints)
+        if cam is None:
+            raise ValueError("observations given without a camera")
     eval_fn = make_eval_forward(model)
 
     n, joints = cfg.num_hypotheses, model.joints
@@ -261,43 +262,36 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         if root_est is not None:
             roots[m] = sample_root(root_est, RngStream(cfg.seed, _ROOT_STREAM_NS + sid))
 
-    guided = bool(sources) and cfg.gamma > 0.0
-    if guided:
-        # one copy of each source per hypothesis, matching the stacked (M*J, 3) pose
-        sources = [KeypointObservation(np.tile(s.means, (n, 1)), np.tile(s.covs, (n, 1)),
-                                       np.tile(s.valid, n)) for s in sources]
-        norm_std = np.tile(model.norm_std.reshape(joints, 3), (n, 1))
-        f_max = max(cam.fx, cam.fy)
-        any_observed = np.logical_or.reduce([s.valid for s in sources])
+    guided = obs is not None and cfg.gamma > 0.0
+    norm_std = model.norm_std.reshape(joints, 3)
     counts = {"behind_camera_skips": 0, "nonfinite_grad_zeroed": 0,
               "trust_region_cap": 0, "trust_region_residual": 0}
 
     def guidance_step(x_norm, trust_region=True):
         """Guidance displacement gamma * grad(log p) in normalized space."""
-        flat_mm = model.denormalize(x_norm).reshape(n, joints, 3)
-        abs_joints = (flat_mm + roots[:, None, :]).reshape(n * joints, 3)
-        usable = abs_joints[:, 2] > 0.0
-        counts["behind_camera_skips"] += int(np.count_nonzero(~usable & any_observed))
-        g_mm, residual = grad_and_residual(abs_joints, sources, cam)
+        abs_joints = model.denormalize(x_norm).reshape(n, joints, 3) + roots[:, None, :]
+        depth = abs_joints[..., 2]
+        counts["behind_camera_skips"] += int(np.count_nonzero((depth <= 0.0) & obs.valid))
+        g_mm, residual = grad_and_residual(abs_joints, obs, cam)
         if not np.isfinite(g_mm).all():
-            bad = ~np.isfinite(g_mm).all(axis=1)
+            bad = ~np.isfinite(g_mm).all(axis=-1)
             g_mm[bad] = 0.0
             counts["nonfinite_grad_zeroed"] += int(np.count_nonzero(bad))
         with np.errstate(over="ignore"):  # _clip_rows handles overflowed rows
             step_mm = cfg.gamma * g_mm * norm_std * norm_std
-            norms = np.linalg.norm(step_mm, axis=1)
+            norms = np.linalg.norm(step_mm, axis=-1)
         if not trust_region:
-            _clip_rows(step_mm, norms, np.nonzero(norms > OVERFLOW_GUARD_MM)[0],
-                       OVERFLOW_GUARD_MM, g_mm, norm_std)
+            _clip_rows(step_mm, norms, norms > OVERFLOW_GUARD_MM, OVERFLOW_GUARD_MM,
+                       g_mm, norm_std)
             return (step_mm / norm_std).reshape(n, -1)
-        # a joint no source uses has a zero gradient and residual, so its
-        # step (0) is never over its bound (0, or -0 behind the camera)
-        bound = np.minimum(STEP_CAP_MM, residual * abs_joints[:, 2] / f_max)
+        # a joint the observation does not use has a zero gradient and residual,
+        # so its step (0) is never over its bound (0, or -0 behind the camera)
+        bound = np.minimum(STEP_CAP_MM, residual * depth / max(cam.fx, cam.fy))
         over = norms > bound
         capped = over & (bound == STEP_CAP_MM)
         counts["trust_region_cap"] += int(np.count_nonzero(capped))
         counts["trust_region_residual"] += int(np.count_nonzero(over & ~capped))
-        _clip_rows(step_mm, norms, np.nonzero(over)[0], bound[over], g_mm, norm_std)
+        _clip_rows(step_mm, norms, over, bound[over], g_mm, norm_std)
         return (step_mm / norm_std).reshape(n, -1)
 
     # eq2 draws at t = T..2 and alg1 at t = T..1, each after the initial state
@@ -347,12 +341,10 @@ def complete_pose(model: DenoiserModel, sched: DiffusionSchedule | None,
                   cfg: GuidanceConfig) -> HypothesisSet:
     """Guided sampling with masked joints: the prior inpaints the rest.
 
-    Requires at least one joint with no observation in any source;
-    masked joints receive zero guidance by construction.
+    Requires at least one joint the observation marks invalid; masked
+    joints receive zero guidance by construction.
     """
-    sources = list(obs) if isinstance(obs, (list, tuple)) else [obs]
-    observed_anywhere = np.logical_or.reduce([s.valid for s in sources])
-    if np.all(observed_anywhere):
+    if np.all(obs.valid):
         raise ValueError("pose completion needs at least one masked joint")
     return sample_guided(model, sched, obs, cam, root_est, cfg)
 

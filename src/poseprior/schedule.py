@@ -34,9 +34,9 @@ class DiffusionSchedule:
     alpha: np.ndarray = field(repr=False)     # (T+1,), alpha[t] = 1 - beta[t]
     alphabar: np.ndarray = field(repr=False)  # (T+1,), alphabar[0] = 1
 
-    def _check_t(self, t: int, lo: int = 1):
-        if not lo <= t <= self.T:
-            raise ValueError(f"step {t} outside [{lo}, {self.T}]")
+    def _check_t(self, t: int):
+        if not 1 <= t <= self.T:
+            raise ValueError(f"step {t} outside [1, {self.T}]")
 
 
 def cosine_schedule(T: int, offset: float = 0.008) -> DiffusionSchedule:

@@ -1,4 +1,4 @@
-"""The toy-world recipe: 17 CLI output files pinned by their sha256.
+"""The toy-world recipe: 18 CLI output files pinned by their sha256.
 
     python tests/recipe.py --check     # compare with tests/recipe_manifest.json
     python tests/recipe.py --record    # write the manifest from this checkout
@@ -8,8 +8,9 @@ package in this checkout's ``src/``: ``synth``, a 2000-step toy
 ``train`` (hidden 64, T = 100), three ``estimate`` runs at M = 50
 (default, ``--grad-space xt``, ``--renoise alg1`` with an edited
 covariance), ``complete``, ``sample``, both ``sweep`` kinds at M = 20,
-and ``evaluate``. It takes about 15 s on one core, and prints one
-``step <command> <seconds> s`` line per step as it goes.
+``evaluate``, and ``fit-heatmap`` on two Gaussian heatmaps written
+with ``dataio.save_heatmap``. It takes about 15 s on one core, and
+prints one ``step <command> <seconds> s`` line per step as it goes.
 
 The manifest records the numpy and BLAS build it was made on, and
 ``--check`` prints every field of this build that differs from it:
@@ -42,7 +43,8 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from poseprior import cli  # noqa: E402
+from poseprior import cli, dataio  # noqa: E402
+from poseprior.observation import Heatmap  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("recipe_manifest.json")
 
@@ -63,11 +65,26 @@ STEPS = [
     ["sweep", *_ESTIMATE, "-M", "20", "--sweep", "gamma", "--values", "0,1e-4,2e-4",
      "--out", "gamma.csv"],
     ["evaluate", "--hyp", "est.jsonl", "--gt", "gt.jsonl", "--out", "eval.csv"],
+    ["fit-heatmap", "hm0.hmp", "hm1.hmp", "--out", "heatmap.jsonl"],
 ]
+# fit-heatmap's inputs: file, center (px), covariance [a, b, c] (px^2), origin, stride
+HEATMAPS = [("hm0.hmp", (13.3, 17.8), (6.0, 1.5, 4.0), (0.0, 0.0), 1.0),
+            ("hm1.hmp", (141.0, 67.5), (20.0, -6.0, 30.0), (100.0, 40.0), 2.0)]
 FILES = ["train.jsonl", "obs.jsonl", "gt.jsonl", "model.ckpt", "model.ckpt.loss.csv",
          "est.jsonl", "est.jsonl.metrics.csv", "xt.jsonl", "xt.jsonl.metrics.csv",
          "alg1.jsonl", "alg1.jsonl.metrics.csv", "complete.jsonl",
-         "complete.jsonl.metrics.csv", "sample.jsonl", "cov.csv", "gamma.csv", "eval.csv"]
+         "complete.jsonl.metrics.csv", "sample.jsonl", "cov.csv", "gamma.csv", "eval.csv",
+         "heatmap.jsonl"]
+
+
+def write_heatmaps(workdir: Path):
+    """Write each of HEATMAPS as a 32 x 32 map of its Gaussian's unnormalized density."""
+    rows, cols = np.mgrid[0:32, 0:32]
+    for name, (cx, cy), (a, b, c), origin, stride in HEATMAPS:
+        dx, dy = origin[0] + stride * cols - cx, origin[1] + stride * rows - cy
+        quad = (c * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / (a * c - b * b)
+        dataio.save_heatmap(Heatmap(32, 32, np.exp(-0.5 * quad), np.array(origin), stride),
+                            workdir / name)
 
 
 def build_info() -> dict:
@@ -81,6 +98,7 @@ def build_info() -> dict:
 
 def run(workdir: Path) -> dict:
     """Run and time every step in ``workdir``; the sha256 of each output file by name."""
+    write_heatmaps(workdir)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

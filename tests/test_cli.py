@@ -419,7 +419,15 @@ class TestEstimateCommand:
         (lambda doc: doc["camera"].update(fx=-5), "line 3: focal lengths must be positive"),
         (lambda doc: doc["root"].update(mean=[1, 2]), "line 3: root estimate needs 3-vector"),
         (lambda doc: doc.update(gt_pose=[1, 2, 3]), "line 3: cannot reshape"),
-    ], ids=["keypoint-mean", "camera-fx", "root-mean", "gt-pose"])
+        (lambda doc: doc["camera"].update(fx=float("nan")), "line 3: camera parameters must be"),
+        (lambda doc: doc["camera"].update(cx=float("inf")), "line 3: camera parameters must be"),
+        (lambda doc: doc["camera"].update(fy=float("inf")), "line 3: camera parameters must be"),
+        (lambda doc: doc["root"]["mean"].__setitem__(0, float("nan")),
+         "line 3: root estimate needs a finite mean"),
+        (lambda doc: doc["root"].update(cov=[1.0, float("inf"), 1.0]),
+         "line 3: root estimate needs a finite mean"),
+    ], ids=["keypoint-mean", "camera-fx", "root-mean", "gt-pose", "camera-fx-nan",
+            "camera-cx-inf", "camera-fy-inf", "root-mean-nan", "root-cov-inf"])
     def test_bad_record_value_names_line(self, tiny_setup, tmp_path, edit, message):
         lines = tiny_setup["obs"].read_text().splitlines()
         doc = json.loads(lines[2])

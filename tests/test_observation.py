@@ -207,48 +207,58 @@ def gathered_grad(joints, obs, cam):
     return grad
 
 
-def gathered_residual(joints, sources, cam, live):
-    """Reference: the trust region's largest residual over sources at the `live` joints."""
-    proj = project(joints[live], cam)
-    residual = np.zeros(int(np.sum(live)))
-    for src in sources:
-        r = np.linalg.norm(src.means[live] - proj, axis=1)
-        residual = np.maximum(residual, np.where(src.valid[live], r, 0.0))
-    return residual
+def gathered_residual(joints, obs, cam, live):
+    """Reference: the trust region's residual at the `live` joints."""
+    r = np.linalg.norm(obs.means[live] - project(joints[live], cam), axis=1)
+    return np.where(obs.valid[live], r, 0.0)
 
 
-def hard_stack(rng, n=60, sources=2):
-    """Joints behind the camera, at z = 0, just in front of the camera plane,
-    and ordinary ones; sources with invalid joints whose means are NaN."""
-    joints = np.column_stack([rng.uniform(-800, 800, n), rng.uniform(-800, 800, n),
-                              rng.uniform(2500, 6000, n)])
-    joints[0:5, 2] = -rng.uniform(1.0, 3000.0, 5)         # behind the camera
-    joints[5, 2] = 0.0
-    joints[6:11, 2] = rng.uniform(1e-9, 1e-3, 5)          # 1/Z^2 spike
-    out = []
-    for _ in range(sources):
-        means = project(np.abs(joints) + [0.0, 0.0, 1.0], CAM) + 15.0 * rng.standard_normal((n, 2))
-        a, c = rng.uniform(2.0, 30.0, n), rng.uniform(2.0, 30.0, n)
-        covs = np.column_stack([a, rng.uniform(-0.5, 0.5, n) * np.sqrt(a * c), c])
-        valid = rng.uniform(size=n) < 0.7
-        means[~valid] = np.nan
-        out.append(KeypointObservation(means, covs, valid))
-    return joints, out
+def hard_stack(rng, m, j=20):
+    """An (m, j, 3) stack whose hypotheses each have joints behind the camera, at
+    z = 0, just in front of the camera plane, and ordinary ones; and one observation
+    with invalid joints whose means are NaN."""
+    joints = np.stack([rng.uniform(-800, 800, (m, j)), rng.uniform(-800, 800, (m, j)),
+                       rng.uniform(2500, 6000, (m, j))], axis=-1)
+    for pose in joints:
+        order = np.argsort(rng.uniform(size=j))
+        pose[order[0:5], 2] = -rng.uniform(1.0, 3000.0, 5)       # behind the camera
+        pose[order[5], 2] = 0.0
+        pose[order[6:11], 2] = rng.uniform(1e-9, 1e-3, 5)        # 1/Z^2 spike
+    means = project(np.abs(joints[0]) + [0.0, 0.0, 1.0], CAM) + 15.0 * rng.standard_normal((j, 2))
+    a, c = rng.uniform(2.0, 30.0, j), rng.uniform(2.0, 30.0, j)
+    covs = np.column_stack([a, rng.uniform(-0.5, 0.5, j) * np.sqrt(a * c), c])
+    valid = rng.uniform(size=j) < 0.7
+    means[~valid] = np.nan
+    return joints, KeypointObservation(means, covs, valid)
 
 
 class TestGradAndResidual:
-    @pytest.mark.parametrize("sources", [1, 2, 3])
-    def test_equals_gathered_reference_bitwise(self, sources):
-        rng = RngStream(140 + sources, 0)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_gathered_reference_bitwise(self, m):
+        # each hypothesis of the stack against the per-joint gathered reference
+        rng = RngStream(140 + m, 0)
         for _ in range(20):
-            joints, srcs = hard_stack(rng, sources=sources)
+            joints, obs = hard_stack(rng, m)
             with np.errstate(all="raise"):
-                grad, residual = grad_and_residual(joints, srcs, CAM)
-            want = sum_sources([gathered_grad(joints, s, CAM) for s in srcs])
-            assert np.array_equal(grad, want)
-            live = joints[:, 2] > 0.0
-            assert np.array_equal(residual[live], gathered_residual(joints, srcs, CAM, live))
-            assert np.all(residual[~live] == 0.0)
+                grad, residual = grad_and_residual(joints, obs, CAM)
+            assert grad.shape == joints.shape and residual.shape == joints.shape[:2]
+            for pose, g, res in zip(joints, grad, residual):
+                assert np.array_equal(g, gathered_grad(pose, obs, CAM))
+                live = pose[:, 2] > 0.0
+                assert np.array_equal(res[live], gathered_residual(pose, obs, CAM, live))
+                assert np.all(res[~live] == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 50])
+    def test_stack_equals_one_call_per_hypothesis_bitwise(self, m):
+        # broadcasting the observation over M hypotheses gives the bits of M (J, 3) calls
+        rng = RngStream(146, m)
+        for _ in range(5):
+            joints, obs = hard_stack(rng, m)
+            with np.errstate(all="raise"):
+                grad, residual = grad_and_residual(joints, obs, CAM)
+                for pose, g, res in zip(joints, grad, residual):
+                    g_one, res_one = grad_and_residual(pose, obs, CAM)
+                    assert np.array_equal(g, g_one) and np.array_equal(res, res_one)
 
     def test_log_likelihood_grad_is_the_kernel_on_one_source(self):
         rng = RngStream(144, 0)
@@ -259,12 +269,12 @@ class TestGradAndResidual:
             pose = Pose(pts, ABSOLUTE_CAMERA)
             grad = log_likelihood_grad(pose, obs, CAM)
             assert np.array_equal(grad, gathered_grad(pts, obs, CAM))
-            assert np.array_equal(grad, grad_and_residual(pts, [obs], CAM)[0])
+            assert np.array_equal(grad, grad_and_residual(pts, obs, CAM)[0])
 
     def test_unused_joints_get_zero_rows_and_residuals(self):
-        joints, (src,) = hard_stack(RngStream(145, 0), sources=1)
-        grad, residual = grad_and_residual(joints, [src], CAM)
-        unused = ~src.valid | (joints[:, 2] <= 0.0)
+        joints, obs = hard_stack(RngStream(145, 0), 4)
+        grad, residual = grad_and_residual(joints, obs, CAM)
+        unused = ~obs.valid | (joints[..., 2] <= 0.0)
         assert np.all(grad[unused] == 0.0) and np.all(residual[unused] == 0.0)
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(residual))
 

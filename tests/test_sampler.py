@@ -147,7 +147,7 @@ class TestGuided:
             "x0hat": (rec.keypoints, {}),
             "xt": (rec.keypoints, {"grad_space": sampler.GRAD_XT}),
             "alg1": (rec.keypoints, {"renoise_variant": sampler.RENOISE_ALG1}),
-            "two sources": ([rec.keypoints, tight], {}),
+            "tight covariance": (tight, {}),
         }
 
         def run(obs, extra, m, offset=0):
@@ -211,16 +211,6 @@ class TestGuided:
         assert (_mean_reprojection(guided, rec.keypoints, rec.camera)
                 < _mean_reprojection(free, rec.keypoints, rec.camera))
 
-    def test_multi_source_runs_and_strengthens(self, toy_world):
-        rec = toy_world.records[0]
-        cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=4, seed=905)
-        single = sampler.sample_guided(toy_world.model, None, rec.keypoints,
-                                       rec.camera, rec.root, cfg)
-        double = sampler.sample_guided(toy_world.model, None,
-                                       [rec.keypoints, rec.keypoints],
-                                       rec.camera, rec.root, cfg)
-        assert not np.array_equal(single.joints[0], double.joints[0])
-
     def test_behind_camera_joints_skipped_and_counted(self, toy_world):
         # a root far behind the camera puts joints at negative depth for
         # most steps; those are skipped per step and counted, and the
@@ -245,9 +235,9 @@ class TestGuided:
         if case == "nonfinite_grad":
             kernel = sampler.grad_and_residual
 
-            def poisoned(joints, sources, cam):
-                g, residual = kernel(joints, sources, cam)
-                g[[1, 20]] = np.nan
+            def poisoned(joints, obs, cam):
+                g, residual = kernel(joints, obs, cam)
+                g[[0, 1], [1, 3]] = np.nan                # joint 1 of row 0, joint 3 of row 1
                 return g, residual
             monkeypatch.setattr(sampler, "grad_and_residual", poisoned)
         cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=3, seed=906)
@@ -276,12 +266,12 @@ class TestGuided:
         assert np.all(np.isfinite(hyp.joints))
 
     def test_one_projection_per_step_and_no_per_source_path(self, toy_world, monkeypatch):
-        # the guidance step projects the stacked joints once and no longer goes
-        # through the per-source log_likelihood_grad + sum_sources route
+        # the guidance step projects the (M, J, 3) joints once and does not go
+        # through the per-pose log_likelihood_grad + sum_sources route
         calls = []
         project = observation.project
         monkeypatch.setattr(observation, "project",
-                            lambda p, cam: calls.append(len(p)) or project(p, cam))
+                            lambda p, cam: calls.append(p.shape) or project(p, cam))
 
         def unused(*args):
             raise AssertionError("per-source gradient path called")
@@ -289,9 +279,8 @@ class TestGuided:
         monkeypatch.setattr(sampler, "sum_sources", unused)
         rec = toy_world.records[0]
         cfg = sampler.GuidanceConfig(num_hypotheses=3, seed=909)
-        sampler.sample_guided(toy_world.model, None, [rec.keypoints, rec.keypoints],
-                              rec.camera, rec.root, cfg)
-        assert calls == [3 * toy_world.model.joints] * toy_world.model.sched.T
+        sampler.sample_guided(toy_world.model, None, rec.keypoints, rec.camera, rec.root, cfg)
+        assert calls == [(3, toy_world.model.joints, 3)] * toy_world.model.sched.T
 
     def test_renoise_variants_differ(self, toy_world):
         rec = toy_world.records[0]
@@ -351,14 +340,13 @@ class TestTrustRegionCounts:
         # std is the floor NORM_STD_FLOOR, so its step is about 1e-6 mm.
         rec = toy_world.records[0]
         m, joints = 4, toy_world.model.joints
-        moving = np.tile(np.arange(joints) > 0, m)
+        moving = np.arange(joints) > 0
         live = []
         kernel = sampler.grad_and_residual
 
-        def spy(abs_joints, sources, cam):
-            observed = np.logical_or.reduce([s.valid for s in sources])
-            live.append(int(np.sum((abs_joints[:, 2] > 0.0) & observed & moving)))
-            return kernel(abs_joints, sources, cam)
+        def spy(abs_joints, obs, cam):
+            live.append(int(np.sum((abs_joints[..., 2] > 0.0) & obs.valid & moving)))
+            return kernel(abs_joints, obs, cam)
         monkeypatch.setattr(sampler, "grad_and_residual", spy)
         cfg = sampler.GuidanceConfig(gamma=1e10, num_hypotheses=m, seed=910)
         counts = sampler.sample_guided(toy_world.model, None, rec.keypoints, rec.camera,
@@ -518,26 +506,23 @@ class TestTransformedSources:
         rng = RngStream(930, 0)
         for case in range(300):
             joints = int(rng.integers(1, 30))
-            sources = []
-            for _ in range(2):
-                arr = rng.standard_normal((joints, 2, 2)) * 10.0 ** rng.uniform(-1, 2)
-                spd = arr @ arr.transpose(0, 2, 1) + 0.05 * np.eye(2)
-                covs = np.stack([spd[:, 0, 0], spd[:, 0, 1], spd[:, 1, 1]], axis=1)
-                sources.append(KeypointObservation(
-                    rng.standard_normal((joints, 2)), covs, rng.uniform(size=joints) < 0.8))
+            arr = rng.standard_normal((joints, 2, 2)) * 10.0 ** rng.uniform(-1, 2)
+            spd = arr @ arr.transpose(0, 2, 1) + 0.05 * np.eye(2)
+            covs = np.stack([spd[:, 0, 0], spd[:, 0, 1], spd[:, 1, 1]], axis=1)
+            src = KeypointObservation(
+                rng.standard_normal((joints, 2)), covs, rng.uniform(size=joints) < 0.8)
             theta = float(rng.uniform(-4.0, 4.0)) if case % 3 else 0.0
             scale = float(10.0 ** rng.uniform(-2, 2)) if case % 2 else 1.0
             cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=theta)
-            got = sampler._transformed_sources(sources, cfg, joints)
-            for src, out in zip(sources, got):
-                assert np.array_equal(out.covs, per_joint_edit(src, theta, scale))
-                assert np.array_equal(out.means, src.means)
-                assert np.array_equal(out.valid, src.valid)
+            out = sampler._transformed_observation(src, cfg, joints)
+            assert np.array_equal(out.covs, per_joint_edit(src, theta, scale))
+            assert np.array_equal(out.means, src.means)
+            assert np.array_equal(out.valid, src.valid)
 
     def test_no_edit_returns_sources(self):
         src = KeypointObservation(np.zeros((3, 2)), np.tile([4.0, 1.0, 2.0], (3, 1)),
                                   np.ones(3, dtype=bool))
-        assert sampler._transformed_sources(src, sampler.GuidanceConfig(), 3) == [src]
+        assert sampler._transformed_observation(src, sampler.GuidanceConfig(), 3) is src
 
     @pytest.mark.parametrize("scale,theta", [(1e308, 0.0), (1e300, 0.0), (1e155, 0.7),
                                              (1e-300, 0.0), (1e-170, 0.7)])
@@ -551,12 +536,12 @@ class TestTransformedSources:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(message)):
-                sampler._transformed_sources(src, cfg, 4)
+                sampler._transformed_observation(src, cfg, 4)
 
     def test_extreme_scale_in_range_keeps_the_edit(self):
         src = KeypointObservation(np.zeros((2, 2)), np.tile([4.0, 1.0, 3.0], (2, 1)),
                                   np.ones(2, dtype=bool))
         for scale in (1e150, 1e-150):
             cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=0.3)
-            got, = sampler._transformed_sources(src, cfg, 2)
+            got = sampler._transformed_observation(src, cfg, 2)
             assert np.array_equal(got.covs, per_joint_edit(src, 0.3, scale))
