@@ -9,6 +9,7 @@ downstream stage can be exercised without licensed mocap data.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -331,17 +332,24 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
     """Read a checkpoint; rebuilds the schedule from the stored config.
 
     The file size is checked against the header before any tensor is
-    read. Each weight group is read straight into its ``ParamGroup``
-    buffer, so the whole file is never held in memory next to the model
-    it becomes: the float32 groups (EMA shadows, Adam moments) in one
-    read with no conversion, the float64 parameters in small pieces.
+    read. The batch-norm statistics, stored last, are read first; then
+    each weight group is read straight into its ``ParamGroup`` buffer, so
+    the whole file is never held in memory next to the model it becomes:
+    the float32 groups (EMA shadows, Adam moments) in one read with no
+    conversion, the float64 parameters in small pieces.
 
     With ``train_state=False`` only what sampling uses is read: the
     normalization statistics, the EMA weights and the batch-norm
-    statistics. The reader seeks past the parameters and both Adam
-    moments (three of the four weight groups), which stay None in the
-    model. It samples as the full load does, bit for bit; ``train`` and
-    ``save_checkpoint`` refuse it.
+    statistics. The reader seeks past the parameters and streams the EMA
+    tensors one at a time, through one float32 buffer the size of the
+    largest, into ``denoiser.build_eval_form``; the other three weight
+    groups are not read. The model holds that eval form and no weight
+    group, so it never holds the float32 EMA weights. It samples as the
+    full load does, bit for bit; ``train`` and ``save_checkpoint`` refuse it.
+
+    Both loads reject, with FormatError naming the file and the tensor,
+    a non-finite normalization statistic, EMA tensor or batch-norm
+    statistic, a ``norm_std`` entry <= 0 and a negative running variance.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -357,9 +365,11 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         shapes = dn.param_shapes(joints, hidden)
         d = 3 * joints
         n_param = sum(int(np.prod(shapes[k])) for k in dn.PARAM_KEYS)
-        expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * (4 * n_param + len(dn.STAT_KEYS) * hidden)
+        stats_bytes = 4 * len(dn.STAT_KEYS) * hidden
+        expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * 4 * n_param + stats_bytes
         if size != expected:
             raise FormatError(f"checkpoint is {size} bytes, expected {expected}")
+        sched = cosine_schedule(t_steps, offset)
 
         def fill(flat, dtype):
             """Read the next ``flat.size`` values of ``dtype`` into the 1-D ``flat``."""
@@ -373,29 +383,50 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
                 part[:] = np.frombuffer(fh.read(width * part.size), dtype)
             return flat
 
-        def group(name, keep):
-            """The next weight group, read into a ParamGroup's buffer, or None
-            after seeking past it."""
-            if not keep:
-                fh.seek(4 * n_param, os.SEEK_CUR)
-                return None
-            out = dn.ParamGroup(shapes, dtype=dn.GROUP_DTYPES[name])
-            fill(out.flat, "<f4")
-            return out
+        def checked(name, arr):
+            # min and max propagate NaN, and need no tensor-sized temporary
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise FormatError(f"non-finite {name} in checkpoint {path}")
+            return arr
 
-        norm_mean = fill(np.empty(d), "<f8")
-        norm_std = fill(np.empty(d), "<f8")
-        params = group("params", train_state)
-        ema = group("ema_params", True)
-        adam_m = group("adam_m", train_state)
-        adam_v = group("adam_v", train_state)
-        stats = {key: fill(np.empty(hidden), "<f4") for key in dn.STAT_KEYS}
+        def stat(key):
+            arr = checked(key, fill(np.empty(hidden), "<f4"))
+            if key.endswith("_v") and np.any(arr < 0.0):
+                raise FormatError(f"negative running variance {key} in checkpoint {path}")
+            return arr
+
+        def ema_tensors():
+            """The EMA tensors in PARAM_KEYS order, each read into one reused buffer."""
+            buf = np.empty(max(math.prod(shape) for shape in shapes.values()), np.float32)
+            for key in dn.PARAM_KEYS:
+                tensor = fill(buf[:math.prod(shapes[key])], "<f4").reshape(shapes[key])
+                yield checked(f"EMA {key}", tensor)
+
+        norm_mean = checked("norm_mean", fill(np.empty(d), "<f8"))
+        norm_std = checked("norm_std", fill(np.empty(d), "<f8"))
+        if np.any(norm_std <= 0.0):
+            raise FormatError(f"norm_std has an entry <= 0 in checkpoint {path}")
+        weights_at = fh.tell()
+        fh.seek(size - stats_bytes)
+        stats = {key: stat(key) for key in dn.STAT_KEYS}
+        fh.seek(weights_at)
+
+        groups = dict.fromkeys(("params", "ema_params", "adam_m", "adam_v"))
+        form = None
+        if train_state:
+            for name in groups:
+                groups[name] = dn.ParamGroup(shapes, dtype=dn.GROUP_DTYPES[name])
+                fill(groups[name].flat, "<f4")
+            for key in dn.PARAM_KEYS:
+                checked(f"EMA {key}", groups["ema_params"][key])
+        else:
+            fh.seek(4 * n_param, os.SEEK_CUR)
+            form = dn.build_eval_form(ema_tensors(), stats, t_steps)
 
     return dn.DenoiserModel(
-        joints=joints, hidden_dim=hidden, sched=cosine_schedule(t_steps, offset),
-        params=params, ema_params=ema, bn_stats=stats,
-        norm_mean=norm_mean, norm_std=norm_std,
-        adam_m=adam_m, adam_v=adam_v, adam_steps=adam_steps,
+        joints=joints, hidden_dim=hidden, sched=sched, bn_stats=stats,
+        norm_mean=norm_mean, norm_std=norm_std, adam_steps=adam_steps, eval_form=form,
+        **groups,
     )
 
 

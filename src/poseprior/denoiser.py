@@ -11,15 +11,19 @@ That is eight linears in total.
 One network body, ``_forward_core``, serves training and eval, and one
 projection, ``_project_temb``, gives both their step embeddings with
 one GEMM per linear. Training uses batch statistics and one GEMM per
-linear over the batch. The eval forward, ``make_eval_forward``, uses the
-EMA weights and the running statistics, projects the embeddings of all
-T steps once into a table and keeps nothing else of that projection,
-folds each batch-norm layer into a (scale, shift) pair once, and
-multiplies row by row, so rows are independent: a row's output does not
-depend on the other rows of its block. It copies each weight once into
-column panels and runs every row over one panel before moving to the
-next, so a panel is read from cache by all rows of the block. Each row
-still runs its own product over the full inner dimension, and the
+linear over the batch. The eval forward, ``make_eval_forward``, reads
+the EMA weights and the running statistics in their eval form, which
+``build_eval_form`` makes in one pass over the EMA tensors in
+PARAM_KEYS order: it projects the embeddings of all T steps once into a
+table and keeps nothing else of that projection, folds each batch-norm
+layer into a (scale, shift) pair, and copies each weight once into
+column panels. A checkpoint's sampling-state load streams its EMA
+tensors straight into that pass, so a sampling run holds the form and
+never the float32 EMA weights. The eval forward multiplies row by row,
+so rows are independent: a row's output does not depend on the other
+rows of its block. It runs every row over one panel before moving to
+the next, so a panel is read from cache by all rows of the block. Each
+row still runs its own product over the full inner dimension, and the
 panels keep every bit of the 2-D product (see ``_panels``).
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +67,8 @@ __all__ = [
     "ema_update",
     "train",
     "make_eval_forward",
+    "build_eval_form",
+    "EvalForm",
     "ParamGroup",
     "PARAM_KEYS",
     "STAT_KEYS",
@@ -191,13 +198,27 @@ class ParamGroup(dict):
         return type(self), (self.shapes(), self.flat)
 
 
+class EvalForm(NamedTuple):
+    """What the eval forward reads, all float64: ``temb``, the (T, h) table of
+    projected step embeddings; ``weights``, the six network linears'
+    weights in column panels (``_panels``) and their biases, keyed by PARAM_KEYS;
+    and ``bn_pairs``, each batch-norm layer's folded (scale, shift), keyed
+    by layer ("b1_bn1", ...)."""
+
+    temb: np.ndarray
+    weights: dict
+    bn_pairs: dict
+
+
 @dataclass
 class DenoiserModel:
     """The denoiser and its training state.
 
-    ``params``, ``adam_m`` and ``adam_v`` are None in a model read with
-    ``load_checkpoint(path, train_state=False)``: it holds only what
-    sampling uses, and can be neither trained nor saved. Each weight
+    A model read with ``load_checkpoint(path, train_state=False)`` holds
+    only what sampling uses: its four weight groups are None, and
+    ``eval_form`` holds the EMA weights and batch-norm statistics in the
+    form the eval forward reads (``build_eval_form``). It can be neither
+    trained nor saved. Otherwise ``eval_form`` is None and each weight
     group is stored as a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
     ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``. A group
     given as a plain dict or in the other dtype is copied into one, and a
@@ -208,13 +229,14 @@ class DenoiserModel:
     hidden_dim: int
     sched: DiffusionSchedule
     params: ParamGroup | None = field(repr=False)
-    ema_params: ParamGroup = field(repr=False)
+    ema_params: ParamGroup | None = field(repr=False)
     bn_stats: dict = field(repr=False)
     norm_mean: np.ndarray = field(repr=False)
     norm_std: np.ndarray = field(repr=False)
     adam_m: ParamGroup | None = field(repr=False)
     adam_v: ParamGroup | None = field(repr=False)
     adam_steps: int = 0
+    eval_form: EvalForm | None = field(default=None, repr=False)
 
     def __setattr__(self, name, value):
         dtype = GROUP_DTYPES.get(name)
@@ -340,7 +362,7 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
     backward pass. Eval multiplies row by row and returns no cache, so
     each output row equals its own 1-row call bit for bit; it normalizes
     in place on each product's buffer with ``bn_pairs``, the folded
-    (scale, shift) per batch-norm layer from ``make_eval_forward``.
+    (scale, shift) per batch-norm layer from ``build_eval_form``.
     Training projects the step embedding from ``t_arr``; eval takes it
     precomputed as ``temb``.
     """
@@ -559,34 +581,57 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     return model
 
 
+def build_eval_form(tensors, bn_stats, steps: int) -> EvalForm:
+    """The eval form of the EMA weights ``tensors``, an iterable of the
+    tensors in PARAM_KEYS order, with the batch-norm running statistics
+    ``bn_stats``, for a schedule of ``steps`` steps.
+
+    Each tensor is consumed as it arrives and nothing of it is kept but
+    copies, so a caller may stream the tensors through one reused
+    buffer. The four step-embedding tensors come first; once the last
+    one arrives, ``_project_temb`` (the GEMM training uses) projects all
+    ``steps`` steps into the table and they are dropped. Each batch-norm
+    layer is folded into scale = g / sqrt(var + eps) and shift = b -
+    mean * scale. Widening a float32 tensor to float64 is exact.
+    """
+    temb, embed, weights, bn_pairs = None, {}, {}, {}
+    for key, w in zip(PARAM_KEYS, tensors):
+        if key.startswith("te"):
+            embed[key] = np.array(w)
+            if len(embed) == 4:
+                temb = _project_temb(embed, np.arange(1, steps + 1))[0]
+                embed.clear()
+        elif "_bn" in key:
+            layer = key[:-2]
+            if key.endswith("_g"):
+                scale = w.astype(np.float64) / np.sqrt(bn_stats[f"{layer}_v"] + BN_EPS)
+            else:
+                bn_pairs[layer] = (scale, w.astype(np.float64) - bn_stats[f"{layer}_m"] * scale)
+        else:
+            weights[key] = _panels(w) if key.endswith("_w") else w.astype(np.float64)
+    return EvalForm(temb, weights, bn_pairs)
+
+
 def make_eval_forward(model: DenoiserModel):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
-    Uses the EMA weights and the batch-norm running statistics. The
-    closure holds only float64 copies of its own, so a later
-    ``ema_update`` does not move its outputs: the (T, h) table of all T
-    projected step embeddings, built once by ``_project_temb``, the GEMM
-    training uses (nothing of training's embedding cache is kept); the
-    weights of the six per-step linears in column panels (``_panels``),
-    which keep every bit of the 2-D product, and their biases; and each
-    batch-norm layer folded once into a (scale, shift) pair, scale =
-    g / sqrt(var + eps) and shift = b - mean * scale. The linears multiply
-    row by row, so each row's output equals that of its own 1-row block
-    bit for bit.
+    Uses the EMA weights and the batch-norm running statistics in their
+    eval form (``build_eval_form``). A trainable model's form is built
+    here from its ``ema_params``, so a later ``ema_update`` does not move
+    the closure's outputs; a model loaded with ``train_state=False``
+    holds the form built at load, and every closure shares it. The
+    linears multiply row by row over the weight panels, which keep every
+    bit of the 2-D product, so each row's output equals that of its own
+    1-row block bit for bit.
     """
-    ema = model.ema_params
-    temb = _project_temb(ema, np.arange(1, model.sched.T + 1))[0]
-    params = {k: _panels(ema[k]) if k.endswith("_w") else ema[k].astype(np.float64)
-              for k in PARAM_KEYS if not k.startswith("te") and "_bn" not in k}
-    stats, bn_pairs = model.bn_stats, {}
-    for blk in _BLOCKS:
-        for bn in ("bn1", "bn2"):
-            key = f"{blk}_{bn}"
-            scale = ema[f"{key}_g"].astype(np.float64) / np.sqrt(stats[f"{key}_v"] + BN_EPS)
-            bn_pairs[key] = (scale, ema[f"{key}_b"].astype(np.float64) - stats[f"{key}_m"] * scale)
+    form = model.eval_form
+    if model.ema_params is not None:
+        form = build_eval_form((model.ema_params[k] for k in PARAM_KEYS), model.bn_stats,
+                               model.sched.T)
+    temb, weights, bn_pairs = form
 
     def eval_forward(x, t: int):
-        out, _ = _forward_core(params, bn_pairs, x, None, train=False, temb=temb[t - 1])
+        out, _ = _forward_core(weights, bn_pairs, x, None, train=False, temb=temb[t - 1])
         return out
 
     return eval_forward

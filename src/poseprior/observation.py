@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitFailureError, InsufficientSupportError
-from .geometry import Camera, Pose, project, projection_jacobian
+from .geometry import Camera, Pose, _project, _projection_jacobian, project
 from .numeric import SymMat2, eig_2x2
 
 __all__ = [
@@ -170,8 +170,8 @@ def grad_and_residual(joints: np.ndarray, obs: KeypointObservation, cam: Camera)
     usable = joints[..., 2] > 0.0
     safe = joints.copy()
     safe[~usable] = _SAFE_POINT
-    proj = project(safe, cam)
-    jac = projection_jacobian(safe, cam)                                # (..., J, 2, 3)
+    proj = _project(safe, cam)  # every safe point is at z > 0: no depth check
+    jac = _projection_jacobian(safe, cam)                               # (..., J, 2, 3)
     mask = obs.valid & usable
     r = obs.means - proj
     r0, r1 = r[..., 0], r[..., 1]

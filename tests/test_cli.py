@@ -3,6 +3,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import struct
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from poseprior import cli, dataio, metrics, sampler
-from poseprior.errors import PosePriorError
+from poseprior import cli, dataio, denoiser, metrics, sampler
+from poseprior.errors import FormatError, PosePriorError
 from poseprior.geometry import Pose
 from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
@@ -204,6 +206,79 @@ def test_sampling_commands_load_only_the_sampling_state(tiny_setup, tmp_path, mo
     assert calls == [{"train_state": False}]
     assert outputs[0] == outputs[1]
     assert "out" in outputs[0]
+
+
+def _checkpoint_offset(joints, hidden, name):
+    """Byte offset in a checkpoint of the first value of ``name``: "norm_std",
+    a batch-norm statistic, or "EMA <key>"."""
+    shapes = denoiser.param_shapes(joints, hidden)
+    sizes = [math.prod(shapes[key]) for key in denoiser.PARAM_KEYS]
+    norm_std = dataio._CKPT_HEADER.size + 8 * 3 * joints
+    params = norm_std + 8 * 3 * joints
+    if name == "norm_std":
+        return norm_std
+    if name in denoiser.STAT_KEYS:
+        return params + 4 * 4 * sum(sizes) + 4 * hidden * denoiser.STAT_KEYS.index(name)
+    key = name.removeprefix("EMA ")
+    return params + 4 * sum(sizes) + 4 * sum(sizes[:denoiser.PARAM_KEYS.index(key)])
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("EMA te1_w", math.nan, "non-finite EMA te1_w"),
+    ("EMA b1_l2_b", math.inf, "non-finite EMA b1_l2_b"),
+    ("b2_bn1_v", math.nan, "non-finite b2_bn1_v"),
+    ("norm_std", math.nan, "non-finite norm_std"),
+    ("norm_std", 0.0, "norm_std has an entry <= 0"),
+    ("b1_bn2_v", -1.0, "negative running variance b1_bn2_v"),
+], ids=["ema-weight-nan", "ema-bias-inf", "bn-variance-nan", "norm-std-nan", "norm-std-zero",
+        "bn-variance-negative"])
+def test_bad_sampling_tensor_in_checkpoint_exits_2(tiny_setup, tmp_path, capsys, name, value,
+                                                   message):
+    # before, a NaN EMA weight loaded and `estimate` exited 3 as "diverged"
+    blob = bytearray(tiny_setup["ckpt"].read_bytes())
+    at = _checkpoint_offset(17, 16, name)
+    packed = struct.pack("<d" if name == "norm_std" else "<f", value)
+    blob[at:at + len(packed)] = packed
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    expected = f"{message} in checkpoint {ckpt}"
+    for train_state in (True, False):
+        with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+            dataio.load_checkpoint(ckpt, train_state=train_state)
+    out = tmp_path / "hyp.jsonl"
+    assert cli.main(["estimate", "--model", str(ckpt), "--obs", str(tiny_setup["obs"]),
+                     "--out", str(out), "-M", "3"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {expected}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["estimate", "-M", "2"],
+    ["sweep", "-M", "2", "--sweep", "gamma", "--values", "0,1e-4"],
+], ids=["estimate", "sweep"])
+def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, flags):
+    # the observations hold 2 frames: an estimate samples twice and a
+    # 2-value sweep four times, all from the form built at load
+    original = denoiser.build_eval_form
+    builds, sampled = [], []
+
+    def spy(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    guided = sampler.sample_guided
+
+    def count(*args, **kwargs):
+        sampled.append(1)
+        return guided(*args, **kwargs)
+
+    monkeypatch.setattr(denoiser, "build_eval_form", spy)
+    monkeypatch.setattr(sampler, "sample_guided", count)
+    assert cli.main([flags[0], "--model", str(tiny_setup["ckpt"]), "--obs",
+                     str(tiny_setup["obs"]), "--out", str(tmp_path / "out"),
+                     *flags[1:]]) == 0
+    assert len(sampled) == (2 if flags[0] == "estimate" else 4)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("flags,wide,scale,frame", [

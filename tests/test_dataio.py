@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from poseprior import dataio
-from poseprior.denoiser import DenoiserModel, make_eval_forward, train
+from poseprior.denoiser import (
+    PARAM_KEYS,
+    DenoiserModel,
+    ParamGroup,
+    build_eval_form,
+    make_eval_forward,
+    train,
+)
 from poseprior.errors import (
     FormatError,
     ParseError,
@@ -359,21 +366,38 @@ class TestCheckpoint:
         dataio.save_checkpoint(self.trained_model(), path)
         full = dataio.load_checkpoint(path)
         back = dataio.load_checkpoint(path, train_state=False)
-        assert back.params is None and back.adam_m is None and back.adam_v is None
+        assert all(getattr(back, name) is None
+                   for name in ("params", "ema_params", "adam_m", "adam_v"))
+        assert full.eval_form is None
         assert (back.joints, back.hidden_dim, back.adam_steps) == (3, 8, 3)
         assert (back.sched.T, back.sched.offset) == (full.sched.T, full.sched.offset)
         assert np.array_equal(back.sched.alphabar, full.sched.alphabar)
-        for name in ("ema_params", "bn_stats"):
-            ours, theirs = getattr(back, name), getattr(full, name)
-            assert ours.keys() == theirs.keys()
-            for key in ours:
-                assert ours[key].dtype == theirs[key].dtype
-                assert np.array_equal(ours[key], theirs[key])
+        assert back.bn_stats.keys() == full.bn_stats.keys()
+        for key in back.bn_stats:
+            assert back.bn_stats[key].dtype == full.bn_stats[key].dtype
+            assert np.array_equal(back.bn_stats[key], full.bn_stats[key])
         assert not np.array_equal(full.params["in_w"], full.ema_params["in_w"])
         assert np.array_equal(back.norm_mean, full.norm_mean)
         assert np.array_equal(back.norm_std, full.norm_std)
-        x = RngStream(87, 0).standard_normal((3, 9))
-        assert np.array_equal(make_eval_forward(back)(x, 7), make_eval_forward(full)(x, 7))
+        # the form built at load, bit for bit the one built from the full load's EMA
+        ours = back.eval_form
+        ref = build_eval_form((full.ema_params[k] for k in PARAM_KEYS), full.bn_stats,
+                              full.sched.T)
+        assert ours.temb.dtype == ref.temb.dtype and np.array_equal(ours.temb, ref.temb)
+        assert ours.weights.keys() == ref.weights.keys()
+        for key in ref.weights:
+            assert ours.weights[key].dtype == ref.weights[key].dtype, key
+            assert ours.weights[key].shape == ref.weights[key].shape, key
+            assert np.array_equal(ours.weights[key], ref.weights[key]), key
+        assert ours.bn_pairs.keys() == ref.bn_pairs.keys()
+        for layer in ref.bn_pairs:
+            for a, b in zip(ours.bn_pairs[layer], ref.bn_pairs[layer]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), layer
+        for m in (1, 3):
+            x = RngStream(87, m).standard_normal((m, 9))
+            for t in (1, 7, 20):
+                assert np.array_equal(make_eval_forward(back)(x, t),
+                                      make_eval_forward(full)(x, t)), (m, t)
 
     @pytest.mark.parametrize("edit", [
         lambda blob: blob[:-17],
@@ -404,24 +428,40 @@ class TestCheckpoint:
                   ema_decay=0.5, rng=RngStream(88, 0))
         assert np.array_equal(model.norm_mean, norm_mean) and model.adam_steps == 0
 
-    def test_sampling_state_load_holds_only_ema_and_stats(self, tmp_path):
-        # the parameters and Adam moments are skipped, not read: the peak
-        # allocation is the EMA weights and BN statistics plus one tensor
-        sched = cosine_schedule(4, 0.008)
+    def test_sampling_state_load_holds_only_the_eval_form(self, tmp_path, monkeypatch):
+        # the parameters and Adam moments are skipped, and the EMA tensors
+        # stream into the eval form through one float32 buffer of the
+        # largest tensor: the peak allocation of the load and the closure is
+        # what the model holds (the form, the statistics) plus that buffer
+        # and SLACK for Python objects; no weight group is made. Loading the
+        # float32 EMA group and building the form from it, as before, needs
+        # the group's bytes more, which is above the bound
+        slack = 64 * 1024
+        sched = cosine_schedule(64, 0.008)
         model = DenoiserModel.initialize(17, 256, sched, RngStream(85, 0))
         path = tmp_path / "m.ckpt"
         dataio.save_checkpoint(model, path)
+        groups = []
+        init = ParamGroup.__init__
+        monkeypatch.setattr(ParamGroup, "__init__",
+                            lambda self, *a, **k: groups.append(a) or init(self, *a, **k))
         tracemalloc.start()
         try:
             back = dataio.load_checkpoint(path, train_state=False)
+            make_eval_forward(back)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = sum(v.nbytes for group in (back.ema_params, back.bn_stats)
-                   for v in group.values())
-        largest = max(v.nbytes for v in back.ema_params.values())
-        assert peak < held + 2 * largest
-        assert path.stat().st_size > held + 2 * largest
+        assert groups == [] and back.ema_params is None
+        form = back.eval_form
+        held = (form.temb.nbytes + sum(w.nbytes for w in form.weights.values())
+                + sum(a.nbytes for pair in form.bn_pairs.values() for a in pair)
+                + sum(v.nbytes for v in back.bn_stats.values())
+                + back.norm_mean.nbytes + back.norm_std.nbytes)
+        buffer = max(4 * v.size for v in model.ema_params.values())
+        assert peak <= held + buffer + slack
+        assert buffer + slack < model.ema_params.flat.nbytes
+        assert path.stat().st_size > held + buffer + slack
 
 
 def _loop_euler_rotation(angles):

@@ -387,7 +387,14 @@ class TestFlatGroups:
                 if group is not None:
                     assert group.flat.dtype == dtype, name
                     assert all(v.dtype == dtype for v in group.values()), name
-        assert models[2].ema_params is not None
+        # the sampling-state load holds the eval form instead of the EMA group
+        assert models[2].ema_params is None
+        form = models[2].eval_form
+        arrays = [form.temb, *form.weights.values(),
+                  *(a for pair in form.bn_pairs.values() for a in pair)]
+        assert len(arrays) == 1 + 12 + 8
+        assert all(a.dtype == np.float64 for a in arrays)
+        assert all(m.eval_form is None for m in models[:2] + models[3:])
 
     def test_float32_groups_refuse_values_off_the_grid(self):
         model = small_model()

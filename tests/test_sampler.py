@@ -269,8 +269,8 @@ class TestGuided:
         # the guidance step projects the (M, J, 3) joints once and does not go
         # through the per-pose log_likelihood_grad + sum_sources route
         calls = []
-        project = observation.project
-        monkeypatch.setattr(observation, "project",
+        project = observation._project
+        monkeypatch.setattr(observation, "_project",
                             lambda p, cam: calls.append(p.shape) or project(p, cam))
 
         def unused(*args):
