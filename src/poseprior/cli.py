@@ -66,10 +66,6 @@ def _guidance_config(args) -> sampler.GuidanceConfig:
     return sampler.GuidanceConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _frame_config(gcfg: sampler.GuidanceConfig, frame_idx: int) -> sampler.GuidanceConfig:
-    return replace(gcfg, stream_offset=frame_idx << _FRAME_SHIFT)
-
-
 def _at_least(low):
     return (lambda value: value >= low), f">= {low}"
 
@@ -143,19 +139,21 @@ def _load_model_for(model_path, records):
     return model
 
 
-def _check_cov_scales(frames, gcfg: sampler.GuidanceConfig, scales, joints: int):
-    """Apply each covariance scale to each frame's covariances before any frame is sampled.
+def _sample_jobs(model, jobs):
+    """Each (record, keypoints, config) job of ``jobs`` paired with its `HypothesisSet`, in order.
 
-    ``frames`` holds (frame id, keypoints) pairs, with the keypoints the
-    sampler will be given. A scale that takes a frame's covariances out
-    of float64's range raises, naming the scale and the frame.
+    Every job's covariance edit is applied before any job is sampled: one
+    that takes a frame's covariances out of float64's range raises,
+    naming the frame. Each job is sampled when the caller's loop reaches it.
     """
-    for frame_id, keypoints in frames:
-        for scale in scales:
-            try:
-                sampler._transformed_observation(keypoints, replace(gcfg, cov_scale=scale), joints)
-            except ValueError as exc:
-                raise PosePriorError(f"{exc} (frame {frame_id})") from None
+    for rec, keypoints, cfg in jobs:
+        try:
+            sampler._transformed_observation(keypoints, cfg, model.joints)
+        except ValueError as exc:
+            raise PosePriorError(f"{exc} (frame {rec.frame_id})") from None
+    return (((rec, keypoints, cfg), sampler.sample_guided(model, model.sched, keypoints,
+                                                          rec.camera, rec.root, cfg))
+            for rec, keypoints, cfg in jobs)
 
 
 def _check_stream_ranges(frames: int, m: int):
@@ -257,19 +255,14 @@ def cmd_estimate(args) -> int:
                              f"so there are no metrics to report")
     gcfg = _guidance_config(args)
     model = _load_model_for(args.model, records)
-    mask_indices = _mask_indices(mask, model.joints) if mask else None
-    sample = sampler.complete_pose if mask_indices else sampler.sample_guided
-    frame_keypoints = [rec.keypoints for rec in records]
-    if mask_indices:
-        valid = np.ones(model.joints, dtype=bool)
-        valid[list(mask_indices)] = False
-        frame_keypoints = [kp.with_validity(kp.valid & valid) for kp in frame_keypoints]
-    _check_cov_scales([(rec.frame_id, kp) for rec, kp in zip(records, frame_keypoints)],
-                      gcfg, [gcfg.cov_scale], model.joints)
+    mask_indices = _mask_indices(mask, model.joints) if mask else set()
+    keep = np.ones(model.joints, dtype=bool)
+    keep[list(mask_indices)] = False
+    jobs = [(rec, rec.keypoints.with_validity(rec.keypoints.valid & keep) if mask_indices
+             else rec.keypoints, replace(gcfg, stream_offset=idx << _FRAME_SHIFT))
+            for idx, rec in enumerate(records)]
     per_frame, metric_rows, diagnostics = [], [], Counter()
-    for idx, (rec, keypoints) in enumerate(zip(records, frame_keypoints)):
-        hyp = sample(model, model.sched, keypoints, rec.camera, rec.root,
-                     _frame_config(gcfg, idx))
+    for (rec, keypoints, _), hyp in _sample_jobs(model, jobs):
         per_frame.append((rec.frame_id, hyp))
         diagnostics.update(hyp.diagnostics)
         if rec.gt_pose is not None:
@@ -340,27 +333,26 @@ def cmd_sweep(args) -> int:
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), args.M)
     model = _load_model_for(args.model, records)
-    _check_cov_scales([(rec.frame_id, rec.keypoints) for rec in records], gcfg,
-                      values if args.sweep == "cov-scale" else [gcfg.cov_scale], model.joints)
-    rows = []
-    if args.sweep == "cov-scale":
-        for idx, rec in enumerate(records):
-            for s, std in sampler.diversity_sweep(model, model.sched, rec.keypoints, rec.camera,
-                                                  rec.root, _frame_config(gcfg, idx), values):
-                rows.append({"frame_id": rec.frame_id, "value": s, "per_joint_std_mm": std})
+    frames = range(len(records))
+    if args.sweep == "cov-scale":  # the values within each frame
+        grid = [(idx, value) for idx in frames for value in values]
         fields = ["frame_id", "value", "per_joint_std_mm"]
-    else:  # gamma sweep
-        for value in values:
-            for idx, rec in enumerate(records):
-                hyp = sampler.sample_guided(model, model.sched, rec.keypoints, rec.camera,
-                                            rec.root, replace(_frame_config(gcfg, idx),
-                                                              gamma=value))
-                row = {"frame_id": rec.frame_id, "value": value}
-                row["reprojection_px"] = _mean_reprojection(hyp, rec.keypoints, rec.camera)
-                if rec.gt_pose is not None:
-                    row["best_of_m_mpjpe"] = metrics.best_of_m(hyp, rec.gt_pose)
-                rows.append(row)
+    else:  # the frames within each value
+        grid = [(idx, value) for value in values for idx in frames]
         fields = ["frame_id", "value", "reprojection_px", "best_of_m_mpjpe"]
+    jobs = [(records[idx], records[idx].keypoints,
+             replace(gcfg, stream_offset=idx << _FRAME_SHIFT, **{swept: value}))
+            for idx, value in grid]
+    rows = []
+    for (rec, keypoints, cfg), hyp in _sample_jobs(model, jobs):
+        row = {"frame_id": rec.frame_id, "value": getattr(cfg, swept)}
+        if args.sweep == "cov-scale":
+            row["per_joint_std_mm"] = metrics.per_joint_std(hyp.joints)
+        else:
+            row["reprojection_px"] = _mean_reprojection(hyp, keypoints, rec.camera)
+            if rec.gt_pose is not None:
+                row["best_of_m_mpjpe"] = metrics.best_of_m(hyp, rec.gt_pose)
+        rows.append(row)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
@@ -396,7 +388,12 @@ def cmd_evaluate(args) -> int:
 
     gt_frames = [str(meta.get("frame_id", i)) for i, meta in enumerate(gt_data.meta)]
     # frame id -> {hypothesis index: record row}
-    by_frame: dict[str, dict] = {frame_id: {} for frame_id in gt_frames}
+    by_frame: dict[str, dict] = {}
+    for i, frame_id in enumerate(gt_frames):
+        if frame_id in by_frame:
+            raise SchemaError(f"{args.gt}: record {i + 1}: repeats frame {frame_id} of record "
+                              f"{gt_frames.index(frame_id) + 1}")
+        by_frame[frame_id] = {}
     for i in range(hyp_data.num_poses):
         meta = hyp_data.meta[i]
         index = meta.get("hypothesis", 0)

@@ -222,12 +222,16 @@ def save_observations(records, path, joint_names):
 
 
 def load_observations(path) -> list:
-    """Read observation records; missing covariances get the fixed fallback."""
+    """Read observation records; missing covariances get the fixed fallback.
+
+    Frame ids are compared as strings, so ``1`` and ``"1"`` are one id, and
+    a repeated id raises.
+    """
     header, raw_records = _read_jsonl(path, OBS_FORMAT)
     j = header.get("J")
     if not isinstance(j, int) or j < 1:
         raise SchemaError("header missing a valid joint count J")
-    records = []
+    records, frame_lines = [], {}
     fallback_cov = [FALLBACK_SIGMA_PX**2, 0.0, FALLBACK_SIGMA_PX**2]
     for lineno, doc in raw_records:
         try:
@@ -262,8 +266,13 @@ def load_observations(path) -> list:
             if "gt_pose" in doc:
                 arr = np.asarray(doc["gt_pose"], dtype=np.float64).reshape(j, 3)
                 gt = Pose(arr, doc.get("gt_frame", "absolute_camera"))
+            frame_id = str(doc["frame_id"])
+            if frame_id in frame_lines:
+                raise SchemaError(f"line {lineno}: frame_id {frame_id} repeats line "
+                                  f"{frame_lines[frame_id]}")
+            frame_lines[frame_id] = lineno
             records.append(ObservationRecord(
-                frame_id=str(doc["frame_id"]), camera=cam, keypoints=keypoints,
+                frame_id=frame_id, camera=cam, keypoints=keypoints,
                 root=root, gt_pose=gt, cov_fallback_joints=tuple(fallback),
                 root_cov_fallback=root_cov_fallback,
             ))

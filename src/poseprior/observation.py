@@ -61,10 +61,12 @@ class KeypointObservation:
         if np.any(bad):
             raise ValueError(f"non-finite mean or covariance at joints {np.nonzero(bad)[0].tolist()}")
         a, b, c = self.covs[:, 0], self.covs[:, 1], self.covs[:, 2]
-        det = a * c - b * b
-        bad = self.valid & ((a <= 0.0) | (det <= 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # only valid joints' are read
+            det = a * c - b * b
+        bad = self.valid & ((a <= 0.0) | ~((det > 0.0) & (det < np.inf)))
         if np.any(bad):
-            raise ValueError(f"non positive definite covariance at joints {np.nonzero(bad)[0].tolist()}")
+            raise ValueError(f"non positive definite covariance, or one whose determinant "
+                             f"overflows, at joints {np.nonzero(bad)[0].tolist()}")
         # precompute inverses and log-dets once; observations are immutable
         inv = np.zeros((j, 2, 2), dtype=np.float64)
         logdet = np.zeros(j, dtype=np.float64)

@@ -12,8 +12,9 @@ covariance), ``complete``, ``sample``, both ``sweep`` kinds at M = 20,
 with ``dataio.save_heatmap``. It takes about 15 s on one core, and
 prints one ``step <command> <seconds> s`` line per step as it goes.
 
-The manifest records the numpy and BLAS build it was made on, and
-``--check`` prints every field of this build that differs from it:
+The manifest records the numpy and BLAS build it was made on, with the
+BLAS kernel that ran, and ``--check`` prints every field of this build
+that differs from it:
 float bits may move with the BLAS build, so a hash mismatch on another
 build is a finding to report, not a failure to hide. BLAS runs on one
 thread unless OPENBLAS_NUM_THREADS says otherwise. The exit code is 0
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -87,12 +89,30 @@ def write_heatmaps(workdir: Path):
                             workdir / name)
 
 
+def blas_kernel() -> str:
+    """The kernel family numpy's bundled OpenBLAS runs, or "unknown" where it cannot say.
+
+    A DYNAMIC_ARCH build picks it when it loads, from the CPU or from
+    OPENBLAS_CORETYPE; the build's base target in ``blas_config`` does
+    not name it.
+    """
+    for lib in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def build_info() -> dict:
-    """The numpy and BLAS build, and the BLAS thread count, the bits depend on."""
+    """The numpy and BLAS build, its kernel and the BLAS thread count, the bits depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "machine": platform.machine(),
             "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
             "blas_config": blas.get("openblas configuration", ""),
+            "blas_kernel": blas_kernel(),
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 

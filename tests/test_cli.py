@@ -255,10 +255,12 @@ def test_bad_sampling_tensor_in_checkpoint_exits_2(tiny_setup, tmp_path, capsys,
 @pytest.mark.parametrize("flags", [
     ["estimate", "-M", "2"],
     ["sweep", "-M", "2", "--sweep", "gamma", "--values", "0,1e-4"],
-], ids=["estimate", "sweep"])
+    ["complete", "-M", "2", "--mask", "3"],
+    ["sweep", "-M", "2", "--sweep", "cov-scale", "--values", "1,2"],
+], ids=["estimate", "sweep", "complete", "sweep-cov-scale"])
 def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, flags):
-    # the observations hold 2 frames: an estimate samples twice and a
-    # 2-value sweep four times, all from the form built at load
+    # the observations hold 2 frames: an estimate or a completion samples
+    # twice and a 2-value sweep four times, all from the form built at load
     original = denoiser.build_eval_form
     builds, sampled = [], []
 
@@ -277,8 +279,18 @@ def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, 
     assert cli.main([flags[0], "--model", str(tiny_setup["ckpt"]), "--obs",
                      str(tiny_setup["obs"]), "--out", str(tmp_path / "out"),
                      *flags[1:]]) == 0
-    assert len(sampled) == (2 if flags[0] == "estimate" else 4)
+    assert len(sampled) == (4 if flags[0] == "sweep" else 2)
     assert len(builds) == 1
+
+
+def wide_covariance_obs(tiny_setup, tmp_path):
+    """The observations with joint 3 of frame synth00001 given a covariance 1e10 times
+    frame synth00000's: at scale 1e150 only that joint's determinant overflows."""
+    header, *records = [json.loads(line) for line in open(tiny_setup["obs"])]
+    records[1]["keypoints"][3]["cov"] = [4e10, 0.0, 4e10]
+    obs = tmp_path / "wide.jsonl"
+    obs.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+    return obs
 
 
 @pytest.mark.parametrize("flags,wide,scale,frame", [
@@ -291,16 +303,10 @@ def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, 
 ], ids=["estimate", "complete", "sweep-gamma", "sweep-cov-scale", "sweep-cov-scale-1e308"])
 def test_cov_scale_out_of_range_for_any_frame_exits_2_before_sampling(
         tiny_setup, tmp_path, monkeypatch, capsys, flags, wide, scale, frame):
-    # with `wide`, frame synth00001 has a joint whose covariance is 1e10
-    # times frame synth00000's: at scale 1e150 the first frame's
-    # covariances stay in float64's range and the second's determinant
-    # overflows, so a check made frame by frame would sample the first
-    obs = tiny_setup["obs"]
-    if wide:
-        header, *records = [json.loads(line) for line in open(obs)]
-        records[1]["keypoints"][3]["cov"] = [4e10, 0.0, 4e10]
-        obs = tmp_path / "wide.jsonl"
-        obs.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+    # with `wide`, the first frame's covariances stay in float64's range at
+    # scale 1e150 and the second's do not, so a check made frame by frame
+    # would sample the first
+    obs = wide_covariance_obs(tiny_setup, tmp_path) if wide else tiny_setup["obs"]
     sampled = []
 
     def spy(*args, **kwargs):
@@ -315,6 +321,16 @@ def test_cov_scale_out_of_range_for_any_frame_exits_2_before_sampling(
     assert err.endswith(f"(frame {frame})\n")
     assert sampled == []
     assert not out.exists()
+
+
+def test_cov_scale_check_reads_the_masked_observation(tiny_setup, tmp_path):
+    # the one covariance that 1e150 takes out of range is on the masked
+    # joint, which the sampler never reads, so the check must not see it
+    out = tmp_path / "c.jsonl"
+    assert cli.main(["complete", "--model", str(tiny_setup["ckpt"]),
+                     "--obs", str(wide_covariance_obs(tiny_setup, tmp_path)), "--out", str(out),
+                     "-M", "2", "--cov-scale", "1e150", "--mask", "3"]) == 0
+    assert dataio.load_poses(out).num_poses == 4
 
 
 class TestSynthCommand:
@@ -515,6 +531,19 @@ class TestEstimateCommand:
         assert proc.returncode == 2
         assert message in proc.stderr
 
+    def test_repeated_frame_id_exits_2_naming_both_lines(self, tiny_setup, tmp_path):
+        # its hypotheses would be a file that evaluate refuses
+        header, *records = [json.loads(line) for line in open(tiny_setup["obs"])]
+        records[1]["frame_id"] = records[0]["frame_id"]
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]))
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(obs),
+                        "--out", str(out), "-M", "1"])
+        assert proc.returncode == 2
+        assert f"error: line 3: frame_id {records[0]['frame_id']} repeats line 2\n" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "nan"), ("--cov-scale", "nan"), ("--cov-scale", "inf"),
         ("--cov-rotate", "nan"), ("--cov-rotate", "-inf"),
@@ -669,15 +698,15 @@ class TestCompleteCommand:
                         "-M", "2", "--seed", "3", "--mask", "all"])
         assert proc.returncode == 0, proc.stderr
 
-    def test_samples_through_complete_pose(self, tiny_setup, tmp_path, monkeypatch):
+    def test_samples_each_frame_with_its_mask(self, tiny_setup, tmp_path, monkeypatch):
         masked = []
-        original = sampler.complete_pose
+        original = sampler.sample_guided
 
         def spy(model, sched, obs, *rest):
             masked.append(np.flatnonzero(~obs.valid).tolist())
             return original(model, sched, obs, *rest)
 
-        monkeypatch.setattr(sampler, "complete_pose", spy)
+        monkeypatch.setattr(sampler, "sample_guided", spy)
         assert cli.main(["complete", "--model", str(tiny_setup["ckpt"]),
                          "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "c.jsonl"),
                          "-M", "1", "--seed", "3", "--mask", "l_wrist,3"]) == 0
@@ -1039,6 +1068,26 @@ class TestEvaluateCommand:
         frame_id = gt.meta[-1]["frame_id"]
         assert (f"record {len(meta) + 1}: repeats hypothesis 2 of frame {frame_id}"
                 in proc.stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ids,named", [
+        (["synth00000", "synth00000", "synth00001"],
+         "record 2: repeats frame synth00000 of record 1"),
+        (["x", "synth00000", None, "2"], "record 4: repeats frame 2 of record 3"),
+    ], ids=["repeated-id", "record-without-id"])
+    def test_repeated_ground_truth_frame_exits_2(self, tiny_setup, tmp_path, ids, named):
+        # a record without a frame_id takes its index as its id
+        gt = dataio.load_poses(tiny_setup["gt"])
+        gt_path = tmp_path / "gt.jsonl"
+        dataio.save_poses(dataio.PoseDataset(
+            gt.joint_names, gt.poses[np.arange(len(ids)) % gt.num_poses],
+            [{} if i is None else {"frame_id": i} for i in ids]), gt_path)
+        hyp = tmp_path / "hyp.jsonl"
+        self.write_counted(gt, [(meta["frame_id"], 1) for meta in gt.meta], hyp)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(gt_path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"error: {gt_path}: {named}\n" in proc.stderr
         assert not out.exists()
 
     def test_joint_count_that_differs_exits_2(self, tiny_setup, tmp_path):

@@ -194,6 +194,18 @@ class TestObservationFile:
         with pytest.raises(SchemaError, match=message):
             dataio.load_observations(path)
 
+    @pytest.mark.parametrize("first,second,named", [
+        ('"f0"', '"f0"', "f0"), ("1", '"1"', "1"),
+    ], ids=["same-string", "number-and-string"])
+    def test_repeated_frame_id_rejected_with_both_lines(self, tmp_path, first, second, named):
+        path = tmp_path / "obs.jsonl"
+        header = '{"format":"poseprior/observations","version":1,"J":1,"joint_names":["a"]}'
+        rec = ('{"frame_id":%s,"camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true}],"root":{"mean":[0,0,0]}}')
+        path.write_text("\n".join([header, rec % first, rec % '"g"', rec % second]) + "\n")
+        with pytest.raises(SchemaError, match=f"^line 4: frame_id {named} repeats line 2$"):
+            dataio.load_observations(path)
+
     def test_invalid_keypoint_may_omit_mean(self, tmp_path):
         path = tmp_path / "obs.jsonl"
         header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'

@@ -421,6 +421,16 @@ class TestObservationValidation:
         with pytest.raises(ValueError, match=r"non-finite .* joints \[1\]"):
             KeypointObservation(arrays["means"], arrays["covs"], np.ones(3, dtype=bool))
 
+    @pytest.mark.parametrize("cov", [[1e200, 0.0, 1e200], [1e200, 1e200, 1e200]],
+                             ids=["det-overflows", "det-nan"])
+    def test_overflowing_determinant_rejected_on_valid_joint_only(self, cov):
+        # the determinant is inf, or inf - inf; the suite turns a RuntimeWarning into an error
+        covs = np.array([[1.0, 0.0, 1.0], cov])
+        obs = KeypointObservation(np.zeros((2, 2)), covs, np.array([True, False]))
+        assert obs.num_joints == 2
+        with pytest.raises(ValueError, match=r"determinant overflows, at joints \[1\]"):
+            KeypointObservation(np.zeros((2, 2)), covs, np.array([True, True]))
+
     def test_ignores_non_finite_on_invalid_joint(self):
         means = np.array([[np.nan, 0.0], [1.0, 2.0]])
         covs = np.array([[np.nan, 0.0, 1.0], [1.0, 0.0, 1.0]])
