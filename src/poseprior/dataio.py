@@ -225,7 +225,8 @@ def load_observations(path) -> list:
     """Read observation records; missing covariances get the fixed fallback.
 
     Frame ids are compared as strings, so ``1`` and ``"1"`` are one id, and
-    a repeated id raises.
+    a repeated id raises. A keypoint's ``"valid"`` is JSON true or false;
+    an absent flag means false.
     """
     header, raw_records = _read_jsonl(path, OBS_FORMAT)
     j = header.get("J")
@@ -245,7 +246,11 @@ def load_observations(path) -> list:
             valid = np.zeros(j, dtype=bool)
             fallback = []
             for i, kp in enumerate(kp_docs):
-                valid[i] = bool(kp.get("valid", False))
+                flag = kp.get("valid", False)
+                if not isinstance(flag, bool):
+                    raise SchemaError(f'line {lineno}: keypoint {i}: "valid" must be true or '
+                                      f'false, got {flag!r}')
+                valid[i] = flag
                 try:
                     if "mean" in kp:
                         means[i] = kp["mean"]
@@ -370,6 +375,13 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         magic, version, joints, hidden, t_steps, offset, adam_steps = _CKPT_HEADER.unpack(head)
         if version != CHECKPOINT_VERSION:
             raise VersionError(f"checkpoint version {version} not supported")
+        if joints < 1 or hidden < 4 or hidden % 2:
+            raise FormatError(f"checkpoint {path} header: need joints >= 1 and an even "
+                              f"hidden width >= 4, got joints {joints}, hidden {hidden}")
+        try:
+            sched = cosine_schedule(t_steps, offset)
+        except ValueError as exc:
+            raise FormatError(f"checkpoint {path} header: {exc}") from None
 
         shapes = dn.param_shapes(joints, hidden)
         d = 3 * joints
@@ -378,7 +390,6 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * 4 * n_param + stats_bytes
         if size != expected:
             raise FormatError(f"checkpoint is {size} bytes, expected {expected}")
-        sched = cosine_schedule(t_steps, offset)
 
         def fill(flat, dtype):
             """Read the next ``flat.size`` values of ``dtype`` into the 1-D ``flat``."""
@@ -441,11 +452,12 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
 
 # -- synthetic skeleton world ------------------------------------------------
 
-_DEFAULT_PARENTS = (-1, 0, 1, 2, 0, 4, 5, 0, 7, 8, 9, 8, 11, 12, 8, 14, 15)
-_DEFAULT_BONES = (0.0, 130.0, 450.0, 440.0, 130.0, 450.0, 440.0,
-                  230.0, 250.0, 120.0, 120.0,
-                  160.0, 280.0, 250.0, 160.0, 280.0, 250.0)
-_DEFAULT_REST_DIRS = (
+# the synthetic skeleton: joint 0 is the root and every parent precedes its child
+_PARENTS = (-1, 0, 1, 2, 0, 4, 5, 0, 7, 8, 9, 8, 11, 12, 8, 14, 15)
+_BONE_LENGTHS = (0.0, 130.0, 450.0, 440.0, 130.0, 450.0, 440.0,
+                 230.0, 250.0, 120.0, 120.0,
+                 160.0, 280.0, 250.0, 160.0, 280.0, 250.0)
+_REST_DIRS = (
     (0.0, 0.0, 0.0),
     (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0),
     (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0),
@@ -453,7 +465,7 @@ _DEFAULT_REST_DIRS = (
     (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0),
     (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0),
 )
-_DEFAULT_ANGLE_LIMITS = (
+_ANGLE_LIMITS = (
     (0.3, 0.9, 0.3),
     (0.8, 0.4, 0.4), (1.2, 0.2, 0.2), (0.4, 0.2, 0.2),
     (0.8, 0.4, 0.4), (1.2, 0.2, 0.2), (0.4, 0.2, 0.2),
@@ -469,42 +481,20 @@ _ROOT_BOX = np.array([400.0, 200.0, 600.0])
 
 @dataclass(frozen=True)
 class SyntheticSkeletonConfig:
-    """Articulated chain sampled by uniform joint angles within limits."""
+    """Sizes, seed and keypoint noise of the synthetic world. Its skeleton is
+    fixed (``_PARENTS``, ``_BONE_LENGTHS``, ``_REST_DIRS``, ``_ANGLE_LIMITS``);
+    ``joint_names`` and ``num_joints`` are class constants, not fields."""
 
-    parents: tuple = _DEFAULT_PARENTS
-    bone_lengths: tuple = _DEFAULT_BONES
-    rest_dirs: tuple = _DEFAULT_REST_DIRS
-    angle_limits: tuple = _DEFAULT_ANGLE_LIMITS
-    joint_names: tuple = DEFAULT_JOINT_NAMES
+    joint_names = DEFAULT_JOINT_NAMES
+    num_joints = len(DEFAULT_JOINT_NAMES)
     n_train: int = 2000
     n_eval: int = 16
     seed: int = 0
     obs_sigma_px: float = 2.0
 
     def __post_init__(self):
-        j = len(self.parents)
-        if not (len(self.bone_lengths) == len(self.rest_dirs)
-                == len(self.angle_limits) == len(self.joint_names) == j):
-            raise ValueError("skeleton config arrays disagree on joint count")
-        roots = [i for i, p in enumerate(self.parents) if p < 0]
-        if roots != [0]:
-            raise ValueError("kinematic tree must have exactly joint 0 as root")
-        for i, p in enumerate(self.parents[1:], start=1):
-            if not 0 <= p < i:
-                raise ValueError(f"parent of joint {i} must precede it, got {p}")
-            if not (np.isfinite(self.bone_lengths[i]) and self.bone_lengths[i] > 0.0):
-                raise ValueError(f"bone_lengths of joint {i} must be finite and > 0, "
-                                 f"got {self.bone_lengths[i]!r}")
-        for name in ("rest_dirs", "angle_limits"):
-            for i, vec in enumerate(getattr(self, name)):
-                if not (np.shape(vec) == (3,) and np.all(np.isfinite(vec))):
-                    raise ValueError(f"{name} of joint {i} must be a finite 3-vector, got {vec!r}")
         if not (np.isfinite(self.obs_sigma_px) and self.obs_sigma_px > 0.0):
             raise ValueError(f"obs_sigma_px must be finite and > 0, got {self.obs_sigma_px!r}")
-
-    @property
-    def num_joints(self) -> int:
-        return len(self.parents)
 
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
@@ -519,7 +509,7 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _sample_poses(cfg: SyntheticSkeletonConfig, n: int, rng: RngStream) -> np.ndarray:
+def _sample_poses(n: int, rng: RngStream) -> np.ndarray:
     """``n`` poses (n, J, 3): uniform joint angles within limits, then forward kinematics.
 
     One pass over the joints serves every pose and gives the bytes of a
@@ -527,14 +517,14 @@ def _sample_poses(cfg: SyntheticSkeletonConfig, n: int, rng: RngStream) -> np.nd
     per-pose draws take, in the same order, and ``matmul`` on a stack runs
     the same 3x3 routine on each matrix as on a single one.
     """
-    limits = np.asarray(cfg.angle_limits, dtype=np.float64)
+    limits = np.asarray(_ANGLE_LIMITS, dtype=np.float64)
     local = _rotations(rng.uniform(-1.0, 1.0, (n,) + limits.shape) * limits)
-    poses = np.zeros((n, cfg.num_joints, 3))
+    poses = np.zeros((n, len(_PARENTS), 3))
     rot = [local[:, 0]]
-    for i in range(1, cfg.num_joints):
-        p = cfg.parents[i]
+    for i in range(1, len(_PARENTS)):
+        p = _PARENTS[i]
         rot.append(rot[p] @ local[:, i])
-        offset = cfg.bone_lengths[i] * np.asarray(cfg.rest_dirs[i], dtype=np.float64)
+        offset = _BONE_LENGTHS[i] * np.asarray(_REST_DIRS[i], dtype=np.float64)
         poses[:, i] = poses[:, p] + rot[i] @ offset
     return poses
 
@@ -547,8 +537,8 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
     matching the declared per-joint covariance, and the root estimate
     carries noise matching its declared covariance, DEFAULT_ROOT_COV.
     """
-    train = PoseDataset(cfg.joint_names, _sample_poses(cfg, cfg.n_train, RngStream(cfg.seed, 1)))
-    eval_poses = _sample_poses(cfg, cfg.n_eval, RngStream(cfg.seed, 2))
+    train = PoseDataset(cfg.joint_names, _sample_poses(cfg.n_train, RngStream(cfg.seed, 1)))
+    eval_poses = _sample_poses(cfg.n_eval, RngStream(cfg.seed, 2))
     heldout = PoseDataset(
         cfg.joint_names, eval_poses,
         meta=[{"frame_id": f"synth{k:05d}"} for k in range(cfg.n_eval)],

@@ -37,7 +37,9 @@ contiguous buffer in PARAM_KEYS order, the checkpoint's order, whose
 per-key tensors are views. The EMA shadows and Adam moments are stored
 as float32 (GROUP_DTYPES): they hold only float32 values, so float32
 storage keeps every bit at half the bytes. The parameters and the
-gradients stay float64, as every training GEMM reads them. The backward
+gradients stay float64, as every training GEMM reads them. Only
+``DenoiserModel.initialize``, the checkpoint loader and ``train`` build
+groups; everything else writes into their views or ``flat``. The backward
 pass writes gradients into their views with ``out=``. Adam and EMA each
 make one pass over the flat buffers in chunks of UPDATE_CHUNK elements,
 through float64 scratch that stays in cache, with the per-element
@@ -157,9 +159,7 @@ class ParamGroup(dict):
     buffer ``flat`` (float64 by default, or float32) in PARAM_KEYS order.
 
     Assigning a key copies the value into its view, so ``flat`` stays
-    the group's one storage. A value of another shape raises ValueError,
-    and so does one a float32 group cannot hold exactly (NaN and
-    infinities it can).
+    the group's one storage; a value of another shape raises ValueError.
     """
 
     def __init__(self, shapes: dict, flat=None, dtype=np.float64):
@@ -171,14 +171,6 @@ class ParamGroup(dict):
             dict.__setitem__(self, key, self.flat[lo:lo + size].reshape(shapes[key]))
             lo += size
 
-    @classmethod
-    def of(cls, tensors, dtype=np.float64) -> "ParamGroup":
-        """A new ``dtype`` group holding a copy of ``tensors``, a dict keyed by PARAM_KEYS."""
-        group = cls({key: np.shape(tensors[key]) for key in PARAM_KEYS}, dtype=dtype)
-        for key in PARAM_KEYS:
-            group[key] = tensors[key]
-        return group
-
     def shapes(self) -> dict:
         return {key: view.shape for key, view in self.items()}
 
@@ -186,12 +178,6 @@ class ParamGroup(dict):
         view = self[key]
         if np.shape(value) != view.shape:
             raise ValueError(f"{key} has shape {view.shape}, got {np.shape(value)}")
-        if view.dtype != np.float64:
-            with np.errstate(over="ignore"):
-                stored = np.asarray(value, view.dtype)
-            if not np.array_equal(stored, value, equal_nan=True):
-                raise ValueError(f"{key} holds values a {view.dtype} group cannot store exactly")
-            value = stored
         view[...] = value
 
     def __reduce__(self):
@@ -219,10 +205,8 @@ class DenoiserModel:
     ``eval_form`` holds the EMA weights and batch-norm statistics in the
     form the eval forward reads (``build_eval_form``). It can be neither
     trained nor saved. Otherwise ``eval_form`` is None and each weight
-    group is stored as a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
-    ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``. A group
-    given as a plain dict or in the other dtype is copied into one, and a
-    value off the float32 grid raises ValueError naming its key.
+    group is a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
+    ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``.
     """
 
     joints: int
@@ -237,13 +221,6 @@ class DenoiserModel:
     adam_v: ParamGroup | None = field(repr=False)
     adam_steps: int = 0
     eval_form: EvalForm | None = field(default=None, repr=False)
-
-    def __setattr__(self, name, value):
-        dtype = GROUP_DTYPES.get(name)
-        if dtype is not None and value is not None and not (
-                isinstance(value, ParamGroup) and value.flat.dtype == dtype):
-            value = ParamGroup.of(value, dtype)
-        super().__setattr__(name, value)
 
     @property
     def dim(self) -> int:
@@ -480,7 +457,7 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     return loss, grads
 
 
-def adam_step(model: DenoiserModel, grads: dict, lr: float):
+def adam_step(model: DenoiserModel, grads: ParamGroup, lr: float):
     """In-place Adam update with bias correction; moments live on the model.
 
     The step is ``model.adam_steps + 1``, so a resumed model continues
@@ -492,8 +469,6 @@ def adam_step(model: DenoiserModel, grads: dict, lr: float):
     step = model.adam_steps + 1
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
-    if not isinstance(grads, ParamGroup):
-        grads = ParamGroup.of(grads)
     mt, vt, wide = np.empty((3, UPDATE_CHUNK))
     single = np.empty(UPDATE_CHUNK, np.float32)
     for g, m, v, p in _chunks(grads.flat, model.adam_m.flat, model.adam_v.flat,

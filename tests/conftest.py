@@ -78,3 +78,18 @@ def tiny_model():
     model.norm_mean = np.zeros(9)
     model.norm_std = np.full(9, 50.0)
     return model
+
+
+@pytest.fixture
+def unchecked_model():
+    """Build a DenoiserModel of any joint count and hidden width, with zero
+    weights, bypassing ``initialize``'s checks (for checkpoints a reader must refuse)."""
+    def build(joints, hidden, t_steps=20):
+        shapes = denoiser.param_shapes(joints, hidden)
+        groups = {name: denoiser.ParamGroup(shapes, dtype=dtype)
+                  for name, dtype in denoiser.GROUP_DTYPES.items()}
+        return denoiser.DenoiserModel(
+            joints=joints, hidden_dim=hidden, sched=cosine_schedule(t_steps, 0.008),
+            bn_stats={key: np.ones(hidden) for key in denoiser.STAT_KEYS},
+            norm_mean=np.zeros(3 * joints), norm_std=np.ones(3 * joints), **groups)
+    return build

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import poseprior
 import poseprior.cli  # noqa: F401  (imports every module the tracer patches)
@@ -16,18 +17,19 @@ from poseprior import dataio, denoiser, sampler
 from poseprior.numeric import RngStream
 from poseprior.schedule import cosine_schedule
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` by path (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_restores_modules():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = tracing.module_state(poseprior)
     tracer = tracing.Tracer()
     try:
@@ -64,7 +66,7 @@ def calls_within(spans, outer):
 
 
 def test_traced_run_counts_layers_and_changes_no_output():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = tracing.module_state(poseprior)
     model, hyp = run_pipeline()
     tracer = tracing.Tracer()
@@ -94,3 +96,21 @@ def test_traced_run_counts_layers_and_changes_no_output():
     assert np.array_equal(traced_hyp.roots, hyp.roots)
     assert np.array_equal(traced_hyp.joints, hyp.joints)
     assert traced_hyp.diagnostics == hyp.diagnostics
+
+
+@pytest.mark.parametrize("workload", ["estimate-toy", "estimate-paper", "train-paper"])
+def test_workload_runs_untraced_at_tiny_size(tmp_path, workload):
+    # what the benchmark calls on the package: setup, the measured call,
+    # the final output checks and the checkpoint round trip
+    workloads = load_perfbench("workloads")
+    inputs, work = tmp_path / "inputs", tmp_path / "work"
+    workloads.setup(poseprior, workload, "tiny", 11, str(inputs))
+    work.mkdir()
+    wl = workloads.make(poseprior, workload, "tiny", 11, str(inputs), str(work))
+    problems = []
+    for _ in range(wl.min_calls):
+        problems += wl.call()[1]
+    problems += wl.final_checks()
+    assert problems == []
+    _, exact = workloads.roundtrip(poseprior, wl.roundtrip_model(), str(work / "roundtrip.ckpt"))
+    assert exact

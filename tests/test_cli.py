@@ -491,7 +491,10 @@ class TestEstimateCommand:
         (lambda kp: kp.pop("mean"), "line 3: keypoint 5 is valid but has no mean"),
         (lambda kp: kp.update(mean=[float("nan"), 1.0]), "line 3: non-finite mean or covariance"),
         (lambda kp: kp.update(cov=[float("nan"), 0.0, 4.0]), "line 3: non-finite mean or covariance"),
-    ], ids=["no-mean", "nan-mean", "nan-cov"])
+        # a string flag used to load as a valid joint
+        (lambda kp: kp.update(valid="false"),
+         'line 3: keypoint 5: "valid" must be true or false, got \'false\''),
+    ], ids=["no-mean", "nan-mean", "nan-cov", "string-valid"])
     def test_bad_valid_keypoint_exits_2(self, tiny_setup, tmp_path, edit, message):
         lines = tiny_setup["obs"].read_text().splitlines()
         doc = json.loads(lines[2])
@@ -663,6 +666,25 @@ class TestSampleCommand:
         assert cli.main(["sample", "--model", str(ckpt), "--out", str(out), "-n", "4"]) == 3
         assert "error: diverged: non-finite final pose in hypothesis" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["hidden-2", "T-0", "nan-offset"])
+    def test_refused_checkpoint_header_exits_2(self, tiny_setup, tmp_path, unchecked_model,
+                                               case):
+        # a hidden width of 2 used to load and then sample NaN (exit 3)
+        ckpt = tmp_path / "bad.ckpt"
+        if case == "hidden-2":
+            dataio.save_checkpoint(unchecked_model(17, 2), ckpt)
+        else:
+            blob = bytearray(tiny_setup["ckpt"].read_bytes())
+            if case == "T-0":
+                struct.pack_into("<I", blob, 16, 0)
+            else:
+                struct.pack_into("<d", blob, 20, math.nan)
+            ckpt.write_bytes(bytes(blob))
+        proc = run_cli(["sample", "--model", str(ckpt), "--out", str(tmp_path / "x.jsonl"),
+                        "-n", "2", "--seed", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert f"checkpoint {ckpt} header: " in proc.stderr
 
     def test_output_under_a_file_exits_2(self, tiny_setup):
         out = tiny_setup["ckpt"] / "x.jsonl"

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -206,6 +209,18 @@ class TestObservationFile:
         with pytest.raises(SchemaError, match=f"^line 4: frame_id {named} repeats line 2$"):
             dataio.load_observations(path)
 
+    @pytest.mark.parametrize("flag", ['"false"', '"true"', "0", "1", "null", "[]"])
+    def test_valid_flag_must_be_a_json_boolean(self, tmp_path, flag):
+        path = tmp_path / "obs.jsonl"
+        header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'
+        rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true},{"mean":[1,1],"valid":%s}],'
+               '"root":{"mean":[0,0,0]}}')
+        path.write_text(header + "\n" + rec % flag + "\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f'line 2: keypoint 1: "valid" must be true or false, got {json.loads(flag)!r}')):
+            dataio.load_observations(path)
+
     def test_invalid_keypoint_may_omit_mean(self, tmp_path):
         path = tmp_path / "obs.jsonl"
         header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'
@@ -253,7 +268,6 @@ class TestHeatmapFile:
 
     def test_negative_values_rejected(self, tmp_path):
         path = tmp_path / "h.hmp"
-        import struct
         blob = dataio.HEATMAP_MAGIC + struct.pack("<HH", 1, 1)
         blob += struct.pack("<fff", 0.0, 0.0, 1.0)
         blob += np.array([-1.0], dtype="<f4").tobytes()
@@ -332,6 +346,34 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             dataio.load_checkpoint(path)
 
+
+    @pytest.mark.parametrize("joints,hidden", [(3, 2), (3, 7), (0, 8)],
+                             ids=["hidden-2", "hidden-odd", "no-joints"])
+    def test_header_shape_initialize_refuses_is_refused(self, tmp_path, unchecked_model,
+                                                        joints, hidden):
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(unchecked_model(joints, hidden), path)
+        message = re.escape(f"checkpoint {path} header: ")
+        for train_state in (True, False):
+            with pytest.raises(FormatError, match=message):
+                dataio.load_checkpoint(path, train_state=train_state)
+        # the header is checked before the file size, so before any tensor
+        path.write_bytes(path.read_bytes()[:dataio._CKPT_HEADER.size])
+        with pytest.raises(FormatError, match=message):
+            dataio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("at,fmt,value,detail", [
+        (16, "<I", 0, "T must be >= 1, got 0"),
+        (20, "<d", float("nan"), "offset must be in (0, 1), got nan"),
+    ], ids=["T-0", "nan-offset"])
+    def test_bad_schedule_in_header_names_the_file(self, tmp_path, at, fmt, value, detail):
+        path = tmp_path / "m.ckpt"
+        dataio.save_checkpoint(self.make_model(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, at, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} header: {detail}")):
+            dataio.load_checkpoint(path)
 
     def test_size_checked_before_reading(self, tmp_path):
         model = self.make_model()
@@ -487,69 +529,66 @@ def _loop_euler_rotation(angles):
     return rz @ ry @ rx
 
 
-def _loop_forward_kinematics(cfg, angles):
-    j = cfg.num_joints
+def _loop_forward_kinematics(angles):
+    j = len(dataio._PARENTS)
     pos = np.zeros((j, 3))
     rot = [None] * j
     rot[0] = _loop_euler_rotation(angles[0])
     for i in range(1, j):
-        p = cfg.parents[i]
+        p = dataio._PARENTS[i]
         rot[i] = rot[p] @ _loop_euler_rotation(angles[i])
-        offset = cfg.bone_lengths[i] * np.asarray(cfg.rest_dirs[i], dtype=np.float64)
+        offset = dataio._BONE_LENGTHS[i] * np.asarray(dataio._REST_DIRS[i], dtype=np.float64)
         pos[i] = pos[p] + rot[i] @ offset
     return pos
 
 
-def _loop_sample_poses(cfg, n, rng):
+def _loop_sample_poses(n, rng):
     """The per-pose reference: one ``uniform`` call and one kinematic walk per pose."""
-    limits = np.asarray(cfg.angle_limits, dtype=np.float64)
-    poses = np.zeros((n, cfg.num_joints, 3))
+    limits = np.asarray(dataio._ANGLE_LIMITS, dtype=np.float64)
+    poses = np.zeros((n, len(dataio._PARENTS), 3))
     for k in range(n):
         angles = rng.uniform(-1.0, 1.0, limits.shape) * limits
-        poses[k] = _loop_forward_kinematics(cfg, angles)
+        poses[k] = _loop_forward_kinematics(angles)
     return poses
 
 
-# parents that are not i - 1, off-axis rest directions and unequal limits
-_BRANCHED = dict(parents=(-1, 0, 0, 2), bone_lengths=(0.0, 100.0, 80.0, 60.0),
-                 rest_dirs=((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, -1.0, 0.0),
-                            (0.0, 0.28, 0.96)),
-                 angle_limits=((0.3, 0.9, 0.3), (1.2, 0.2, 0.7), (0.4, 1.5, 0.1),
-                               (2.0, 0.3, 0.5)),
-                 joint_names=("root", "a", "b", "c"))
-
-
 class TestSynthetic:
-    @pytest.mark.parametrize("n", [0, 1, 2, 37])
-    @pytest.mark.parametrize("skeleton", [{}, _BRANCHED], ids=["default", "branched"])
-    def test_batched_poses_equal_per_pose_loop_bitwise(self, skeleton, n):
-        cfg = dataio.SyntheticSkeletonConfig(**skeleton)
+    # "default" in the ids names the module's fixed skeleton
+    @pytest.mark.parametrize("n", [0, 1, 2, 37], ids=lambda n: f"default-{n}")
+    def test_batched_poses_equal_per_pose_loop_bitwise(self, n):
         for seed in range(10):
             rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
-            poses = dataio._sample_poses(cfg, n, rng)
-            assert poses.shape == (n, cfg.num_joints, 3)
-            assert np.array_equal(poses, _loop_sample_poses(cfg, n, ref_rng))
+            poses = dataio._sample_poses(n, rng)
+            assert poses.shape == (n, dataio.SyntheticSkeletonConfig.num_joints, 3)
+            assert np.array_equal(poses, _loop_sample_poses(n, ref_rng))
             # the stream is left where the loop leaves it
             assert rng.uniform() == ref_rng.uniform()
 
+    def test_skeleton_is_a_tree_rooted_at_joint_0(self):
+        # the constants the synthetic world is built from, checked once here
+        j = dataio.SyntheticSkeletonConfig.num_joints
+        assert dataio.SyntheticSkeletonConfig.joint_names == dataio.DEFAULT_JOINT_NAMES
+        assert len(dataio._PARENTS) == len(dataio._BONE_LENGTHS) == j
+        assert np.shape(dataio._REST_DIRS) == np.shape(dataio._ANGLE_LIMITS) == (j, 3)
+        assert dataio._PARENTS[0] == -1
+        assert all(0 <= p < i for i, p in enumerate(dataio._PARENTS) if i > 0)
+        assert all(np.isfinite(dataio._BONE_LENGTHS[1:])) and min(dataio._BONE_LENGTHS[1:]) > 0
+        assert np.all(np.isfinite(dataio._REST_DIRS)) and np.all(np.isfinite(dataio._ANGLE_LIMITS))
+
     @pytest.mark.parametrize("change, message", [
-        (dict(bone_lengths=(0.0, 100.0, float("nan"), 60.0)),
-         "bone_lengths of joint 2 must be finite and > 0, got nan"),
-        (dict(rest_dirs=((0.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, -1.0), (0.0, 0.28, 0.96))),
-         r"rest_dirs of joint 2 must be a finite 3-vector, got \(0.0, -1.0\)"),
-        (dict(angle_limits=((0.3, 0.9, 0.3), (1.2, 0.2, 0.7), (0.4, 1.5, 0.1),
-                            (2.0, float("inf"), 0.5))),
-         r"angle_limits of joint 3 must be a finite 3-vector, got \(2.0, inf, 0.5\)"),
         (dict(obs_sigma_px=float("nan")), "obs_sigma_px must be finite and > 0, got nan"),
-    ], ids=["nan-bone-length", "2d-rest-dir", "inf-angle-limit", "nan-obs-sigma"])
+    ], ids=["nan-obs-sigma"])
     def test_bad_skeleton_rejected_up_front(self, change, message):
         with pytest.raises(ValueError, match=message):
-            dataio.SyntheticSkeletonConfig(**{**_BRANCHED, **change})
+            dataio.SyntheticSkeletonConfig(**change)
 
-    def test_zero_angle_limits_rest_pose(self):
-        cfg = dataio.SyntheticSkeletonConfig(
-            angle_limits=tuple((0.0, 0.0, 0.0) for _ in range(17)),
-            n_train=5, n_eval=1, seed=1)
+    def test_fields_are_sizes_seed_and_noise(self):
+        assert [f.name for f in dataclasses.fields(dataio.SyntheticSkeletonConfig)] == [
+            "n_train", "n_eval", "seed", "obs_sigma_px"]
+
+    def test_zero_angle_limits_rest_pose(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_ANGLE_LIMITS", tuple((0.0, 0.0, 0.0) for _ in range(17)))
+        cfg = dataio.SyntheticSkeletonConfig(n_train=5, n_eval=1, seed=1)
         train, _, _ = dataio.generate_synthetic(cfg)
         for i in range(1, 5):
             assert np.array_equal(train.poses[i], train.poses[0])
@@ -559,9 +598,9 @@ class TestSynthetic:
         train, _, _ = dataio.generate_synthetic(cfg)
         for pose in train.poses:
             for j in range(1, 17):
-                p = cfg.parents[j]
+                p = dataio._PARENTS[j]
                 length = np.linalg.norm(pose[j] - pose[p])
-                assert length == pytest.approx(cfg.bone_lengths[j], rel=1e-9)
+                assert length == pytest.approx(dataio._BONE_LENGTHS[j], rel=1e-9)
 
     def test_root_at_origin(self):
         cfg = dataio.SyntheticSkeletonConfig(n_train=10, n_eval=2, seed=3)
@@ -595,18 +634,6 @@ class TestSynthetic:
         # mean norm of an isotropic 2D Gaussian is sigma * sqrt(pi/2)
         want = 3.0 * np.sqrt(np.pi / 2.0)
         assert np.mean(errs) == pytest.approx(want, rel=0.10)
-
-    def test_invalid_tree_rejected(self):
-        with pytest.raises(ValueError):
-            dataio.SyntheticSkeletonConfig(parents=(0, 0), bone_lengths=(0.0, 100.0),
-                                           rest_dirs=((0, 0, 0), (0, 1, 0)),
-                                           angle_limits=((0, 0, 0), (0, 0, 0)),
-                                           joint_names=("a", "b"))
-        with pytest.raises(ValueError):
-            dataio.SyntheticSkeletonConfig(parents=(-1, 2, 1), bone_lengths=(0, 1, 1),
-                                           rest_dirs=((0, 0, 0),) * 3,
-                                           angle_limits=((0, 0, 0),) * 3,
-                                           joint_names=("a", "b", "c"))
 
     def test_deterministic(self):
         cfg = dataio.SyntheticSkeletonConfig(n_train=10, n_eval=2, seed=42)
