@@ -55,14 +55,9 @@ def _add_seed(p):
 
 
 def _guidance_config(args) -> sampler.GuidanceConfig:
-    """The run's sampler settings, checked before any work; frames set `stream_offset`.
-
-    A flag left at None (`sweep`'s --gamma and --cov-scale when not given)
-    takes `GuidanceConfig`'s default.
-    """
-    flags = dict(gamma=args.gamma, cov_scale=args.cov_scale, cov_rotate=args.cov_rotate,
-                 renoise_variant=args.renoise, num_hypotheses=args.M, seed=args.seed,
-                 grad_space=args.grad_space)
+    """The run's sampler settings; `sweep`'s --gamma, None when not given, takes the default."""
+    flags = dict(gamma=args.gamma, renoise_variant=args.renoise, num_hypotheses=args.M,
+                 seed=args.seed, grad_space=args.grad_space)
     return sampler.GuidanceConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
@@ -70,11 +65,12 @@ def _at_least(low):
     return (lambda value: value >= low), f">= {low}"
 
 
+_POSITIVE = (lambda value: 0.0 < value < math.inf, "finite and > 0")
+
 # Each flag's range as (predicate, rule), checked by `main` on the parsed
 # flags (argparse's dest; absent or None is skipped) before any command
-# runs. Checks that need another flag, a file or the checkpoint stay in the
-# commands; GuidanceConfig, which holds their defaults, checks --gamma,
-# --cov-scale and --cov-rotate.
+# runs, and by `sweep` on each --values item. Checks that need another
+# flag, a file or the checkpoint stay in the commands.
 _FLAG_RULES = {
     "--hidden": (lambda value: value % 2 == 0 and value >= 4, "even and >= 4"),
     "--T": _at_least(1),
@@ -83,24 +79,34 @@ _FLAG_RULES = {
     "--checkpoint-every": _at_least(0),
     "--batch": _at_least(1),
     "--ema": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
-    "--lr": (lambda value: 0.0 < value < math.inf, "finite and > 0"),
+    "--lr": _POSITIVE,
     "-M": _at_least(1),
+    "--gamma": (lambda value: 0.0 <= value < math.inf, "finite and >= 0"),
+    "--cov-scale": _POSITIVE,
+    "--cov-rotate": (math.isfinite, "finite"),
     "-n": _at_least(0),
     "--mask": (lambda value: bool(value.strip()), "joint names or indices, or 'all'"),
     "--floor": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
     "--stride": _at_least(1),
     "--n-train": _at_least(1),
     "--n-eval": _at_least(1),
-    "--obs-sigma": (lambda value: 0.0 < value < math.inf, "finite and > 0"),
+    "--obs-sigma": _POSITIVE,
 }
+
+
+def _check_flag(flag, value, where=""):
+    """Raise if ``value`` breaks ``flag``'s rule in _FLAG_RULES; ``where`` leads the message."""
+    ok, rule = _FLAG_RULES[flag]
+    if not ok(value):
+        raise PosePriorError(f"{where}{flag} must be {rule}, got {value!r}")
 
 
 def _check_flags(args):
     """Raise for the first flag of _FLAG_RULES whose parsed value breaks its rule."""
-    for flag, (ok, rule) in _FLAG_RULES.items():
+    for flag in _FLAG_RULES:
         value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None and not ok(value):
-            raise PosePriorError(f"{flag} must be {rule}, got {value!r}")
+        if value is not None:
+            _check_flag(flag, value)
 
 
 def cmd_train(args) -> int:
@@ -139,21 +145,14 @@ def _load_model_for(model_path, records):
     return model
 
 
-def _sample_jobs(model, jobs):
-    """Each (record, keypoints, config) job of ``jobs`` paired with its `HypothesisSet`, in order.
-
-    Every job's covariance edit is applied before any job is sampled: one
-    that takes a frame's covariances out of float64's range raises,
-    naming the frame. Each job is sampled when the caller's loop reaches it.
-    """
-    for rec, keypoints, cfg in jobs:
-        try:
-            sampler._transformed_observation(keypoints, cfg, model.joints)
-        except ValueError as exc:
-            raise PosePriorError(f"{exc} (frame {rec.frame_id})") from None
-    return (((rec, keypoints, cfg), sampler.sample_guided(model, model.sched, keypoints,
-                                                          rec.camera, rec.root, cfg))
-            for rec, keypoints, cfg in jobs)
+def _job(idx, rec, keypoints, cfg, cov_scale, cov_rotate):
+    """Frame ``idx``'s (record, keypoints, config) job: ``keypoints`` with the covariance edit,
+    and ``cfg`` on the frame's streams. An edit out of float64's range raises, naming the frame."""
+    try:
+        keypoints = keypoints.edited(cov_scale, cov_rotate)
+    except ValueError as exc:
+        raise PosePriorError(f"{exc} (frame {rec.frame_id})") from None
+    return rec, keypoints, replace(cfg, stream_offset=idx << _FRAME_SHIFT)
 
 
 def _check_stream_ranges(frames: int, m: int):
@@ -258,11 +257,12 @@ def cmd_estimate(args) -> int:
     mask_indices = _mask_indices(mask, model.joints) if mask else set()
     keep = np.ones(model.joints, dtype=bool)
     keep[list(mask_indices)] = False
-    jobs = [(rec, rec.keypoints.with_validity(rec.keypoints.valid & keep) if mask_indices
-             else rec.keypoints, replace(gcfg, stream_offset=idx << _FRAME_SHIFT))
+    jobs = [_job(idx, rec, rec.keypoints.with_validity(rec.keypoints.valid & keep)
+                 if mask_indices else rec.keypoints, gcfg, args.cov_scale, args.cov_rotate)
             for idx, rec in enumerate(records)]
     per_frame, metric_rows, diagnostics = [], [], Counter()
-    for (rec, keypoints, _), hyp in _sample_jobs(model, jobs):
+    for rec, keypoints, cfg in jobs:
+        hyp = sampler.sample_guided(model, model.sched, keypoints, rec.camera, rec.root, cfg)
         per_frame.append((rec.frame_id, hyp))
         diagnostics.update(hyp.diagnostics)
         if rec.gt_pose is not None:
@@ -302,8 +302,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _sweep_values(spec: str) -> list:
-    """The comma-separated numbers of `sweep --values`; each must be finite."""
+def _sweep_values(spec: str, flag: str) -> list:
+    """The comma-separated numbers of `sweep --values`, each finite and within ``flag``'s rule."""
     values = []
     for item in spec.split(","):
         try:
@@ -312,40 +312,39 @@ def _sweep_values(spec: str) -> list:
             value = math.nan
         if not math.isfinite(value):
             raise PosePriorError(f"--values: {item!r} is not a finite number")
+        _check_flag(flag, value, "--values: ")
         values.append(value)
     return values
 
 
 def cmd_sweep(args) -> int:
     _echo_config(args)
-    swept = args.sweep.replace("-", "_")  # the GuidanceConfig field and the flag's dest
-    if getattr(args, swept) is not None:
-        raise PosePriorError(f"--{args.sweep} is the swept setting: give its values with --values")
-    values = _sweep_values(args.values)
+    flag = f"--{args.sweep}"
+    if getattr(args, args.sweep.replace("-", "_")) is not None:  # the flag's dest
+        raise PosePriorError(f"{flag} is the swept setting: give its values with --values")
+    values = _sweep_values(args.values, flag)
     if args.sweep == "cov-scale" and args.M < 2:
         raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
     gcfg = _guidance_config(args)
-    for value in values:
-        try:
-            replace(gcfg, **{swept: value})
-        except ValueError as exc:
-            raise PosePriorError(f"--values: {exc}") from None
     records = dataio.load_observations(args.obs)
     _check_stream_ranges(len(records), args.M)
     model = _load_model_for(args.model, records)
     frames = range(len(records))
-    if args.sweep == "cov-scale":  # the values within each frame
-        grid = [(idx, value) for idx in frames for value in values]
+    scale = 1.0 if args.cov_scale is None else args.cov_scale  # a gamma sweep's --cov-scale
+    if args.sweep == "cov-scale":  # (frame, value, config, scale): the values within each frame
+        grid = [(idx, value, gcfg, value) for idx in frames for value in values]
         fields = ["frame_id", "value", "per_joint_std_mm"]
     else:  # the frames within each value
-        grid = [(idx, value) for value in values for idx in frames]
+        grid = [(idx, value, replace(gcfg, gamma=value), scale)
+                for value in values for idx in frames]
         fields = ["frame_id", "value", "reprojection_px", "best_of_m_mpjpe"]
-    jobs = [(records[idx], records[idx].keypoints,
-             replace(gcfg, stream_offset=idx << _FRAME_SHIFT, **{swept: value}))
-            for idx, value in grid]
-    rows = []
-    for (rec, keypoints, cfg), hyp in _sample_jobs(model, jobs):
-        row = {"frame_id": rec.frame_id, "value": getattr(cfg, swept)}
+    jobs = [_job(idx, records[idx], records[idx].keypoints, cfg, cov_scale, args.cov_rotate)
+            for idx, _, cfg, cov_scale in grid]
+    rows, diagnostics = [], Counter()
+    for (_, value, _, _), (rec, keypoints, cfg) in zip(grid, jobs):
+        hyp = sampler.sample_guided(model, model.sched, keypoints, rec.camera, rec.root, cfg)
+        diagnostics.update(hyp.diagnostics)
+        row = {"frame_id": rec.frame_id, "value": value}
         if args.sweep == "cov-scale":
             row["per_joint_std_mm"] = metrics.per_joint_std(hyp.joints)
         else:
@@ -357,6 +356,7 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
         writer.writerows(rows)
+    print(f"diagnostics: {json.dumps(diagnostics)}", file=sys.stderr)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -473,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hypotheses per frame [PAPER-default %(default)s]")
         p.add_argument("--gamma", type=float, default=guidance.gamma,
                        help=f"guidance scale [PAPER-default {guidance.gamma}]")
-        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=guidance.cov_scale)
-        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=guidance.cov_rotate)
+        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=1.0)
+        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=0.0)
         p.add_argument("--renoise", choices=[sampler.RENOISE_EQ2, sampler.RENOISE_ALG1],
                        default=guidance.renoise_variant)
         p.add_argument("--grad-space", dest="grad_space",
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=["cov-scale", "gamma"], required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     # None tells a flag given on the command line from one left unset; the
-    # swept one must be unset, the other takes GuidanceConfig's default
+    # swept one must be unset, the other takes its default (cmd_sweep)
     p.set_defaults(func=cmd_sweep, gamma=None, cov_scale=None)
 
     p = sub.add_parser("fit-heatmap", help="fit Gaussians to heatmap files")

@@ -142,6 +142,9 @@ def _read_jsonl(path, expected_format):
         raise SchemaError(f"not a {expected_format} file: {path}")
     if header.get("version") != FILE_VERSION:
         raise VersionError(f"unsupported file version {header.get('version')}")
+    j = header.get("J")
+    if type(j) is not int or j < 1:  # JSON true and false are not integers here
+        raise SchemaError(f"line 1: header J must be an integer >= 1, got {json.dumps(j)}")
     records = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -156,7 +159,7 @@ def _read_jsonl(path, expected_format):
 def load_poses(path) -> PoseDataset:
     header, records = _read_jsonl(path, POSE_FORMAT)
     joint_names = tuple(header.get("joint_names") or ())
-    j = header.get("J")
+    j = header["J"]
     if not joint_names or len(joint_names) != j:
         raise SchemaError(f"header J={j} inconsistent with joint_names")
     if header.get("root_index", 0) != 0:
@@ -229,9 +232,7 @@ def load_observations(path) -> list:
     an absent flag means false.
     """
     header, raw_records = _read_jsonl(path, OBS_FORMAT)
-    j = header.get("J")
-    if not isinstance(j, int) or j < 1:
-        raise SchemaError("header missing a valid joint count J")
+    j = header["J"]
     records, frame_lines = [], {}
     fallback_cov = [FALLBACK_SIGMA_PX**2, 0.0, FALLBACK_SIGMA_PX**2]
     for lineno, doc in raw_records:

@@ -7,6 +7,7 @@ its gradient, which is what makes pose completion work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,36 @@ class KeypointObservation:
     def num_joints(self) -> int:
         return self.means.shape[0]
 
-    def with_covariances(self, covs: np.ndarray) -> "KeypointObservation":
+    def edited(self, cov_scale: float = 1.0, cov_rotate: float = 0.0) -> "KeypointObservation":
+        """This observation with every covariance rotated by ``cov_rotate`` rad, then scaled.
+
+        A covariance S becomes ``cov_scale * R S R^T``, R the rotation by
+        ``cov_rotate`` (off-diagonal symmetrized); the identity edit returns
+        this observation itself. A non-finite setting, ``cov_scale <= 0``, or
+        a scale that leaves a valid joint's covariance or its determinant
+        non-finite, or not positive, in float64 raises ``ValueError``.
+        """
+        for name, value in (("cov_scale", cov_scale), ("cov_rotate", cov_rotate)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if cov_scale <= 0.0:
+            raise ValueError(f"cov_scale must be > 0, got {cov_scale}")
+        if cov_scale == 1.0 and cov_rotate == 0.0:
+            return self
+        covs = self.covs
+        if cov_rotate != 0.0:
+            ct, st = np.cos(cov_rotate), np.sin(cov_rotate)
+            rot = np.array([[ct, -st], [st, ct]])
+            m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
+            covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            covs = cov_scale * covs
+            det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+        bad = self.valid & ~(np.isfinite(det) & (det > 0.0))
+        if np.any(bad):
+            raise ValueError(f"cov_scale = {cov_scale!r} takes the covariances of joints "
+                             f"{np.nonzero(bad)[0].tolist()} out of float64's finite, "
+                             f"positive definite range")
         return KeypointObservation(self.means.copy(), covs, self.valid.copy())
 
     def with_validity(self, valid: np.ndarray) -> "KeypointObservation":

@@ -20,7 +20,7 @@ hypothesis's root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,8 +82,6 @@ NOISE_CHUNK = 16
 @dataclass(frozen=True)
 class GuidanceConfig:
     gamma: float = 2e-4
-    cov_scale: float = 1.0
-    cov_rotate: float = 0.0
     renoise_variant: str = RENOISE_EQ2
     num_hypotheses: int = 50
     seed: int = 0
@@ -91,13 +89,8 @@ class GuidanceConfig:
     stream_offset: int = 0
 
     def __post_init__(self):
-        for name in ("gamma", "cov_scale", "cov_rotate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.cov_scale <= 0.0:
-            raise ValueError(f"cov_scale must be > 0, got {self.cov_scale}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.num_hypotheses < 1:
             raise ValueError(f"need at least one hypothesis, got {self.num_hypotheses}")
         if self.renoise_variant not in (RENOISE_EQ2, RENOISE_ALG1):
@@ -128,35 +121,6 @@ class HypothesisSet:
     def poses(self) -> list:
         """A new `Pose` per hypothesis, for the per-pose API the acceptance gate uses."""
         return [Pose(p) for p in self.joints]
-
-
-def _transformed_observation(obs, cfg: GuidanceConfig, joints: int):
-    """Apply the (scale, rotation) covariance edits once, up front.
-
-    Every joint's covariance is rotated by ``R(theta) S R(theta)^T`` when
-    theta is nonzero (off-diagonal symmetrized), then scaled. A scale that
-    leaves a valid joint's covariance or its determinant non-finite, or
-    not positive, in float64 raises ``ValueError`` naming cov_scale.
-    """
-    if obs.num_joints != joints:
-        raise ValueError(f"observation has {obs.num_joints} joints, model expects {joints}")
-    if cfg.cov_scale == 1.0 and cfg.cov_rotate == 0.0:
-        return obs
-    covs = obs.covs
-    if cfg.cov_rotate != 0.0:
-        ct, st = np.cos(cfg.cov_rotate), np.sin(cfg.cov_rotate)
-        rot = np.array([[ct, -st], [st, ct]])
-        m = rot @ np.stack([covs[:, :2], covs[:, 1:]], axis=1) @ rot.T  # rows [a, b], [b, c]
-        covs = np.stack([m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]], axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        covs = cfg.cov_scale * covs
-        det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
-    bad = obs.valid & ~(np.isfinite(det) & (det > 0.0))
-    if np.any(bad):
-        raise ValueError(f"cov_scale = {cfg.cov_scale!r} takes the covariances of joints "
-                         f"{np.nonzero(bad)[0].tolist()} out of float64's finite, "
-                         f"positive definite range")
-    return obs.with_covariances(covs)
 
 
 class _TrajectoryNoise:
@@ -227,10 +191,12 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     walk the reverse process; at every step the clean estimate is
     nudged by gamma times the observation log-likelihood gradient (zero
     for invalid or behind-camera joints) before renoising. ``obs`` is a
-    `KeypointObservation` seen through ``cam``, or None; ``gamma = 0`` or
-    no observation reduces exactly to unconditional sampling. ``sched``
-    must be the model's own schedule (``None`` means ``model.sched``):
-    one of another T or offset raises ``ValueError``.
+    `KeypointObservation` of the model's J joints, used as given (its
+    covariance edit is `KeypointObservation.edited`), seen through
+    ``cam``, or None; ``gamma = 0`` or no observation reduces exactly to
+    unconditional sampling. ``sched`` must be the model's own schedule
+    (``None`` means ``model.sched``): one of another T or offset raises
+    ``ValueError``.
 
     All M hypotheses advance together as one (M, 3J) state, and every
     row's arithmetic is independent of the other rows. If a state or a
@@ -249,7 +215,9 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         raise ValueError(f"schedule (T = {sched.T}, offset = {sched.offset}) is not the model's "
                          f"(T = {model.sched.T}, offset = {model.sched.offset})")
     if obs is not None:
-        obs = _transformed_observation(obs, cfg, model.joints)
+        if obs.num_joints != model.joints:
+            raise ValueError(f"observation has {obs.num_joints} joints, "
+                             f"model expects {model.joints}")
         if cam is None:
             raise ValueError("observations given without a camera")
     eval_fn = make_eval_forward(model)
@@ -352,9 +320,9 @@ def complete_pose(model: DenoiserModel, sched: DiffusionSchedule | None,
 def diversity_sweep(model: DenoiserModel, sched: DiffusionSchedule | None,
                     obs, cam: Camera, root_est: RootEstimate | None,
                     cfg: GuidanceConfig, s_values) -> list:
-    """Per-joint spread of the hypothesis set for each covariance scale."""
+    """Per-joint spread of the hypothesis set for ``obs`` edited to each covariance scale."""
     rows = []
     for s in s_values:
-        hyp = sample_guided(model, sched, obs, cam, root_est, replace(cfg, cov_scale=float(s)))
+        hyp = sample_guided(model, sched, obs.edited(float(s)), cam, root_est, cfg)
         rows.append((float(s), per_joint_std(hyp.joints)))
     return rows

@@ -76,6 +76,13 @@ def five_joint_setup(tiny_setup):
     return {"ckpt": ckpt, "obs": obs}
 
 
+def header_only(src, dst, j):
+    """Write the header of the pose file `src`, its J set to the JSON value `j`, and no records."""
+    header = json.loads(src.read_text().splitlines()[0])
+    header["J"] = j
+    dst.write_text(json.dumps(header) + "\n")
+
+
 def rooted_at_joint_1(src, dst):
     """Write the poses of `src` re-rooted at joint 1, with header root_index 1."""
     ds = dataio.load_poses(src)
@@ -132,10 +139,14 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("fit-heatmap", ["--floor", "inf"], "--floor must be in [0, 1), got inf"),
     ("fit-heatmap", ["--floor", "1.5"], "--floor must be in [0, 1), got 1.5"),
     ("fit-heatmap", ["--floor", "-1"], "--floor must be in [0, 1), got -1.0"),
+    ("estimate", ["--gamma", "nan"], "--gamma must be finite and >= 0, got nan"),
+    ("complete", ["--cov-rotate", "inf"], "--cov-rotate must be finite, got inf"),
+    ("sweep", ["--cov-scale", "0"], "--cov-scale must be finite and > 0, got 0.0"),
 ], ids=["hidden-odd", "hidden-small", "T-zero", "offset-zero", "offset-one", "offset-nan",
         "steps", "checkpoint-every", "batch", "ema", "lr", "estimate-M", "complete-M",
         "mask-blank", "sweep-M", "sample-n", "stride", "n-train", "n-eval", "obs-sigma",
-        "floor-nan", "floor-inf", "floor-above-1", "floor-negative"])
+        "floor-nan", "floor-inf", "floor-above-1", "floor-negative", "gamma-nan",
+        "cov-rotate-inf", "cov-scale-zero"])
 def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
                                                        capsys, command, flags, named):
     def refuse(*args, **kwargs):
@@ -310,7 +321,7 @@ def test_cov_scale_out_of_range_for_any_frame_exits_2_before_sampling(
     sampled = []
 
     def spy(*args, **kwargs):
-        sampled.append(args[-1].cov_scale)
+        sampled.append(args)
 
     monkeypatch.setattr(sampler, "sample_guided", spy)
     out = tmp_path / "out"
@@ -423,6 +434,18 @@ class TestTrainCommand:
                         "--steps", "0", "--hidden", "8", "--T", "10"])
         assert proc.returncode == 2
         assert "root_index must be 0" in proc.stderr
+
+    @pytest.mark.parametrize("j", [17.0, True], ids=["float", "bool"])
+    def test_joint_count_not_an_integer_exits_2(self, tiny_setup, tmp_path, j):
+        # J 17.0 with the file's 17 names reached np.zeros((0, J, 3)): a TypeError, exit 1
+        poses = tmp_path / "poses.jsonl"
+        header_only(tiny_setup["train"], poses, j)
+        proc = run_cli(["train", "--poses", str(poses), "--out", str(tmp_path / "m.ckpt"),
+                        "--steps", "0", "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert f"error: line 1: header J must be an integer >= 1, got {json.dumps(j)}\n" \
+            in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEstimateCommand:
@@ -557,7 +580,8 @@ class TestEstimateCommand:
                         "--obs", str(tiny_setup["obs"]), "--out", str(out),
                         "-M", "1", "--seed", "1", f"{flag}={value}"])
         assert proc.returncode == 2
-        assert f"{flag[2:].replace('-', '_')} must be finite" in proc.stderr
+        rule = cli._FLAG_RULES[flag][1]
+        assert f"error: {flag} must be {rule}, got {float(value)!r}\n" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e308", "1e300", "1e-300"])
@@ -815,16 +839,17 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep,values,named", [
-        ("gamma", "1e-4,-1", "--values: gamma must be >= 0, got -1.0"),
-        ("cov-scale", "1,0", "--values: cov_scale must be > 0, got 0.0"),
+        ("gamma", "1e-4,-1", "--values: --gamma must be finite and >= 0, got -1.0"),
+        ("cov-scale", "1,0", "--values: --cov-scale must be finite and > 0, got 0.0"),
     ], ids=["gamma", "cov-scale"])
     def test_out_of_range_value_exits_2_before_sampling(self, tiny_setup, tmp_path, monkeypatch,
                                                         capsys, sweep, values, named):
         def refuse(*args, **kwargs):
             raise AssertionError("work began before every --values item was checked")
 
-        monkeypatch.setattr(sampler, "sample_guided", refuse)
-        monkeypatch.setattr(dataio, "load_checkpoint", refuse)
+        for module, name in ((sampler, "sample_guided"), (dataio, "load_checkpoint"),
+                             (dataio, "load_observations")):
+            monkeypatch.setattr(module, name, refuse)
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--model", str(tiny_setup["ckpt"]),
                          "--obs", str(tiny_setup["obs"]), "--out", str(out),
@@ -875,6 +900,32 @@ class TestSweepCommand:
                         "--report", str(tmp_path / "rep.csv")])
         assert proc.returncode == 2
         assert "unrecognized arguments: --report" in proc.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--sweep", "gamma", "--values", "0,1e10"],
+        ["--sweep", "cov-scale", "--values", "1,3", "--gamma", "1e10"],
+    ], ids=["gamma", "cov-scale"])
+    def test_prints_diagnostics_summed_over_jobs(self, tiny_setup, tmp_path, monkeypatch,
+                                                 capsys, flags):
+        original = sampler.sample_guided
+        per_job = []
+
+        def spy(*args, **kwargs):
+            hyp = original(*args, **kwargs)
+            per_job.append(hyp.diagnostics)
+            return hyp
+
+        monkeypatch.setattr(sampler, "sample_guided", spy)
+        assert cli.main(["sweep", "--model", str(tiny_setup["ckpt"]), "--obs",
+                         str(tiny_setup["obs"]), "--out", str(tmp_path / "s.csv"), "-M", "3",
+                         "--seed", "1", *flags]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("diagnostics: ")]
+        assert len(lines) == 1
+        counts = json.loads(lines[0][len("diagnostics: "):])
+        assert len(per_job) == 4  # 2 frames x 2 values
+        assert counts == {key: sum(job[key] for job in per_job) for key in per_job[0]}
+        assert counts["trust_region_cap"] + counts["trust_region_residual"] > 0
 
     def test_cov_scale_sweep_needs_two_hypotheses(self, tiny_setup, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -1055,6 +1106,20 @@ class TestEvaluateCommand:
         assert proc.returncode == 2
         assert f"line 3: {named}" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["hyp", "gt"])
+    @pytest.mark.parametrize("j", [17.0, True], ids=["float", "bool"])
+    def test_joint_count_not_an_integer_exits_2(self, tiny_setup, tmp_path, which, j):
+        bad = tmp_path / "bad.jsonl"
+        header_only(tiny_setup["gt"], bad, j)
+        files = {"hyp": tiny_setup["gt"], "gt": tiny_setup["gt"], which: bad}
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(files["hyp"]), "--gt", str(files["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"error: line 1: header J must be an integer >= 1, got {json.dumps(j)}\n" \
+            in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("index", [[1], "x", -1, 1.5, True, None],

@@ -116,6 +116,16 @@ class TestPoseFile:
         with pytest.raises(SchemaError):
             dataio.load_poses(path)
 
+    @pytest.mark.parametrize("j", ["1.0", "true", "0", "-1", '"1"', "null"])
+    def test_joint_count_must_be_an_integer(self, tmp_path, j):
+        # 1.0 and true once matched the one joint name and reached np.zeros((0, J, 3))
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"format":"poseprior/poses","version":1,"J":%s,"joint_names":["a"]}\n'
+                        % j)
+        with pytest.raises(SchemaError, match=f"^line 1: header J must be an integer >= 1, "
+                                              f"got {re.escape(j)}$"):
+            dataio.load_poses(path)
+
 
 def one_record(sigma=2.0, with_cov=True, with_root_cov=True, gt=True):
     cam = Camera(1100.0, 1100.0, 500.0, 500.0)
@@ -219,6 +229,18 @@ class TestObservationFile:
         path.write_text(header + "\n" + rec % flag + "\n")
         with pytest.raises(SchemaError, match=re.escape(
                 f'line 2: keypoint 1: "valid" must be true or false, got {json.loads(flag)!r}')):
+            dataio.load_observations(path)
+
+    @pytest.mark.parametrize("j", ["1.0", "true", "0", '"1"', "null"])
+    def test_joint_count_must_be_an_integer(self, tmp_path, j):
+        # true was reported at line 2 as a malformed record
+        path = tmp_path / "obs.jsonl"
+        header = '{"format":"poseprior/observations","version":1,"J":%s,"joint_names":["a"]}'
+        rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true}],"root":{"mean":[0,0,0]}}')
+        path.write_text(header % j + "\n" + rec + "\n")
+        with pytest.raises(SchemaError, match=f"^line 1: header J must be an integer >= 1, "
+                                              f"got {re.escape(j)}$"):
             dataio.load_observations(path)
 
     def test_invalid_keypoint_may_omit_mean(self, tmp_path):

@@ -141,8 +141,9 @@ class TestGuided:
         # reruns are identical, and hypothesis m of a batch equals the lone
         # hypothesis drawn on stream m: a row never depends on its batch
         rec = toy_world.records[0]
-        tight = rec.keypoints.with_covariances(
-            np.tile([0.5, 0.1, 0.7], (toy_world.skel.num_joints, 1)))
+        tight = KeypointObservation(rec.keypoints.means,
+                                    np.tile([0.5, 0.1, 0.7], (toy_world.skel.num_joints, 1)),
+                                    rec.keypoints.valid)
         cases = {
             "x0hat": (rec.keypoints, {}),
             "xt": (rec.keypoints, {"grad_space": sampler.GRAD_XT}),
@@ -200,8 +201,9 @@ class TestGuided:
     def test_guidance_pulls_reprojection_down(self, toy_world):
         from poseprior.cli import _mean_reprojection
         rec = toy_world.records[0]
-        tight = rec.keypoints.with_covariances(
-            np.tile([0.25, 0.0, 0.25], (toy_world.skel.num_joints, 1)))
+        tight = KeypointObservation(rec.keypoints.means,
+                                    np.tile([0.25, 0.0, 0.25], (toy_world.skel.num_joints, 1)),
+                                    rec.keypoints.valid)
         cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=20, seed=904)
         guided = sampler.sample_guided(toy_world.model, None, tight, rec.camera,
                                        rec.root, cfg)
@@ -306,8 +308,8 @@ class TestGuided:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sampler.GuidanceConfig(gamma=-1.0)
-        with pytest.raises(ValueError):
-            sampler.GuidanceConfig(cov_scale=0.0)
+        with pytest.raises(ValueError, match="^cov_scale must be > 0, got 0.0$"):
+            one_joint_observation().edited(cov_scale=0.0)
         with pytest.raises(ValueError):
             sampler.GuidanceConfig(num_hypotheses=0)
         with pytest.raises(ValueError):
@@ -318,8 +320,10 @@ class TestGuided:
     @pytest.mark.parametrize("field", ["gamma", "cov_scale", "cov_rotate"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_config_rejects_non_finite(self, field, value):
+        # gamma is a sampler setting; cov_scale and cov_rotate edit the observation
+        settings = sampler.GuidanceConfig if field == "gamma" else one_joint_observation().edited
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            sampler.GuidanceConfig(**{field: value})
+            settings(**{field: value})
 
     def test_joint_count_mismatch_rejected(self, toy_world):
         from poseprior.observation import KeypointObservation
@@ -474,9 +478,9 @@ class TestDiversitySweep:
         cfg = sampler.GuidanceConfig(gamma=2e-4, num_hypotheses=8, seed=913)
         rows = sampler.diversity_sweep(toy_world.model, None, rec.keypoints,
                                        rec.camera, rec.root, cfg, [2.0])
-        from dataclasses import replace
-        direct = sampler.sample_guided(toy_world.model, None, rec.keypoints,
-                                       rec.camera, rec.root, replace(cfg, cov_scale=2.0))
+        doubled = KeypointObservation(rec.keypoints.means, 2.0 * rec.keypoints.covs,
+                                      rec.keypoints.valid)
+        direct = sampler.sample_guided(toy_world.model, None, doubled, rec.camera, rec.root, cfg)
         assert len(rows) == 1
         assert rows[0][0] == 2.0
         assert rows[0][1] == pytest.approx(metrics.per_joint_std(direct), abs=1e-12)
@@ -487,6 +491,10 @@ class TestDiversitySweep:
         with pytest.raises(ValueError):
             sampler.diversity_sweep(toy_world.model, None, rec.keypoints,
                                     rec.camera, rec.root, cfg, [1.0, -2.0])
+
+
+def one_joint_observation():
+    return KeypointObservation(np.zeros((1, 2)), [[4.0, 1.0, 3.0]], [True])
 
 
 def per_joint_edit(src, theta, scale):
@@ -502,6 +510,8 @@ def per_joint_edit(src, theta, scale):
 
 
 class TestTransformedSources:
+    """The covariance edit the sampler's callers apply: `KeypointObservation.edited`."""
+
     def test_matches_per_joint_loop_bitwise(self):
         rng = RngStream(930, 0)
         for case in range(300):
@@ -513,8 +523,7 @@ class TestTransformedSources:
                 rng.standard_normal((joints, 2)), covs, rng.uniform(size=joints) < 0.8)
             theta = float(rng.uniform(-4.0, 4.0)) if case % 3 else 0.0
             scale = float(10.0 ** rng.uniform(-2, 2)) if case % 2 else 1.0
-            cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=theta)
-            out = sampler._transformed_observation(src, cfg, joints)
+            out = src.edited(scale, theta)
             assert np.array_equal(out.covs, per_joint_edit(src, theta, scale))
             assert np.array_equal(out.means, src.means)
             assert np.array_equal(out.valid, src.valid)
@@ -522,7 +531,8 @@ class TestTransformedSources:
     def test_no_edit_returns_sources(self):
         src = KeypointObservation(np.zeros((3, 2)), np.tile([4.0, 1.0, 2.0], (3, 1)),
                                   np.ones(3, dtype=bool))
-        assert sampler._transformed_observation(src, sampler.GuidanceConfig(), 3) is src
+        assert src.edited() is src
+        assert src.edited(cov_scale=1.0, cov_rotate=0.0) is src
 
     @pytest.mark.parametrize("scale,theta", [(1e308, 0.0), (1e300, 0.0), (1e155, 0.7),
                                              (1e-300, 0.0), (1e-170, 0.7)])
@@ -531,17 +541,15 @@ class TestTransformedSources:
         # positive; only the valid joints count
         covs = np.tile([4.0, 1.0, 3.0], (4, 1))
         src = KeypointObservation(np.zeros((4, 2)), covs, np.array([True, False, True, True]))
-        cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=theta)
         message = f"cov_scale = {scale!r} takes the covariances of joints [0, 2, 3] out of"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(message)):
-                sampler._transformed_observation(src, cfg, 4)
+                src.edited(scale, theta)
 
     def test_extreme_scale_in_range_keeps_the_edit(self):
         src = KeypointObservation(np.zeros((2, 2)), np.tile([4.0, 1.0, 3.0], (2, 1)),
                                   np.ones(2, dtype=bool))
         for scale in (1e150, 1e-150):
-            cfg = sampler.GuidanceConfig(cov_scale=scale, cov_rotate=0.3)
-            got = sampler._transformed_observation(src, cfg, 2)
+            got = src.edited(scale, 0.3)
             assert np.array_equal(got.covs, per_joint_edit(src, 0.3, scale))
