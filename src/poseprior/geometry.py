@@ -113,11 +113,6 @@ def project(point, cam: Camera) -> np.ndarray:
     """Pinhole projection of camera-frame point(s), shape (..., 3) -> (..., 2)."""
     point = np.asarray(point, dtype=np.float64)
     _check_depth(point)
-    return _project(point, cam)
-
-
-def _project(point, cam: Camera) -> np.ndarray:
-    """``project`` of float64 points the caller knows to be at z > 0, unchecked."""
     z = point[..., 2]
     return np.stack(
         [cam.fx * point[..., 0] / z + cam.cx, cam.fy * point[..., 1] / z + cam.cy],
@@ -129,11 +124,6 @@ def projection_jacobian(point, cam: Camera) -> np.ndarray:
     """Derivative of the projection w.r.t. the 3D point, shape (..., 2, 3)."""
     point = np.asarray(point, dtype=np.float64)
     _check_depth(point)
-    return _projection_jacobian(point, cam)
-
-
-def _projection_jacobian(point, cam: Camera) -> np.ndarray:
-    """``projection_jacobian`` of float64 points the caller knows to be at z > 0, unchecked."""
     x, y, z = point[..., 0], point[..., 1], point[..., 2]
     jac = np.zeros(point.shape[:-1] + (2, 3), dtype=np.float64)
     jac[..., 0, 0] = cam.fx / z

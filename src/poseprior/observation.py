@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitFailureError, InsufficientSupportError
-from .geometry import Camera, Pose, _project, _projection_jacobian, project
+from .geometry import Camera, Pose, project
 from .numeric import SymMat2, eig_2x2
 
 __all__ = [
@@ -149,11 +149,6 @@ class Heatmap:
         object.__setattr__(self, "origin", origin)
 
 
-# stands in for the joints a likelihood cannot use (behind the camera),
-# so that one projection and one Jacobian cover the whole joint stack
-_SAFE_POINT = np.array([0.0, 0.0, 1.0])
-
-
 def _check_pose(pose: Pose, obs: KeypointObservation):
     if pose.frame != "absolute_camera":
         raise ValueError("observation likelihood needs an absolute camera-frame pose")
@@ -192,27 +187,38 @@ def grad_and_residual(joints: np.ndarray, obs: KeypointObservation, cam: Camera)
     ``joints`` is a (..., J, 3) camera-frame stack; the J-joint
     observation applies to each pose in it by broadcasting. A joint is
     used when the observation marks it valid and it lies in front of the
-    camera (z > 0); the others get a zero gradient row and residual. All
-    joints are projected at once, the unusable ones at a safe point, and
-    the terms are masked with ``np.where`` instead of gathered. Returns
-    the gradient (..., J, 3), `log_likelihood_grad` of each pose, and the
-    residual (..., J): the pixel distance between a used joint's
-    projection and its observed mean.
+    camera (z > 0); the others get a zero gradient row and residual.
+    Returns the gradient (..., J, 3), `log_likelihood_grad` of each
+    pose, and the residual (..., J): the pixel distance between a used
+    joint's projection and its observed mean.
+
+    Every term is computed in closed form on planar (..., J) arrays,
+    the unusable joints at the safe point (0, 0, 1) and masked
+    afterwards. The gradient has the bits of
+    ``np.einsum("...jik,...ji->...jk", jac, inv(S) r)``, ``jac`` the
+    `projection_jacobian`: each entry is jac's row-0 product plus its
+    row-1 product, zero entries included (0 * inf is NaN), then
+    ``+= 0.0``, because einsum starts each sum at +0 and so turns a sum
+    of two -0 products into +0. (Joints that hold a NaN may come out
+    with another NaN than einsum's.) The residual has the bits of
+    ``np.linalg.norm(r, axis=-1)``, sqrt(r0 r0 + r1 r1).
     """
     usable = joints[..., 2] > 0.0
-    safe = joints.copy()
-    safe[~usable] = _SAFE_POINT
-    proj = _project(safe, cam)  # every safe point is at z > 0: no depth check
-    jac = _projection_jacobian(safe, cam)                               # (..., J, 2, 3)
-    mask = obs.valid & usable
-    r = obs.means - proj
-    r0, r1 = r[..., 0], r[..., 1]
-    # the inverse covariance times r, per component, with the products and
-    # sums of einsum("jik,ji->jk"), which is slow when it broadcasts the inverses
+    x = np.where(usable, joints[..., 0], 0.0)
+    y = np.where(usable, joints[..., 1], 0.0)
+    z = np.where(usable, joints[..., 2], 1.0)
+    r0 = obs.means[:, 0] - (cam.fx * x / z + cam.cx)
+    r1 = obs.means[:, 1] - (cam.fy * y / z + cam.cy)
+    # the inverse covariance times r, with the products and sums of einsum("jik,ji->jk")
     i00, i01, i10, i11 = np.ascontiguousarray(obs._inv_covs.reshape(-1, 4).T)
-    weighted = np.stack([r0 * i00 + r1 * i10, r0 * i01 + r1 * i11], axis=-1)
-    grad = np.where(mask[..., None], np.einsum("...jik,...ji->...jk", jac, weighted), 0.0)
-    return grad, np.where(mask, np.linalg.norm(r, axis=-1), 0.0)
+    w0, w1 = r0 * i00 + r1 * i10, r0 * i01 + r1 * i11
+    zz = z * z
+    grad = np.stack([cam.fx / z * w0 + 0.0 * w1, 0.0 * w0 + cam.fy / z * w1,
+                     -cam.fx * x / zz * w0 + -cam.fy * y / zz * w1], axis=-1)
+    grad += 0.0  # -0 to +0
+    mask = obs.valid & usable
+    grad[~mask] = 0.0
+    return grad, np.where(mask, np.sqrt(r0 * r0 + r1 * r1), 0.0)
 
 
 def sum_sources(grads) -> np.ndarray:

@@ -4,17 +4,19 @@ All hypotheses of a call advance together as one (M, 3J) state: one
 denoiser evaluation, one guidance step and one renoise of the whole
 block per reverse step. A guidance step projects the (M, J, 3) joints
 once, in `observation.grad_and_residual`, which broadcasts the one
-J-joint observation over the hypotheses, and its trust region reuses
-that projection's residuals. Each hypothesis owns two random streams
-derived from (seed, index): one for its trajectory, one for its root
-draw. A trajectory stream is drawn NOISE_CHUNK steps per call; the
-streams are counter-based, so this gives the bits of one draw per step.
-Keeping the root on a separate stream makes the zero-guidance path
-bit-identical to unconditional sampling, and since no row's arithmetic
-depends on the other rows, a hypothesis comes out the same whatever the
-number of hypotheses M. The result is one `HypothesisSet`: the
-(M, J, 3) array of root-relative poses, checked once, with each
-hypothesis's root.
+J-joint observation over the hypotheses and works in closed form on
+planar (M, J) arrays. Its trust region reuses that projection's
+residuals, sums each joint's squared step in ``np.linalg.norm``'s
+order, and clips only when some joint is over its bound. Each
+hypothesis owns two random streams derived from (seed, index): one for
+its trajectory, one for its root draw. A trajectory stream is drawn
+NOISE_CHUNK steps per call; the streams are counter-based, so this
+gives the bits of one draw per step. Keeping the root on a separate
+stream makes the zero-guidance path bit-identical to unconditional
+sampling, and since no row's arithmetic depends on the other rows, a
+hypothesis comes out the same whatever the number of hypotheses M. The
+result is one `HypothesisSet`: the (M, J, 3) array of root-relative
+poses, checked once, with each hypothesis's root.
 """
 
 from __future__ import annotations
@@ -175,11 +177,11 @@ def _clip_rows(step, norms, rows, limit, g, std):
 
 
 def _check_finite(x, what: str, step: int):
-    bad = ~np.all(np.isfinite(x), axis=1)
-    if np.any(bad):
-        m = int(np.argmax(bad))
-        raise DivergenceError(f"non-finite {what} in hypothesis {m}", step=step,
-                              diagnostics={"hypothesis": m})
+    if np.isfinite(x).all():
+        return
+    m = int(np.argmax(~np.all(np.isfinite(x), axis=1)))
+    raise DivergenceError(f"non-finite {what} in hypothesis {m}", step=step,
+                          diagnostics={"hypothesis": m})
 
 
 def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
@@ -247,7 +249,8 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
             counts["nonfinite_grad_zeroed"] += int(np.count_nonzero(bad))
         with np.errstate(over="ignore"):  # _clip_rows handles overflowed rows
             step_mm = cfg.gamma * g_mm * norm_std * norm_std
-            norms = np.linalg.norm(step_mm, axis=-1)
+            q = step_mm * step_mm  # summed in np.linalg.norm's order
+            norms = np.sqrt((q[..., 0] + q[..., 1]) + q[..., 2])
         if not trust_region:
             _clip_rows(step_mm, norms, norms > OVERFLOW_GUARD_MM, OVERFLOW_GUARD_MM,
                        g_mm, norm_std)
@@ -256,10 +259,13 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         # so its step (0) is never over its bound (0, or -0 behind the camera)
         bound = np.minimum(STEP_CAP_MM, residual * depth / max(cam.fx, cam.fy))
         over = norms > bound
-        capped = over & (bound == STEP_CAP_MM)
-        counts["trust_region_cap"] += int(np.count_nonzero(capped))
-        counts["trust_region_residual"] += int(np.count_nonzero(over & ~capped))
-        _clip_rows(step_mm, norms, over, bound[over], g_mm, norm_std)
+        n_over = int(np.count_nonzero(over))
+        if n_over:
+            limit = bound[over]
+            n_cap = int(np.count_nonzero(limit == STEP_CAP_MM))
+            counts["trust_region_cap"] += n_cap
+            counts["trust_region_residual"] += n_over - n_cap
+            _clip_rows(step_mm, norms, over, limit, g_mm, norm_std)
         return (step_mm / norm_std).reshape(n, -1)
 
     # eq2 draws at t = T..2 and alg1 at t = T..1, each after the initial state

@@ -1,4 +1,4 @@
-"""The toy-world recipe: 18 CLI output files pinned by their sha256.
+"""The toy-world recipe: 18 CLI output files and the sampling counts, pinned by sha256.
 
     python tests/recipe.py --check     # compare with tests/recipe_manifest.json
     python tests/recipe.py --record    # write the manifest from this checkout
@@ -9,8 +9,12 @@ package in this checkout's ``src/``: ``synth``, a 2000-step toy
 (default, ``--grad-space xt``, ``--renoise alg1`` with an edited
 covariance), ``complete``, ``sample``, both ``sweep`` kinds at M = 20,
 ``evaluate``, and ``fit-heatmap`` on two Gaussian heatmaps written
-with ``dataio.save_heatmap``. It takes about 15 s on one core, and
-prints one ``step <command> <seconds> s`` line per step as it goes.
+with ``dataio.save_heatmap``. The stderr ``diagnostics:`` line of each
+sampling step (``estimate``, ``complete``, ``sweep``) goes, after the
+step and its output file, into one more pinned file, ``diagnostics.txt``,
+so the manifest pins the trust region's and the guards' counts as well
+as the bytes. It takes about 15 s on one core, and prints one
+``step <command> <seconds> s`` line per step as it goes.
 
 The manifest records the numpy and BLAS build it was made on, with the
 BLAS kernel that ran, and ``--check`` prints every field of this build
@@ -76,7 +80,7 @@ FILES = ["train.jsonl", "obs.jsonl", "gt.jsonl", "model.ckpt", "model.ckpt.loss.
          "est.jsonl", "est.jsonl.metrics.csv", "xt.jsonl", "xt.jsonl.metrics.csv",
          "alg1.jsonl", "alg1.jsonl.metrics.csv", "complete.jsonl",
          "complete.jsonl.metrics.csv", "sample.jsonl", "cov.csv", "gamma.csv", "eval.csv",
-         "heatmap.jsonl"]
+         "heatmap.jsonl", "diagnostics.txt"]
 
 
 def write_heatmaps(workdir: Path):
@@ -119,6 +123,7 @@ def build_info() -> dict:
 def run(workdir: Path) -> dict:
     """Run and time every step in ``workdir``; the sha256 of each output file by name."""
     write_heatmaps(workdir)
+    diagnostics = []
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -130,8 +135,12 @@ def run(workdir: Path) -> dict:
             print(f"step {argv[0]} {time.perf_counter() - t0:.3f} s", flush=True)
             if code != 0:
                 raise SystemExit(f"poseprior {' '.join(argv)} exited {code}:\n{log.getvalue()}")
+            diagnostics += [f"{argv[0]} {argv[argv.index('--out') + 1]} {line}\n"
+                            for line in log.getvalue().splitlines()
+                            if line.startswith("diagnostics: ")]
     finally:
         os.chdir(cwd)
+    (workdir / "diagnostics.txt").write_text("".join(diagnostics))
     return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in FILES}
 
 

@@ -232,8 +232,33 @@ def hard_stack(rng, m, j=20):
     return joints, KeypointObservation(means, covs, valid)
 
 
+def extreme_stack(rng, m, j=20):
+    """An (m, j, 3) stack with x and y at +0 and -0 and depths where z * z overflows
+    (z >= 1e155) or underflows (z about 1e-170, and 5e-324, where x / z overflows too),
+    besides ordinary joints, and one
+    observation whose means lie on both sides of the projections."""
+    joints = np.stack([rng.uniform(-800, 800, (m, j)), rng.uniform(-800, 800, (m, j)),
+                       rng.uniform(2500, 6000, (m, j))], axis=-1)
+    signed_zeros = np.array([0.0, -0.0])
+    for axis in (0, 1):
+        pick = rng.uniform(size=(m, j)) < 0.4
+        joints[..., axis][pick] = signed_zeros[rng.integers(0, 2, np.count_nonzero(pick))]
+    depths = np.array([1e155, 3e160, 1e200, 1e300, 1e-170, 4e-165, 1e-3, 5e-324])
+    pick = rng.uniform(size=(m, j)) < 0.5
+    joints[..., 2][pick] = depths[rng.integers(0, len(depths), np.count_nonzero(pick))]
+    means = np.array([CAM.cx, CAM.cy]) + 40.0 * rng.standard_normal((j, 2))
+    a, c = rng.uniform(2.0, 30.0, j), rng.uniform(2.0, 30.0, j)
+    covs = np.column_stack([a, rng.uniform(-0.5, 0.5, j) * np.sqrt(a * c), c])
+    return joints, KeypointObservation(means, covs, rng.uniform(size=j) < 0.9)
+
+
+def bits(a):
+    """The float64 bit patterns, so that -0 differs from +0 and NaNs compare by payload."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 class TestGradAndResidual:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 50])
     def test_equals_gathered_reference_bitwise(self, m):
         # each hypothesis of the stack against the per-joint gathered reference
         rng = RngStream(140 + m, 0)
@@ -243,10 +268,25 @@ class TestGradAndResidual:
                 grad, residual = grad_and_residual(joints, obs, CAM)
             assert grad.shape == joints.shape and residual.shape == joints.shape[:2]
             for pose, g, res in zip(joints, grad, residual):
-                assert np.array_equal(g, gathered_grad(pose, obs, CAM))
+                assert np.array_equal(bits(g), bits(gathered_grad(pose, obs, CAM)))
                 live = pose[:, 2] > 0.0
-                assert np.array_equal(res[live], gathered_residual(pose, obs, CAM, live))
-                assert np.all(res[~live] == 0.0)
+                assert np.array_equal(bits(res[live]),
+                                      bits(gathered_residual(pose, obs, CAM, live)))
+                assert np.array_equal(bits(res[~live]), bits(np.zeros(np.sum(~live))))
+
+    @pytest.mark.parametrize("m", [1, 3, 50])
+    def test_signed_zeros_and_extreme_depths_bitwise(self, m):
+        # z * z overflowing or underflowing gives zero, infinite and NaN terms; einsum
+        # starts each sum at +0, so a sum of two -0 products is +0 in the reference
+        rng = RngStream(147, m)
+        for _ in range(20):
+            joints, obs = extreme_stack(rng, m)
+            with np.errstate(all="ignore"):
+                grad, residual = grad_and_residual(joints, obs, CAM)
+                for pose, g, res in zip(joints, grad, residual):
+                    assert np.array_equal(bits(g), bits(gathered_grad(pose, obs, CAM)))
+                    live = pose[:, 2] > 0.0                   # every joint here
+                    assert np.array_equal(bits(res), bits(gathered_residual(pose, obs, CAM, live)))
 
     @pytest.mark.parametrize("m", [1, 2, 5, 50])
     def test_stack_equals_one_call_per_hypothesis_bitwise(self, m):
@@ -258,7 +298,8 @@ class TestGradAndResidual:
                 grad, residual = grad_and_residual(joints, obs, CAM)
                 for pose, g, res in zip(joints, grad, residual):
                     g_one, res_one = grad_and_residual(pose, obs, CAM)
-                    assert np.array_equal(g, g_one) and np.array_equal(res, res_one)
+                    assert np.array_equal(bits(g), bits(g_one))
+                    assert np.array_equal(bits(res), bits(res_one))
 
     def test_log_likelihood_grad_is_the_kernel_on_one_source(self):
         rng = RngStream(144, 0)
@@ -268,8 +309,8 @@ class TestGradAndResidual:
             pts[0, 2] = -100.0                            # one joint behind the camera
             pose = Pose(pts, ABSOLUTE_CAMERA)
             grad = log_likelihood_grad(pose, obs, CAM)
-            assert np.array_equal(grad, gathered_grad(pts, obs, CAM))
-            assert np.array_equal(grad, grad_and_residual(pts, obs, CAM)[0])
+            assert np.array_equal(bits(grad), bits(gathered_grad(pts, obs, CAM)))
+            assert np.array_equal(bits(grad), bits(grad_and_residual(pts, obs, CAM)[0]))
 
     def test_unused_joints_get_zero_rows_and_residuals(self):
         joints, obs = hard_stack(RngStream(145, 0), 4)

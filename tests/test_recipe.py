@@ -1,4 +1,4 @@
-"""The 18-file toy-world recipe (tests/recipe.py) against its sha256 manifest."""
+"""The 19-file toy-world recipe (tests/recipe.py) against its sha256 manifest."""
 
 import os
 import subprocess
@@ -12,5 +12,5 @@ def test_recipe_outputs_match_manifest():
     # a child process: OPENBLAS_NUM_THREADS only takes effect before numpy loads
     proc = subprocess.run([sys.executable, str(RECIPE), "--check"], capture_output=True,
                           text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0 and "18 of 18 files match" in proc.stdout, (
+    assert proc.returncode == 0 and "19 of 19 files match" in proc.stdout, (
         f"tests/recipe.py --check exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poseprior import dataio, denoiser, metrics, observation, sampler
+from poseprior import dataio, denoiser, metrics, sampler
 from poseprior.errors import DivergenceError
 from poseprior.geometry import Camera, RootEstimate
 from poseprior.numeric import RngStream, SymMat2
@@ -268,12 +268,13 @@ class TestGuided:
         assert np.all(np.isfinite(hyp.joints))
 
     def test_one_projection_per_step_and_no_per_source_path(self, toy_world, monkeypatch):
-        # the guidance step projects the (M, J, 3) joints once and does not go
-        # through the per-pose log_likelihood_grad + sum_sources route
+        # the guidance step projects the (M, J, 3) joints once, in one
+        # grad_and_residual call, and does not go through the per-pose
+        # log_likelihood_grad + sum_sources route
         calls = []
-        project = observation._project
-        monkeypatch.setattr(observation, "_project",
-                            lambda p, cam: calls.append(p.shape) or project(p, cam))
+        grad_and_residual = sampler.grad_and_residual
+        monkeypatch.setattr(sampler, "grad_and_residual",
+                            lambda p, o, cam: calls.append(p.shape) or grad_and_residual(p, o, cam))
 
         def unused(*args):
             raise AssertionError("per-source gradient path called")
