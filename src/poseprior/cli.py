@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dataio, denoiser, metrics, sampler
+from . import dataio, denoiser, metrics, numeric, sampler
 from .errors import DivergenceError, PosePriorError, SchemaError
 from .geometry import Pose, project
 from .numeric import RngStream
@@ -35,12 +35,6 @@ from .geometry import to_absolute  # noqa: F401
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 
-# stream-id namespaces: trajectories get (frame_index << 24) + hypothesis,
-# training and weight init use ids far above any frame namespace
-_FRAME_SHIFT = 24
-_INIT_STREAM = 1 << 40
-_TRAIN_STREAM = (1 << 40) + 1
-
 _METRIC_COLUMNS = ("mpjpe", "pa_mpjpe", "pck150", "auc", "reprojection_px")
 
 
@@ -51,7 +45,8 @@ def _echo_config(args):
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed in [0, 2^64) (default %(default)s)")
 
 
 def _guidance_config(args) -> sampler.GuidanceConfig:
@@ -91,6 +86,7 @@ _FLAG_RULES = {
     "--n-train": _at_least(1),
     "--n-eval": _at_least(1),
     "--obs-sigma": _POSITIVE,
+    "--seed": (lambda value: 0 <= value < 1 << 64, "in [0, 2^64)"),  # RngStream's key range
 }
 
 
@@ -116,7 +112,7 @@ def cmd_train(args) -> int:
         raise PosePriorError("training pose file holds no records")
     sched = cosine_schedule(args.T, args.offset)
     model = denoiser.DenoiserModel.initialize(
-        dataset.num_joints, args.hidden, sched, RngStream(args.seed, _INIT_STREAM))
+        dataset.num_joints, args.hidden, sched, RngStream(args.seed, numeric.INIT_STREAM))
 
     loss_path = args.loss_log or args.out + ".loss.csv"
     sink = (lambda m, step: dataio.save_checkpoint(m, args.out)) \
@@ -125,7 +121,7 @@ def cmd_train(args) -> int:
         log.write("step,loss,grad_norm\n")
         denoiser.train(
             model, dataset.poses, args.steps, args.batch, args.lr, args.ema,
-            RngStream(args.seed, _TRAIN_STREAM),
+            RngStream(args.seed, numeric.TRAIN_STREAM),
             checkpoint_sink=sink, checkpoint_every=args.checkpoint_every,
             loss_log=lambda line: log.write(line + "\n"),
         )
@@ -152,14 +148,15 @@ def _job(idx, rec, keypoints, cfg, cov_scale, cov_rotate):
         keypoints = keypoints.edited(cov_scale, cov_rotate)
     except ValueError as exc:
         raise PosePriorError(f"{exc} (frame {rec.frame_id})") from None
-    return rec, keypoints, replace(cfg, stream_offset=idx << _FRAME_SHIFT)
+    offset = numeric.TRAJECTORY_STREAMS + idx * numeric.MAX_HYPOTHESES
+    return rec, keypoints, replace(cfg, stream_offset=offset)
 
 
 def _check_stream_ranges(frames: int, m: int):
-    """Keep the stream ids (frame << 24) + hypothesis of a run below the training streams."""
-    if m > 1 << _FRAME_SHIFT or frames > _INIT_STREAM >> _FRAME_SHIFT:
+    """Keep a run's trajectory streams within the stream map's frame and hypothesis limits."""
+    if m > numeric.MAX_HYPOTHESES or frames > numeric.MAX_FRAMES:
         raise PosePriorError(f"{frames} frames at M = {m} exceed the stream-id ranges: at most "
-                             f"{_INIT_STREAM >> _FRAME_SHIFT} frames and M = {1 << _FRAME_SHIFT}")
+                             f"{numeric.MAX_FRAMES} frames and M = {numeric.MAX_HYPOTHESES}")
 
 
 def _joint_names(joints: int) -> tuple:
@@ -292,8 +289,8 @@ def cmd_sample(args) -> int:
     model = dataio.load_checkpoint(args.model, train_state=False)
     joints = np.zeros(0)
     if args.n > 0:
-        joints = sampler.sample_unconditional(model, model.sched,
-                                              RngStream(args.seed, 0), args.n).joints
+        rng = RngStream(args.seed, numeric.TRAJECTORY_STREAMS)
+        joints = sampler.sample_unconditional(model, model.sched, rng, args.n).joints
     dataset = dataio.PoseDataset(_joint_names(model.joints), joints,
                                  [{"sample": i} for i in range(len(joints))],
                                  {"seed": args.seed, "n": args.n})
@@ -458,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diffusion steps [PAPER-default %(default)s]")
     p.add_argument("--offset", type=float, default=0.008,
                    help="cosine schedule offset [PAPER-default %(default)s]")
-    p.add_argument("--checkpoint-every", type=int, default=0)
-    p.add_argument("--loss-log", default=None)
+    p.add_argument("--checkpoint-every", type=int, default=0,
+                   help="also save the checkpoint every k steps, 0 never (default %(default)s)")
+    p.add_argument("--loss-log", default=None, help="loss CSV (default <out>.loss.csv)")
     _add_seed(p)
     p.set_defaults(func=cmd_train)
 
@@ -473,10 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hypotheses per frame [PAPER-default %(default)s]")
         p.add_argument("--gamma", type=float, default=guidance.gamma,
                        help=f"guidance scale [PAPER-default {guidance.gamma}]")
-        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=1.0)
-        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=0.0)
+        # a literal default in --cov-scale's help: sweep's set_defaults makes %(default)s None
+        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=1.0,
+                       help="multiply every keypoint covariance by this scale (default 1.0)")
+        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=0.0,
+                       help="rotate every keypoint covariance by this many radians "
+                            "(default %(default)s)")
         p.add_argument("--renoise", choices=[sampler.RENOISE_EQ2, sampler.RENOISE_ALG1],
-                       default=guidance.renoise_variant)
+                       default=guidance.renoise_variant,
+                       help="renoise x_{t-1} by the closed-form noising of x0hat (eq2) or "
+                            "the pipeline's literal line (alg1) (default %(default)s)")
         p.add_argument("--grad-space", dest="grad_space",
                        choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT], default=guidance.grad_space,
                        help="apply guidance to the clean estimate x0hat or the noisy iterate xt "
@@ -485,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="sample guided hypotheses for each observation")
     estimation_flags(p)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", default=None, help="metrics CSV (default <out>.metrics.csv)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("complete", help="estimate with masked joints inpainted by the prior")
     estimation_flags(p)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", default=None, help="metrics CSV (default <out>.metrics.csv)")
     p.add_argument("--mask", required=True,
                    help="comma-separated joint names/indices, or 'all'")
     p.set_defaults(func=cmd_estimate)
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="unconditional pose generation")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-n", type=int, default=16)
+    p.add_argument("-n", type=int, default=16, help="poses to draw (default %(default)s)")
     _add_seed(p)
     p.set_defaults(func=cmd_sample)
 
@@ -513,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-heatmap", help="fit Gaussians to heatmap files")
     p.add_argument("heatmaps", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--floor", type=float, default=1e-6)
+    p.add_argument("--floor", type=float, default=1e-6,
+                   help="fit only pixels above this fraction of the peak (default %(default)s)")
     p.set_defaults(func=cmd_fit_heatmap)
 
     p = sub.add_parser("evaluate", help="score a hypothesis file against ground truth")
@@ -521,16 +526,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stride", type=int, default=1,
-                   help="evaluate every k-th ground-truth frame")
+                   help="evaluate every k-th ground-truth frame (default %(default)s)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark world")
     p.add_argument("--out-train", required=True)
-    p.add_argument("--out-obs", default=None)
-    p.add_argument("--out-gt", default=None)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-eval", type=int, default=16)
-    p.add_argument("--obs-sigma", type=float, default=2.0)
+    p.add_argument("--out-obs", default=None, help="observation file (default: not written)")
+    p.add_argument("--out-gt", default=None, help="held-out pose file (default: not written)")
+    p.add_argument("--n-train", type=int, default=2000,
+                   help="training poses (default %(default)s)")
+    p.add_argument("--n-eval", type=int, default=16,
+                   help="held-out poses, one observed frame each (default %(default)s)")
+    p.add_argument("--obs-sigma", type=float, default=2.0,
+                   help="keypoint noise standard deviation in pixels (default %(default)s)")
     _add_seed(p)
     p.set_defaults(func=cmd_synth)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import denoiser as dn
 from .errors import FormatError, ParseError, SchemaError, VersionError
 from .geometry import DEFAULT_ROOT_COV, Camera, Pose, RootEstimate, project
-from .numeric import RngStream
+from .numeric import SYNTH_HELDOUT_STREAM, SYNTH_OBS_STREAM, SYNTH_TRAIN_STREAM, RngStream
 from .observation import FALLBACK_SIGMA_PX, Heatmap, KeypointObservation
 from .schedule import cosine_schedule
 
@@ -101,8 +101,6 @@ class ObservationRecord:
     keypoints: KeypointObservation
     root: RootEstimate
     gt_pose: Pose | None = None
-    cov_fallback_joints: tuple = ()
-    root_cov_fallback: bool = False
 
 
 def save_poses(dataset: PoseDataset, path):
@@ -188,16 +186,6 @@ def load_poses(path) -> PoseDataset:
     return PoseDataset(joint_names, arr, meta, header.get("meta", {}))
 
 
-def _keypoints_to_json(obs: KeypointObservation, fallback: tuple) -> list:
-    out = []
-    for i in range(obs.num_joints):
-        entry = {"mean": obs.means[i].tolist(), "valid": bool(obs.valid[i])}
-        if i not in fallback:
-            entry["cov"] = obs.covs[i].tolist()
-        out.append(entry)
-    return out
-
-
 def save_observations(records, path, joint_names):
     joint_names = list(joint_names)
     header = {
@@ -209,15 +197,14 @@ def save_observations(records, path, joint_names):
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec in records:
-            cam = rec.camera
+            cam, kp = rec.camera, rec.keypoints
             doc = {
                 "frame_id": rec.frame_id,
                 "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy},
-                "keypoints": _keypoints_to_json(rec.keypoints, rec.cov_fallback_joints),
-                "root": {"mean": rec.root.mean.tolist()},
+                "keypoints": [{"mean": mean.tolist(), "valid": bool(valid), "cov": cov.tolist()}
+                              for mean, valid, cov in zip(kp.means, kp.valid, kp.covs)],
+                "root": {"mean": rec.root.mean.tolist(), "cov": rec.root.cov.tolist()},
             }
-            if not rec.root_cov_fallback:
-                doc["root"]["cov"] = rec.root.cov.tolist()
             if rec.gt_pose is not None:
                 doc["gt_pose"] = rec.gt_pose.joints.ravel().tolist()
                 doc["gt_frame"] = rec.gt_pose.frame
@@ -245,7 +232,6 @@ def load_observations(path) -> list:
             means = np.zeros((j, 2))
             covs = np.tile([1.0, 0.0, 1.0], (j, 1))
             valid = np.zeros(j, dtype=bool)
-            fallback = []
             for i, kp in enumerate(kp_docs):
                 flag = kp.get("valid", False)
                 if not isinstance(flag, bool):
@@ -261,12 +247,10 @@ def load_observations(path) -> list:
                         covs[i] = kp["cov"]
                     elif valid[i]:
                         covs[i] = fallback_cov
-                        fallback.append(i)
                 except ValueError as exc:
                     raise ValueError(f"keypoint {i}: {exc}") from None
             keypoints = KeypointObservation(means, covs, valid)
             root_doc = doc["root"]
-            root_cov_fallback = "cov" not in root_doc
             root = RootEstimate(root_doc["mean"], root_doc.get("cov", DEFAULT_ROOT_COV))
             gt = None
             if "gt_pose" in doc:
@@ -279,9 +263,7 @@ def load_observations(path) -> list:
             frame_lines[frame_id] = lineno
             records.append(ObservationRecord(
                 frame_id=frame_id, camera=cam, keypoints=keypoints,
-                root=root, gt_pose=gt, cov_fallback_joints=tuple(fallback),
-                root_cov_fallback=root_cov_fallback,
-            ))
+                root=root, gt_pose=gt))
         except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"line {lineno}: malformed observation record ({exc})") from None
         except ValueError as exc:
@@ -538,14 +520,14 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
     matching the declared per-joint covariance, and the root estimate
     carries noise matching its declared covariance, DEFAULT_ROOT_COV.
     """
-    train = PoseDataset(cfg.joint_names, _sample_poses(cfg.n_train, RngStream(cfg.seed, 1)))
-    eval_poses = _sample_poses(cfg.n_eval, RngStream(cfg.seed, 2))
+    train_poses = _sample_poses(cfg.n_train, RngStream(cfg.seed, SYNTH_TRAIN_STREAM))
+    eval_poses = _sample_poses(cfg.n_eval, RngStream(cfg.seed, SYNTH_HELDOUT_STREAM))
     heldout = PoseDataset(
         cfg.joint_names, eval_poses,
         meta=[{"frame_id": f"synth{k:05d}"} for k in range(cfg.n_eval)],
     )
 
-    obs_rng = RngStream(cfg.seed, 3)
+    obs_rng = RngStream(cfg.seed, SYNTH_OBS_STREAM)
     sigma2 = cfg.obs_sigma_px**2
     root_cov = np.asarray(DEFAULT_ROOT_COV, dtype=np.float64)
     records = []
@@ -564,4 +546,4 @@ def generate_synthetic(cfg: SyntheticSkeletonConfig):
             frame_id=f"synth{k:05d}", camera=_SYNTH_CAMERA, keypoints=keypoints,
             root=root_est, gt_pose=gt_abs,
         ))
-    return train, heldout, records
+    return PoseDataset(cfg.joint_names, train_poses), heldout, records

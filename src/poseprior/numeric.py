@@ -1,7 +1,7 @@
-"""Small dense linear-algebra kernels and reproducible random streams.
+"""Small dense linear-algebra kernels, reproducible random streams and the stream map.
 
 Everything here is 64-bit and pure; these are the primitives the rest of
-the package builds on.
+the package builds on. The stream map names the purpose of each stream id.
 """
 
 from __future__ import annotations
@@ -49,21 +49,34 @@ class SymMat2:
         return self.a > 0.0 and self.det > 0.0
 
 
+# The stream map: each purpose's stream id, or the base of its id range.
+TRAJECTORY_STREAMS = 0      # + frame * MAX_HYPOTHESES + hypothesis; `sample` draws frame 0's
+SYNTH_TRAIN_STREAM = 1      # synth training poses; ids 1-3 are frame 0's too, a known overlap
+SYNTH_HELDOUT_STREAM = 2    # synth held-out poses
+SYNTH_OBS_STREAM = 3        # synth roots, keypoint and root-estimate noise
+INIT_STREAM = 1 << 40       # weight init
+TRAIN_STREAM = INIT_STREAM + 1  # training batches, timesteps and noise
+ROOT_STREAMS = 1 << 48      # + the hypothesis's trajectory id
+MAX_HYPOTHESES = 1 << 24    # per frame, so one frame's ids never reach the next frame's
+MAX_FRAMES = INIT_STREAM // MAX_HYPOTHESES  # so trajectory ids stay below INIT_STREAM
+
+
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
 
     Distinct stream ids under one seed give statistically independent
     sequences; the same (seed, stream_id) replays bit-exactly, across
-    processes and platforms. Streams are cheap to create, so parallel
-    work should own one stream per unit of work instead of sharing.
+    processes and platforms. Both are taken modulo 2^64. Streams are
+    cheap to create, so parallel work should own one stream per unit of
+    work instead of sharing; the package's ids come from the stream map.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id])
-        )
+        # a uint64 key: numpy turns a list holding a value >= 2^63 into float64
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)

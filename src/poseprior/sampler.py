@@ -8,15 +8,15 @@ J-joint observation over the hypotheses and works in closed form on
 planar (M, J) arrays. Its trust region reuses that projection's
 residuals, sums each joint's squared step in ``np.linalg.norm``'s
 order, and clips only when some joint is over its bound. Each
-hypothesis owns two random streams derived from (seed, index): one for
-its trajectory, one for its root draw. A trajectory stream is drawn
-NOISE_CHUNK steps per call; the streams are counter-based, so this
-gives the bits of one draw per step. Keeping the root on a separate
-stream makes the zero-guidance path bit-identical to unconditional
-sampling, and since no row's arithmetic depends on the other rows, a
-hypothesis comes out the same whatever the number of hypotheses M. The
-result is one `HypothesisSet`: the (M, J, 3) array of root-relative
-poses, checked once, with each hypothesis's root.
+hypothesis owns two streams of `numeric`'s stream map: its trajectory,
+cfg.stream_offset + index, and its root, ROOT_STREAMS + that id. A
+trajectory stream is drawn NOISE_CHUNK steps per call; the streams are
+counter-based, so this gives the bits of one draw per step. Keeping the
+root on a separate stream makes the zero-guidance path bit-identical to
+unconditional sampling, and since no row's arithmetic depends on the
+other rows, a hypothesis comes out the same whatever the number of
+hypotheses M. The result is one `HypothesisSet`: the (M, J, 3) array of
+root-relative poses, checked once, with each hypothesis's root.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .denoiser import DenoiserModel, make_eval_forward
 from .errors import DivergenceError
 from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
-from .numeric import RngStream
+from .numeric import ROOT_STREAMS, RngStream
 from .observation import grad_and_residual
 from .schedule import DiffusionSchedule, estimate_x0, renoise
 
@@ -52,9 +52,6 @@ RENOISE_EQ2 = "eq2"        # x_{t-1} drawn from the closed-form noising of x0_ha
 RENOISE_ALG1 = "alg1"      # literal pipeline line: sqrt(ab_t) x0_hat + (1 - ab_t) eps
 GRAD_X0HAT = "x0hat"       # guidance applied to the clean estimate (default)
 GRAD_XT = "xt"             # naive baseline: guidance applied to the noisy iterate
-
-# root draws live in a disjoint stream-id namespace from trajectories
-_ROOT_STREAM_NS = 1 << 48
 
 # Trust region for one guidance step of the clean-estimate update, per
 # joint. The raw step may not move a joint further than (a) STEP_CAP_MM,
@@ -88,7 +85,7 @@ class GuidanceConfig:
     num_hypotheses: int = 50
     seed: int = 0
     grad_space: str = GRAD_X0HAT
-    stream_offset: int = 0
+    stream_offset: int = 0  # hypothesis 0's trajectory stream id (`numeric`'s stream map)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
@@ -227,10 +224,10 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     n, joints = cfg.num_hypotheses, model.joints
     rngs, roots = [], np.zeros((n, 3))
     for m in range(n):
-        sid = cfg.stream_offset + m
-        rngs.append(RngStream(cfg.seed, sid))
+        trajectory = cfg.stream_offset + m
+        rngs.append(RngStream(cfg.seed, trajectory))
         if root_est is not None:
-            roots[m] = sample_root(root_est, RngStream(cfg.seed, _ROOT_STREAM_NS + sid))
+            roots[m] = sample_root(root_est, RngStream(cfg.seed, ROOT_STREAMS + trajectory))
 
     guided = obs is not None and cfg.gamma > 0.0
     norm_std = model.norm_std.reshape(joints, 3)

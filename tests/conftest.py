@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from poseprior import dataio, denoiser
-from poseprior.numeric import RngStream
+from poseprior.numeric import INIT_STREAM, TRAIN_STREAM, RngStream
 from poseprior.schedule import cosine_schedule
 
 TOY_DATA_SEED = 11
@@ -21,8 +21,6 @@ TOY_LR = 1e-3
 TOY_EMA = 0.995
 TOY_HIDDEN = 64
 TOY_T = 100
-INIT_STREAM = 1 << 40
-TRAIN_STREAM = (1 << 40) + 1
 
 
 @dataclass

@@ -13,7 +13,7 @@ import pytest
 
 import poseprior
 import poseprior.cli  # noqa: F401  (imports every module the tracer patches)
-from poseprior import dataio, denoiser, sampler
+from poseprior import dataio, denoiser, numeric, sampler
 from poseprior.numeric import RngStream
 from poseprior.schedule import cosine_schedule
 
@@ -114,3 +114,11 @@ def test_workload_runs_untraced_at_tiny_size(tmp_path, workload):
     assert problems == []
     _, exact = workloads.roundtrip(poseprior, wl.roundtrip_model(), str(work / "roundtrip.ckpt"))
     assert exact
+
+
+def test_benchmark_stream_ids_are_the_stream_map_ids():
+    # the benchmark keeps its own copies of the CLI's init and train stream ids;
+    # if the stream map moves them, the benchmark would train another model
+    workloads = load_perfbench("workloads")
+    assert workloads.INIT_STREAM == numeric.INIT_STREAM
+    assert workloads.TRAIN_STREAM == numeric.TRAIN_STREAM

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from poseprior import cli, dataio, denoiser, metrics, sampler
+from poseprior import cli, dataio, denoiser, metrics, numeric, sampler
 from poseprior.errors import FormatError, PosePriorError
 from poseprior.geometry import Pose
 from poseprior.numeric import SymMat2, spd_inverse_2x2
@@ -142,11 +143,13 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("estimate", ["--gamma", "nan"], "--gamma must be finite and >= 0, got nan"),
     ("complete", ["--cov-rotate", "inf"], "--cov-rotate must be finite, got inf"),
     ("sweep", ["--cov-scale", "0"], "--cov-scale must be finite and > 0, got 0.0"),
+    ("synth", ["--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
+    ("train", ["--seed", str(2**64)], f"--seed must be in [0, 2^64), got {2**64}"),
 ], ids=["hidden-odd", "hidden-small", "T-zero", "offset-zero", "offset-one", "offset-nan",
         "steps", "checkpoint-every", "batch", "ema", "lr", "estimate-M", "complete-M",
         "mask-blank", "sweep-M", "sample-n", "stride", "n-train", "n-eval", "obs-sigma",
         "floor-nan", "floor-inf", "floor-above-1", "floor-negative", "gamma-nan",
-        "cov-rotate-inf", "cov-scale-zero"])
+        "cov-rotate-inf", "cov-scale-zero", "seed-negative", "seed-2^64"])
 def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
                                                        capsys, command, flags, named):
     def refuse(*args, **kwargs):
@@ -175,15 +178,27 @@ def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
-def test_every_flag_rule_names_an_option_and_its_dest():
+def subcommand_parsers():
     parser = cli.build_parser()
-    commands = next(action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction)).choices
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_rule_names_an_option_and_its_dest():
+    commands = subcommand_parsers()
     dests = {flag: action.dest for command in commands.values()
              for action in command._actions for flag in action.option_strings}
     for flag in cli._FLAG_RULES:
         assert flag in dests, flag
         assert dests[flag] == flag.lstrip("-").replace("-", "_"), flag
+
+
+def test_every_optional_flag_shows_its_default_in_help():
+    missing = [(name, action.option_strings[0]) for name, command in subcommand_parsers().items()
+               for action in command._actions
+               if action.option_strings and not action.required and action.dest != "help"
+               and "default" not in (action.help or "")]
+    assert missing == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "complete", "sweep", "sample"])
@@ -361,6 +376,17 @@ class TestSynthCommand:
 
 
 class TestTrainCommand:
+    def test_checkpoint_every_saves_during_training(self, tiny_setup, tmp_path, monkeypatch):
+        saved_at, save = [], dataio.save_checkpoint
+        monkeypatch.setattr(dataio, "save_checkpoint",
+                            lambda model, path: (saved_at.append(model.adam_steps),
+                                                 save(model, path)))
+        proc = run_cli(["train", "--poses", str(tiny_setup["train"]),
+                        "--out", str(tmp_path / "m.ckpt"), "--steps", "5", "--batch", "8",
+                        "--hidden", "8", "--T", "10", "--checkpoint-every", "2"])
+        assert proc.returncode == 0, proc.stderr
+        assert saved_at == [2, 4, 5]
+
     def test_zero_steps_writes_initialized_checkpoint(self, tiny_setup, tmp_path):
         out = tmp_path / "init.ckpt"
         proc = run_cli(["train", "--poses", str(tiny_setup["train"]), "--out", str(out),
@@ -426,6 +452,36 @@ class TestTrainCommand:
         assert proc.returncode == 2
         assert named in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda lines: [], "line 1: empty file: missing header"),
+        (lambda lines: ["{"], "line 1: bad header: "),
+        (lambda lines: [lines[0].replace('"version":1', '"version":2')],
+         "unsupported file version 2"),
+        (lambda lines: [lines[0].replace('"J":17', '"J":16')],
+         "header J=16 inconsistent with joint_names"),
+        (lambda lines: [lines[0], json.dumps({"joints": [0.0] * 3 + [math.nan] * 48})],
+         "line 2: non-finite joint coordinates"),
+        (lambda lines: lines[:1], "training pose file holds no records"),
+    ], ids=["empty", "bad-header", "version", "names", "non-finite", "no-records"])
+    def test_bad_pose_file_exits_2(self, tiny_setup, tmp_path, edit, named):
+        lines = tiny_setup["train"].read_text().splitlines()
+        poses = tmp_path / "poses.jsonl"
+        poses.write_text("".join(line + "\n" for line in edit(lines)))
+        proc = run_cli(["train", "--poses", str(poses), "--out", str(tmp_path / "m.ckpt"),
+                        "--steps", "0", "--hidden", "8", "--T", "10"])
+        assert proc.returncode == 2
+        assert f"error: {named}" in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_blank_record_lines_are_skipped(self, tiny_setup, tmp_path):
+        lines = tiny_setup["train"].read_text().splitlines()
+        poses = tmp_path / "poses.jsonl"
+        poses.write_text("\n".join([lines[0], "", *lines[1:3], "  ", *lines[3:]]) + "\n")
+        for path, out in [(tiny_setup["train"], "a.ckpt"), (poses, "b.ckpt")]:
+            assert run_cli(["train", "--poses", str(path), "--out", str(tmp_path / out),
+                            "--steps", "0", "--hidden", "8", "--T", "10"]).returncode == 0
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_pose_file_rooted_elsewhere_exits_2(self, tiny_setup, tmp_path):
         rooted = tmp_path / "rooted.jsonl"
@@ -543,8 +599,11 @@ class TestEstimateCommand:
          "line 3: root estimate needs a finite mean"),
         (lambda doc: doc["root"].update(cov=[1.0, float("inf"), 1.0]),
          "line 3: root estimate needs a finite mean"),
+        (lambda doc: doc["keypoints"].pop(), "line 3: expected 17 keypoints"),
+        (lambda doc: doc.pop("camera"), "line 3: malformed observation record ('camera')"),
     ], ids=["keypoint-mean", "camera-fx", "root-mean", "gt-pose", "camera-fx-nan",
-            "camera-cx-inf", "camera-fy-inf", "root-mean-nan", "root-cov-inf"])
+            "camera-cx-inf", "camera-fy-inf", "root-mean-nan", "root-cov-inf",
+            "keypoint-count", "no-camera"])
     def test_bad_record_value_names_line(self, tiny_setup, tmp_path, edit, message):
         lines = tiny_setup["obs"].read_text().splitlines()
         doc = json.loads(lines[2])
@@ -668,6 +727,41 @@ class TestStreamRanges:
             cli._check_stream_ranges((1 << 16) + 1, 1)
         with pytest.raises(PosePriorError, match="M = 16777217"):
             cli._check_stream_ranges(1, (1 << 24) + 1)
+
+    def test_purposes_overlap_only_where_pinned(self):
+        # Each purpose's stream ids that the CLI can reach, as inclusive ranges: a run
+        # samples at most MAX_FRAMES frames of MAX_HYPOTHESES hypotheses, and `sample -n`
+        # draws trajectories 0 to n - 1, frame 0's for n up to MAX_HYPOTHESES (16.7 M
+        # poses; -n has no cap of its own).
+        cli._check_stream_ranges(numeric.MAX_FRAMES, numeric.MAX_HYPOTHESES)
+        first = numeric.TRAJECTORY_STREAMS
+        last = first + numeric.MAX_FRAMES * numeric.MAX_HYPOTHESES - 1
+        frame_0 = (first, first + numeric.MAX_HYPOTHESES - 1)
+        reach = {
+            "synth training poses": (numeric.SYNTH_TRAIN_STREAM,) * 2,
+            "synth held-out poses": (numeric.SYNTH_HELDOUT_STREAM,) * 2,
+            "synth observations": (numeric.SYNTH_OBS_STREAM,) * 2,
+            "weight init": (numeric.INIT_STREAM,) * 2,
+            "training batches": (numeric.TRAIN_STREAM,) * 2,
+            "trajectories": (first, last),
+            "roots": (numeric.ROOT_STREAMS + first, numeric.ROOT_STREAMS + last),
+            "sample": frame_0,
+        }
+        assert max(high for _, high in reach.values()) < 1 << 64  # no id wraps in RngStream
+        overlaps = {(a, b): (max(ra[0], rb[0]), min(ra[1], rb[1]))
+                    for (a, ra), (b, rb) in itertools.combinations(reach.items(), 2)
+                    if max(ra[0], rb[0]) <= min(ra[1], rb[1])}
+        # `sample` is frame 0 by design, so that gamma = 0 reproduces it; synth's streams are
+        # frame 0's hypotheses 1-3, and so sample's too, a known defect
+        assert overlaps == {
+            ("synth training poses", "trajectories"): (1, 1),
+            ("synth training poses", "sample"): (1, 1),
+            ("synth held-out poses", "trajectories"): (2, 2),
+            ("synth held-out poses", "sample"): (2, 2),
+            ("synth observations", "trajectories"): (3, 3),
+            ("synth observations", "sample"): (3, 3),
+            ("trajectories", "sample"): frame_0,
+        }
 
 
 class TestSampleCommand:
@@ -1255,6 +1349,22 @@ class TestEvaluateCommand:
         assert proc.returncode == 2
         assert (f"{hyp}: record {2 * gt.num_poses + 1}: frame not-in-gt is not in "
                 f"{tiny_setup['gt']}") in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("joints,frames,named", [
+        (17, 1, "no hypotheses for frame synth00001"),
+        (2, 2, "need at least 3 joints for alignment"),
+    ], ids=["frame-without-hypotheses", "two-joints"])
+    def test_unscorable_files_exit_2(self, tiny_setup, tmp_path, joints, frames, named):
+        gt = dataio.load_poses(tiny_setup["gt"])
+        gt = dataio.PoseDataset(gt.joint_names[:joints], gt.poses[:, :joints], gt.meta)
+        gt_path, hyp = tmp_path / "gt.jsonl", tmp_path / "hyp.jsonl"
+        dataio.save_poses(gt, gt_path)
+        self.write_counted(gt, [(meta["frame_id"], 2) for meta in gt.meta[:frames]], hyp)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(gt_path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert f"error: {named}\n" in proc.stderr
         assert not out.exists()
 
     def test_non_utf8_file_exits_2_naming_file_and_line(self, tiny_setup, tmp_path):

@@ -127,7 +127,7 @@ class TestPoseFile:
             dataio.load_poses(path)
 
 
-def one_record(sigma=2.0, with_cov=True, with_root_cov=True, gt=True):
+def one_record(sigma=2.0, gt=True):
     cam = Camera(1100.0, 1100.0, 500.0, 500.0)
     joints = 4
     rng = RngStream(81, 0)
@@ -142,8 +142,6 @@ def one_record(sigma=2.0, with_cov=True, with_root_cov=True, gt=True):
         frame_id="f0", camera=cam, keypoints=obs,
         root=RootEstimate(root, np.array([100.0, 100.0, 400.0])),
         gt_pose=gt_pose if gt else None,
-        cov_fallback_joints=() if with_cov else (0, 1, 2, 3),
-        root_cov_fallback=not with_root_cov,
     )
     return rec
 
@@ -163,23 +161,27 @@ class TestObservationFile:
         assert np.array_equal(got.root.mean, rec.root.mean)
         assert np.array_equal(got.root.cov, rec.root.cov)
         assert np.array_equal(got.gt_pose.joints, rec.gt_pose.joints)
-        assert got.cov_fallback_joints == ()
 
     def test_missing_cov_gets_fallback(self, tmp_path):
-        rec = one_record(with_cov=False)
         path = tmp_path / "obs.jsonl"
-        dataio.save_observations([rec], path, ["a", "b", "c", "d"])
+        header = '{"format":"poseprior/observations","version":1,"J":2,"joint_names":["a","b"]}'
+        rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"valid":true},{"mean":[1,1],"cov":[4,1,9],'
+               '"valid":true}],"root":{"mean":[0,0,0],"cov":[1,2,3]}}')
+        path.write_text(header + "\n" + rec + "\n")
         got = dataio.load_observations(path)[0]
-        assert got.cov_fallback_joints == (0, 1, 2, 3)
         want = [FALLBACK_SIGMA_PX**2, 0.0, FALLBACK_SIGMA_PX**2]
-        assert np.allclose(got.keypoints.covs, np.tile(want, (4, 1)))
+        assert np.array_equal(got.keypoints.covs, [want, [4.0, 1.0, 9.0]])
+        assert np.array_equal(got.root.cov, [1.0, 2.0, 3.0])
 
     def test_missing_root_cov_gets_default(self, tmp_path):
-        rec = one_record(with_root_cov=False)
         path = tmp_path / "obs.jsonl"
-        dataio.save_observations([rec], path, ["a", "b", "c", "d"])
+        header = '{"format":"poseprior/observations","version":1,"J":1,"joint_names":["a"]}'
+        rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
+               '"keypoints":[{"mean":[0,0],"cov":[4,1,9],"valid":true}],'
+               '"root":{"mean":[0,0,0]}}')
+        path.write_text(header + "\n" + rec + "\n")
         got = dataio.load_observations(path)[0]
-        assert got.root_cov_fallback
         assert np.array_equal(got.root.cov, np.array(dataio.DEFAULT_ROOT_COV))
 
     def test_non_pd_cov_rejected(self, tmp_path):

@@ -127,3 +127,23 @@ class TestRngStream:
         a = RngStream(7, 3).standard_normal(4)
         b = RngStream(7, 4).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a,b", [
+        ((-1, 0), (-2, 0)), ((-1, 0), (-1000, 0)), ((2**63, 0), (2**63 + 1, 0)),
+        ((0, 2**63), (0, 2**63 + 1)),
+    ], ids=["seed-minus-1-2", "seed-minus-1-1000", "seed-2^63", "stream-2^63"])
+    def test_keys_at_or_above_2_63_stay_distinct(self, a, b):
+        # a key passed to Philox as a list went through float64 there, which rounded these
+        # pairs together; every negative seed is such a key after the 64-bit mask
+        assert not np.array_equal(RngStream(*a).standard_normal(4),
+                                  RngStream(*b).standard_normal(4))
+
+    def test_top_key_draws(self):
+        # a list key warned "invalid value encountered in cast", an error in this suite
+        assert np.isfinite(RngStream(2**64 - 1, 0).standard_normal(4)).all()
+
+    @pytest.mark.parametrize("key", [(0, 0), (7, 2**40), (2**63 - 1, 2**48 + 5),
+                                     (123, (5 << 24) + 49)])
+    def test_keys_below_2_63_draw_as_a_list_key_does(self, key):
+        want = np.random.Generator(np.random.Philox(key=list(key))).standard_normal(8)
+        assert np.array_equal(RngStream(*key).standard_normal(8), want)
