@@ -44,9 +44,46 @@ def _echo_config(args):
     print(f"resolved-config: {json.dumps(resolved, default=str)}", file=sys.stderr)
 
 
+class _Ruled:
+    """A flag's argparse ``type=``: ``convert`` the text, and raise naming ``flag`` and ``rule``
+    if ``ok`` fails. Slotted, not a closure: `main` leaves a parser per call as cyclic garbage."""
+    __slots__ = ("flag", "convert", "ok", "rule", "__name__")
+
+    def __init__(self, flag, convert, ok, rule):
+        self.flag, self.convert, self.ok, self.rule = flag, convert, ok, rule
+        self.__name__ = convert.__name__  # argparse's "invalid int value" names it
+
+    def __call__(self, text):
+        value = self.convert(text)
+        if not self.ok(value):
+            raise PosePriorError(f"{self.flag} must be {self.rule}, got {value!r}")
+        return value
+
+
+def _add_ruled(p, flag, convert, ok, rule, **kwargs):
+    """``p.add_argument(flag, ...)`` checked by `_Ruled` as argparse parses, ``rule`` ending its
+    help. Checks that need another flag, a file or the checkpoint stay in the commands."""
+    kwargs["help"] += f"; must be {rule}"
+    return p.add_argument(flag, type=_Ruled(flag, convert, ok, rule), **kwargs)
+
+
+def _at_least(low):
+    return int, (lambda value: value >= low), f">= {low}"
+
+
+def _hypotheses_from(low):
+    """A count of one frame's trajectories, which the stream map caps at MAX_HYPOTHESES."""
+    cap = numeric.MAX_HYPOTHESES
+    return int, (lambda value: low <= value <= cap), f"in [{low}, 2^{cap.bit_length() - 1}]"
+
+
+_POSITIVE = (float, lambda value: 0.0 < value < math.inf, "finite and > 0")
+_FRACTION = (float, lambda value: 0.0 <= value < 1.0, "in [0, 1)")
+
+
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed in [0, 2^64) (default %(default)s)")
+    _add_ruled(p, "--seed", int, lambda value: 0 <= value < 1 << 64, "in [0, 2^64)",
+               default=0, help="random seed (default %(default)s)")  # RngStream's key range
 
 
 def _guidance_config(args) -> sampler.GuidanceConfig:
@@ -54,55 +91,6 @@ def _guidance_config(args) -> sampler.GuidanceConfig:
     flags = dict(gamma=args.gamma, renoise_variant=args.renoise, num_hypotheses=args.M,
                  seed=args.seed, grad_space=args.grad_space)
     return sampler.GuidanceConfig(**{k: v for k, v in flags.items() if v is not None})
-
-
-def _at_least(low):
-    return (lambda value: value >= low), f">= {low}"
-
-
-_POSITIVE = (lambda value: 0.0 < value < math.inf, "finite and > 0")
-
-# Each flag's range as (predicate, rule), checked by `main` on the parsed
-# flags (argparse's dest; absent or None is skipped) before any command
-# runs, and by `sweep` on each --values item. Checks that need another
-# flag, a file or the checkpoint stay in the commands.
-_FLAG_RULES = {
-    "--hidden": (lambda value: value % 2 == 0 and value >= 4, "even and >= 4"),
-    "--T": _at_least(1),
-    "--offset": (lambda value: 0.0 < value < 1.0, "in (0, 1)"),
-    "--steps": _at_least(0),
-    "--checkpoint-every": _at_least(0),
-    "--batch": _at_least(1),
-    "--ema": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
-    "--lr": _POSITIVE,
-    "-M": _at_least(1),
-    "--gamma": (lambda value: 0.0 <= value < math.inf, "finite and >= 0"),
-    "--cov-scale": _POSITIVE,
-    "--cov-rotate": (math.isfinite, "finite"),
-    "-n": _at_least(0),
-    "--mask": (lambda value: bool(value.strip()), "joint names or indices, or 'all'"),
-    "--floor": (lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
-    "--stride": _at_least(1),
-    "--n-train": _at_least(1),
-    "--n-eval": _at_least(1),
-    "--obs-sigma": _POSITIVE,
-    "--seed": (lambda value: 0 <= value < 1 << 64, "in [0, 2^64)"),  # RngStream's key range
-}
-
-
-def _check_flag(flag, value, where=""):
-    """Raise if ``value`` breaks ``flag``'s rule in _FLAG_RULES; ``where`` leads the message."""
-    ok, rule = _FLAG_RULES[flag]
-    if not ok(value):
-        raise PosePriorError(f"{where}{flag} must be {rule}, got {value!r}")
-
-
-def _check_flags(args):
-    """Raise for the first flag of _FLAG_RULES whose parsed value breaks its rule."""
-    for flag in _FLAG_RULES:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None:
-            _check_flag(flag, value)
 
 
 def cmd_train(args) -> int:
@@ -152,11 +140,11 @@ def _job(idx, rec, keypoints, cfg, cov_scale, cov_rotate):
     return rec, keypoints, replace(cfg, stream_offset=offset)
 
 
-def _check_stream_ranges(frames: int, m: int):
-    """Keep a run's trajectory streams within the stream map's frame and hypothesis limits."""
-    if m > numeric.MAX_HYPOTHESES or frames > numeric.MAX_FRAMES:
-        raise PosePriorError(f"{frames} frames at M = {m} exceed the stream-id ranges: at most "
-                             f"{numeric.MAX_FRAMES} frames and M = {numeric.MAX_HYPOTHESES}")
+def _check_stream_ranges(frames: int):
+    """Keep a run's trajectory streams within the stream map's frame limit (-M's rule caps M)."""
+    if frames > numeric.MAX_FRAMES:
+        raise PosePriorError(f"{frames} frames exceed the stream-id range: at most "
+                             f"{numeric.MAX_FRAMES} frames")
 
 
 def _joint_names(joints: int) -> tuple:
@@ -245,7 +233,7 @@ def cmd_estimate(args) -> int:
     records = dataio.load_observations(args.obs)
     mask = getattr(args, "mask", None)
     _echo_config(args)
-    _check_stream_ranges(len(records), args.M)
+    _check_stream_ranges(len(records))
     if args.report and all(rec.gt_pose is None for rec in records):
         raise PosePriorError(f"--report {args.report}: no observation record has a gt_pose, "
                              f"so there are no metrics to report")
@@ -299,8 +287,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _sweep_values(spec: str, flag: str) -> list:
-    """The comma-separated numbers of `sweep --values`, each finite and within ``flag``'s rule."""
+def _sweep_values(spec: str, convert) -> list:
+    """The comma-separated numbers of `sweep --values`, each finite and then the swept flag's."""
     values = []
     for item in spec.split(","):
         try:
@@ -309,22 +297,25 @@ def _sweep_values(spec: str, flag: str) -> list:
             value = math.nan
         if not math.isfinite(value):
             raise PosePriorError(f"--values: {item!r} is not a finite number")
-        _check_flag(flag, value, "--values: ")
-        values.append(value)
+        try:
+            values.append(convert(item))
+        except PosePriorError as exc:
+            raise PosePriorError(f"--values: {exc}") from None
     return values
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, swept) -> int:
+    """`sweep`; ``swept`` is the parser's action of the swept flag, --cov-scale or --gamma."""
     _echo_config(args)
-    flag = f"--{args.sweep}"
-    if getattr(args, args.sweep.replace("-", "_")) is not None:  # the flag's dest
-        raise PosePriorError(f"{flag} is the swept setting: give its values with --values")
-    values = _sweep_values(args.values, flag)
+    if getattr(args, swept.dest) is not None:
+        raise PosePriorError(f"{swept.option_strings[0]} is the swept setting: "
+                             f"give its values with --values")
+    values = _sweep_values(args.values, swept.type)
     if args.sweep == "cov-scale" and args.M < 2:
         raise PosePriorError(f"-M must be >= 2 for a cov-scale sweep, got {args.M}")
     gcfg = _guidance_config(args)
     records = dataio.load_observations(args.obs)
-    _check_stream_ranges(len(records), args.M)
+    _check_stream_ranges(len(records))
     model = _load_model_for(args.model, records)
     frames = range(len(records))
     scale = 1.0 if args.cov_scale is None else args.cov_scale  # a gamma sweep's --cov-scale
@@ -440,23 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train the denoising prior on a pose file")
-    p.add_argument("--poses", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=100000,
-                   help="training steps [PAPER-default %(default)s]")
-    p.add_argument("--batch", type=int, default=128, help="batch size (default %(default)s)")
-    p.add_argument("--lr", type=float, default=1e-4,
-                   help="Adam learning rate [PAPER-default %(default)s]")
-    p.add_argument("--ema", type=float, default=0.995,
-                   help="EMA decay [PAPER-default %(default)s]")
-    p.add_argument("--hidden", type=int, default=1024,
-                   help="hidden width [PAPER-default %(default)s]")
-    p.add_argument("--T", type=int, default=1000,
-                   help="diffusion steps [PAPER-default %(default)s]")
-    p.add_argument("--offset", type=float, default=0.008,
-                   help="cosine schedule offset [PAPER-default %(default)s]")
-    p.add_argument("--checkpoint-every", type=int, default=0,
-                   help="also save the checkpoint every k steps, 0 never (default %(default)s)")
+    p.add_argument("--poses", required=True, help="training pose file (JSONL)")
+    p.add_argument("--out", required=True, help="checkpoint file to write")
+    _add_ruled(p, "--steps", *_at_least(0), default=100000,
+               help="training steps [PAPER-default %(default)s]")
+    _add_ruled(p, "--batch", *_at_least(1), default=128, help="batch size (default %(default)s)")
+    _add_ruled(p, "--lr", *_POSITIVE, default=1e-4,
+               help="Adam learning rate [PAPER-default %(default)s]")
+    _add_ruled(p, "--ema", *_FRACTION, default=0.995, help="EMA decay [PAPER-default %(default)s]")
+    _add_ruled(p, "--hidden", int, lambda value: value % 2 == 0 and value >= 4, "even and >= 4",
+               default=1024, help="hidden width [PAPER-default %(default)s]")
+    _add_ruled(p, "--T", *_at_least(1), default=1000,
+               help="diffusion steps [PAPER-default %(default)s]")
+    _add_ruled(p, "--offset", float, lambda value: 0.0 < value < 1.0, "in (0, 1)", default=0.008,
+               help="cosine schedule offset [PAPER-default %(default)s]")
+    _add_ruled(p, "--checkpoint-every", *_at_least(0), default=0,
+               help="also save the checkpoint every k steps, 0 never (default %(default)s)")
     p.add_argument("--loss-log", default=None, help="loss CSV (default <out>.loss.csv)")
     _add_seed(p)
     p.set_defaults(func=cmd_train)
@@ -464,28 +454,34 @@ def build_parser() -> argparse.ArgumentParser:
     guidance = sampler.GuidanceConfig()
 
     def estimation_flags(p):
-        p.add_argument("--model", required=True)
-        p.add_argument("--obs", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("-M", type=int, default=guidance.num_hypotheses,
-                       help="hypotheses per frame [PAPER-default %(default)s]")
-        p.add_argument("--gamma", type=float, default=guidance.gamma,
-                       help=f"guidance scale [PAPER-default {guidance.gamma}]")
+        """Add the flags `estimate`, `complete` and `sweep` share; return the actions of the
+        two a sweep can sweep."""
+        p.add_argument("--model", required=True, help="checkpoint file written by train")
+        p.add_argument("--obs", required=True, help="observation file (JSONL)")
+        p.add_argument("--out", required=True,
+                       help="file to write: the hypotheses (JSONL), or a sweep's CSV")
+        _add_ruled(p, "-M", *_hypotheses_from(1), default=guidance.num_hypotheses,
+                   help="hypotheses per frame [PAPER-default %(default)s]")
+        gamma = _add_ruled(p, "--gamma", float, lambda value: 0.0 <= value < math.inf,
+                           "finite and >= 0", default=guidance.gamma,
+                           help=f"guidance scale [PAPER-default {guidance.gamma}]")
         # a literal default in --cov-scale's help: sweep's set_defaults makes %(default)s None
-        p.add_argument("--cov-scale", dest="cov_scale", type=float, default=1.0,
-                       help="multiply every keypoint covariance by this scale (default 1.0)")
-        p.add_argument("--cov-rotate", dest="cov_rotate", type=float, default=0.0,
-                       help="rotate every keypoint covariance by this many radians "
-                            "(default %(default)s)")
+        cov_scale = _add_ruled(
+            p, "--cov-scale", *_POSITIVE, default=1.0,
+            help="multiply every keypoint covariance by this scale (default 1.0)")
+        _add_ruled(p, "--cov-rotate", float, math.isfinite, "finite", default=0.0,
+                   help="rotate every keypoint covariance by this many radians "
+                        "(default %(default)s)")
         p.add_argument("--renoise", choices=[sampler.RENOISE_EQ2, sampler.RENOISE_ALG1],
                        default=guidance.renoise_variant,
                        help="renoise x_{t-1} by the closed-form noising of x0hat (eq2) or "
                             "the pipeline's literal line (alg1) (default %(default)s)")
-        p.add_argument("--grad-space", dest="grad_space",
-                       choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT], default=guidance.grad_space,
+        p.add_argument("--grad-space", choices=[sampler.GRAD_X0HAT, sampler.GRAD_XT],
+                       default=guidance.grad_space,
                        help="apply guidance to the clean estimate x0hat or the noisy iterate xt "
                             "(default %(default)s)")
         _add_seed(p)
+        return cov_scale, gamma
 
     p = sub.add_parser("estimate", help="sample guided hypotheses for each observation")
     estimation_flags(p)
@@ -495,50 +491,54 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="estimate with masked joints inpainted by the prior")
     estimation_flags(p)
     p.add_argument("--report", default=None, help="metrics CSV (default <out>.metrics.csv)")
-    p.add_argument("--mask", required=True,
-                   help="comma-separated joint names/indices, or 'all'")
+    _add_ruled(p, "--mask", str, lambda value: bool(value.strip()),
+               "joint names or indices, or 'all'", required=True,
+               help="the joints to inpaint, comma-separated")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sample", help="unconditional pose generation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("-n", type=int, default=16, help="poses to draw (default %(default)s)")
+    p.add_argument("--model", required=True, help="checkpoint file written by train")
+    p.add_argument("--out", required=True, help="pose file to write (JSONL)")
+    _add_ruled(p, "-n", *_hypotheses_from(0), default=16,
+               help="poses to draw (default %(default)s)")
     _add_seed(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("sweep", help="sweep covariance scale or guidance scale")
-    estimation_flags(p)
-    p.add_argument("--sweep", choices=["cov-scale", "gamma"], required=True)
+    swept = {action.option_strings[0][2:]: action for action in estimation_flags(p)}
+    p.add_argument("--sweep", choices=list(swept), required=True,
+                   help="the setting that --values sets, one run per value")
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     # None tells a flag given on the command line from one left unset; the
     # swept one must be unset, the other takes its default (cmd_sweep)
-    p.set_defaults(func=cmd_sweep, gamma=None, cov_scale=None)
+    p.set_defaults(func=lambda args: cmd_sweep(args, swept[args.sweep]),
+                   gamma=None, cov_scale=None)
 
     p = sub.add_parser("fit-heatmap", help="fit Gaussians to heatmap files")
-    p.add_argument("heatmaps", nargs="+")
-    p.add_argument("--out", required=True)
-    p.add_argument("--floor", type=float, default=1e-6,
-                   help="fit only pixels above this fraction of the peak (default %(default)s)")
+    p.add_argument("heatmaps", nargs="+", help="heatmap files, one per joint in joint order")
+    p.add_argument("--out", required=True, help="fit file to write (JSONL), one line per joint")
+    _add_ruled(p, "--floor", *_FRACTION, default=1e-6,
+               help="fit only pixels above this fraction of the peak (default %(default)s)")
     p.set_defaults(func=cmd_fit_heatmap)
 
     p = sub.add_parser("evaluate", help="score a hypothesis file against ground truth")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=1,
-                   help="evaluate every k-th ground-truth frame (default %(default)s)")
+    p.add_argument("--hyp", required=True, help="hypothesis file written by estimate or complete")
+    p.add_argument("--gt", required=True, help="ground-truth pose file (JSONL)")
+    p.add_argument("--out", required=True, help="metrics CSV to write")
+    _add_ruled(p, "--stride", *_at_least(1), default=1,
+               help="evaluate every k-th ground-truth frame (default %(default)s)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark world")
-    p.add_argument("--out-train", required=True)
+    p.add_argument("--out-train", required=True, help="training pose file to write (JSONL)")
     p.add_argument("--out-obs", default=None, help="observation file (default: not written)")
     p.add_argument("--out-gt", default=None, help="held-out pose file (default: not written)")
-    p.add_argument("--n-train", type=int, default=2000,
-                   help="training poses (default %(default)s)")
-    p.add_argument("--n-eval", type=int, default=16,
-                   help="held-out poses, one observed frame each (default %(default)s)")
-    p.add_argument("--obs-sigma", type=float, default=2.0,
-                   help="keypoint noise standard deviation in pixels (default %(default)s)")
+    _add_ruled(p, "--n-train", *_at_least(1), default=2000,
+               help="training poses (default %(default)s)")
+    _add_ruled(p, "--n-eval", *_at_least(1), default=16,
+               help="held-out poses, one observed frame each (default %(default)s)")
+    _add_ruled(p, "--obs-sigma", *_POSITIVE, default=2.0,
+               help="keypoint noise standard deviation in pixels (default %(default)s)")
     _add_seed(p)
     p.set_defaults(func=cmd_synth)
 
@@ -546,9 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_flags(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: diverged: {exc} {exc.diagnostics}", file=sys.stderr)

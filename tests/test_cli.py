@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,11 +128,13 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("train", ["--batch", "0"], "--batch must be >= 1, got 0"),
     ("train", ["--ema", "1"], "--ema must be in [0, 1), got 1.0"),
     ("train", ["--lr", "inf"], "--lr must be finite and > 0, got inf"),
-    ("estimate", ["-M", "0"], "-M must be >= 1, got 0"),
-    ("complete", ["-M", "0"], "-M must be >= 1, got 0"),
+    ("estimate", ["-M", "0"], "-M must be in [1, 2^24], got 0"),
+    ("estimate", ["-M", "16777217"], "-M must be in [1, 2^24], got 16777217"),
+    ("complete", ["-M", "0"], "-M must be in [1, 2^24], got 0"),
     ("complete", ["--mask", " "], "--mask must be joint names or indices, or 'all', got ' '"),
-    ("sweep", ["-M", "0"], "-M must be >= 1, got 0"),
-    ("sample", ["-n", "-1"], "-n must be >= 0, got -1"),
+    ("sweep", ["-M", "0"], "-M must be in [1, 2^24], got 0"),
+    ("sample", ["-n", "-1"], "-n must be in [0, 2^24], got -1"),
+    ("sample", ["-n", "16777217"], "-n must be in [0, 2^24], got 16777217"),
     ("evaluate", ["--stride", "0"], "--stride must be >= 1, got 0"),
     ("synth", ["--n-train", "0"], "--n-train must be >= 1, got 0"),
     ("synth", ["--n-eval", "0"], "--n-eval must be >= 1, got 0"),
@@ -146,8 +149,9 @@ def test_config_file_flag_is_gone(tiny_setup, tmp_path, command):
     ("synth", ["--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
     ("train", ["--seed", str(2**64)], f"--seed must be in [0, 2^64), got {2**64}"),
 ], ids=["hidden-odd", "hidden-small", "T-zero", "offset-zero", "offset-one", "offset-nan",
-        "steps", "checkpoint-every", "batch", "ema", "lr", "estimate-M", "complete-M",
-        "mask-blank", "sweep-M", "sample-n", "stride", "n-train", "n-eval", "obs-sigma",
+        "steps", "checkpoint-every", "batch", "ema", "lr", "estimate-M", "estimate-M-above-2^24",
+        "complete-M", "mask-blank", "sweep-M", "sample-n", "sample-n-above-2^24", "stride",
+        "n-train", "n-eval", "obs-sigma",
         "floor-nan", "floor-inf", "floor-above-1", "floor-negative", "gamma-nan",
         "cov-rotate-inf", "cov-scale-zero", "seed-negative", "seed-2^64"])
 def test_bad_count_exits_2_naming_flag_before_reading(tiny_setup, tmp_path, monkeypatch,
@@ -184,21 +188,54 @@ def subcommand_parsers():
                 if isinstance(action, argparse._SubParsersAction)).choices
 
 
-def test_every_flag_rule_names_an_option_and_its_dest():
-    commands = subcommand_parsers()
-    dests = {flag: action.dest for command in commands.values()
-             for action in command._actions for flag in action.option_strings}
-    for flag in cli._FLAG_RULES:
-        assert flag in dests, flag
-        assert dests[flag] == flag.lstrip("-").replace("-", "_"), flag
+def ruled_actions():
+    """(command, action) for every option whose ``type=`` checks a rule (`cli._add_ruled`)."""
+    return [(name, action) for name, command in subcommand_parsers().items()
+            for action in command._actions if isinstance(action.type, cli._Ruled)]
+
+
+def test_every_flag_rule_names_its_own_flag():
+    # each ruled option refuses some probe, naming its own first flag and rule
+    probes = ["-1", "0", "1", "3", "inf", "nan", " ", str(2**24 + 1), str(2**64)]
+    for name, action in ruled_actions():
+        flag, rule = action.option_strings[0], action.type.rule
+        errors = []
+        for probe in probes:
+            try:
+                action.type(probe)
+            except PosePriorError as exc:
+                errors.append(str(exc))
+            except ValueError:  # a probe its conversion refuses
+                pass
+        assert errors, (name, flag)
+        assert all(error.startswith(f"{flag} must be {rule}, got ") for error in errors), \
+            (name, flag, errors)
+    assert {action.option_strings[0] for _, action in ruled_actions()} == {
+        "--hidden", "--T", "--offset", "--steps", "--checkpoint-every", "--batch", "--ema",
+        "--lr", "-M", "--gamma", "--cov-scale", "--cov-rotate", "-n", "--mask", "--floor",
+        "--stride", "--n-train", "--n-eval", "--obs-sigma", "--seed"}
 
 
 def test_every_optional_flag_shows_its_default_in_help():
-    missing = [(name, action.option_strings[0]) for name, command in subcommand_parsers().items()
-               for action in command._actions
-               if action.option_strings and not action.required and action.dest != "help"
-               and "default" not in (action.help or "")]
-    assert missing == []
+    # and every option has help, a ruled one ends it with its rule, and each help renders
+    for name, command in subcommand_parsers().items():
+        command.format_help()  # raises on a bare % in a help or rule text
+        for action in command._actions:
+            if action.dest == "help":
+                continue
+            assert action.help, (name, action.dest)
+            if action.option_strings and not action.required:
+                assert "default" in action.help, (name, action.option_strings[0])
+    for name, action in ruled_actions():
+        assert action.help.endswith(f"; must be {action.type.rule}"), (name, action.dest)
+
+
+def test_every_flag_readme_names_is_an_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    options = {flag for command in subcommand_parsers().values()
+               for action in command._actions for flag in action.option_strings}
+    others = {"--no-build-isolation", "--check", "--record"}  # pip's and tests/recipe.py's
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - options == others
 
 
 @pytest.mark.parametrize("command", ["estimate", "complete", "sweep", "sample"])
@@ -639,7 +676,8 @@ class TestEstimateCommand:
                         "--obs", str(tiny_setup["obs"]), "--out", str(out),
                         "-M", "1", "--seed", "1", f"{flag}={value}"])
         assert proc.returncode == 2
-        rule = cli._FLAG_RULES[flag][1]
+        rule = next(action.type.rule for command, action in ruled_actions()
+                    if command == "estimate" and flag in action.option_strings)
         assert f"error: {flag} must be {rule}, got {float(value)!r}\n" in proc.stderr
         assert not out.exists()
 
@@ -714,7 +752,7 @@ class TestEstimateCommand:
                         "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl"),
                         "-M", "16777217"])
         assert proc.returncode == 2
-        assert "M = 16777217" in proc.stderr
+        assert "error: -M must be in [1, 2^24], got 16777217\n" in proc.stderr
         assert not (tmp_path / "x.jsonl").exists()
 
 
@@ -722,18 +760,23 @@ class TestStreamRanges:
     def test_frame_bound(self):
         # frame 65535, hypothesis 2**24 - 1 draws from stream 2**40 - 1, the last one
         # below the weight-init stream 2**40
-        cli._check_stream_ranges(1 << 16, 1 << 24)
-        with pytest.raises(PosePriorError, match="65537 frames"):
-            cli._check_stream_ranges((1 << 16) + 1, 1)
-        with pytest.raises(PosePriorError, match="M = 16777217"):
-            cli._check_stream_ranges(1, (1 << 24) + 1)
+        cli._check_stream_ranges(1 << 16)
+        with pytest.raises(PosePriorError, match="^65537 frames exceed the stream-id range: "
+                                                 "at most 65536 frames$"):
+            cli._check_stream_ranges((1 << 16) + 1)
 
     def test_purposes_overlap_only_where_pinned(self):
         # Each purpose's stream ids that the CLI can reach, as inclusive ranges: a run
         # samples at most MAX_FRAMES frames of MAX_HYPOTHESES hypotheses, and `sample -n`
-        # draws trajectories 0 to n - 1, frame 0's for n up to MAX_HYPOTHESES (16.7 M
-        # poses; -n has no cap of its own).
-        cli._check_stream_ranges(numeric.MAX_FRAMES, numeric.MAX_HYPOTHESES)
+        # draws trajectories 0 to n - 1, frame 0's for every n its rule admits.
+        cli._check_stream_ranges(numeric.MAX_FRAMES)
+        caps = {action.option_strings[0]: action.type for _, action in ruled_actions()
+                if action.option_strings[0] in ("-M", "-n")}
+        assert sorted(caps) == ["-M", "-n"]
+        for convert in caps.values():
+            assert convert(str(numeric.MAX_HYPOTHESES)) == numeric.MAX_HYPOTHESES
+            with pytest.raises(PosePriorError, match=r"in \[[01], 2\^24\], got 16777217$"):
+                convert(str(numeric.MAX_HYPOTHESES + 1))
         first = numeric.TRAJECTORY_STREAMS
         last = first + numeric.MAX_FRAMES * numeric.MAX_HYPOTHESES - 1
         frame_0 = (first, first + numeric.MAX_HYPOTHESES - 1)
