@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -46,7 +47,7 @@ def _echo_config(args):
 
 class _Ruled:
     """A flag's argparse ``type=``: ``convert`` the text, and raise naming ``flag`` and ``rule``
-    if ``ok`` fails. Slotted, not a closure: `main` leaves a parser per call as cyclic garbage."""
+    if ``ok`` fails. A class, not a closure, so the flag's ``rule`` can be read back from it."""
     __slots__ = ("flag", "convert", "ok", "rule", "__name__")
 
     def __init__(self, flag, convert, ok, rule):
@@ -162,7 +163,7 @@ def _mask_indices(spec: str, joints: int) -> set:
     mask = set()
     for token in spec.split(","):
         token = token.strip()
-        if token.isdigit():
+        if token.isdecimal():
             if int(token) >= joints:
                 raise PosePriorError(f"mask index {token} out of range for {joints} joints")
             mask.add(int(token))
@@ -288,19 +289,15 @@ def cmd_sample(args) -> int:
 
 
 def _sweep_values(spec: str, convert) -> list:
-    """The comma-separated numbers of `sweep --values`, each finite and then the swept flag's."""
+    """The comma-separated items of `sweep --values`, each through the swept flag's ``convert``."""
     values = []
     for item in spec.split(","):
-        try:
-            value = float(item)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise PosePriorError(f"--values: {item!r} is not a finite number")
         try:
             values.append(convert(item))
         except PosePriorError as exc:
             raise PosePriorError(f"--values: {exc}") from None
+        except ValueError:
+            raise PosePriorError(f"--values: {item!r} is not a number") from None
     return values
 
 
@@ -545,9 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:  # `build_parser` gives other callers a new one
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _main_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: diverged: {exc} {exc.diagnostics}", file=sys.stderr)

@@ -8,6 +8,7 @@ downstream stage can be exercised without licensed mocap data.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ __all__ = [
 POSE_FORMAT = "poseprior/poses"
 OBS_FORMAT = "poseprior/observations"
 FILE_VERSION = 1
+CAMERA_KEYS = ("fx", "fy", "cx", "cy")
 
 HEATMAP_MAGIC = b"HMP1"
 CHECKPOINT_MAGIC = b"PPD1"
@@ -103,23 +105,14 @@ class ObservationRecord:
     gt_pose: Pose | None = None
 
 
-def save_poses(dataset: PoseDataset, path):
-    header = {
-        "format": POSE_FORMAT,
-        "version": FILE_VERSION,
-        "J": dataset.num_joints,
-        "joint_names": list(dataset.joint_names),
-        "root_index": 0,
-    }
-    if dataset.header_meta:
-        header["meta"] = dict(dataset.header_meta)
+def _write_jsonl(path, file_format, joint_names, extra, docs):
+    """Write the header (format, version, J, joint names, then ``extra``) and one compact
+    JSON line per doc of ``docs``."""
+    header = {"format": file_format, "version": FILE_VERSION, "J": len(joint_names),
+              "joint_names": list(joint_names), **extra}
     with open(path, "w") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i in range(dataset.num_poses):
-            rec = {"joints": dataset.poses[i].ravel().tolist()}
-            if dataset.meta[i]:
-                rec["meta"] = dataset.meta[i]
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        for doc in itertools.chain([header], docs):
+            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _read_jsonl(path, expected_format):
@@ -134,7 +127,7 @@ def _read_jsonl(path, expected_format):
         raise ParseError("empty file: missing header", line=1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"bad header: {exc}", line=1) from None
     if not isinstance(header, dict) or header.get("format") != expected_format:
         raise SchemaError(f"not a {expected_format} file: {path}")
@@ -149,30 +142,49 @@ def _read_jsonl(path, expected_format):
             continue
         try:
             records.append((lineno, json.loads(raw)))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ParseError(f"bad record: {exc}", line=lineno) from None
     return header, records
 
 
+def _numbers(value, n, field):
+    """``value`` as float64 if it is a JSON list of exactly ``n`` numbers, or with ``n`` None
+    as a float if it is one number; else SchemaError naming ``field``. Strings, booleans,
+    null, nested lists and integers beyond float64 are not numbers."""
+    items, count = ([value], 1) if n is None else (value, n)
+    if type(items) is list and len(items) == count and set(map(type, items)) <= {int, float}:
+        try:
+            arr = np.array(items, dtype=np.float64)
+            return float(arr[0]) if n is None else arr
+        except OverflowError:
+            pass
+    kind = "a number" if n is None else f"a list of {n} numbers"
+    got = json.dumps(value)
+    raise SchemaError(f"{field} must be {kind}, got {got if len(got) <= 40 else got[:37] + '...'}")
+
+
+def save_poses(dataset: PoseDataset, path):
+    extra = {"root_index": 0}
+    if dataset.header_meta:
+        extra["meta"] = dict(dataset.header_meta)
+    _write_jsonl(path, POSE_FORMAT, dataset.joint_names, extra, (
+        {"joints": pose.ravel().tolist(), **({"meta": meta} if meta else {})}
+        for pose, meta in zip(dataset.poses, dataset.meta)))
+
+
 def load_poses(path) -> PoseDataset:
     header, records = _read_jsonl(path, POSE_FORMAT)
-    joint_names = tuple(header.get("joint_names") or ())
-    j = header["J"]
-    if not joint_names or len(joint_names) != j:
-        raise SchemaError(f"header J={j} inconsistent with joint_names")
+    j, joint_names = header["J"], header.get("joint_names")
+    if (type(joint_names) is not list or len(joint_names) != j
+            or not all(type(name) is str for name in joint_names)):
+        raise SchemaError(f'line 1: header "joint_names" must be a list of {j} strings')
     if header.get("root_index", 0) != 0:
         raise SchemaError(f"header root_index must be 0, got {header['root_index']!r}")
     poses, meta = [], []
     for lineno, rec in records:
         if not isinstance(rec, dict):
             raise SchemaError(f"line {lineno}: a pose record must be a JSON object")
-        coords = rec.get("joints")
-        if not isinstance(coords, list) or len(coords) != 3 * j:
-            raise SchemaError(f"line {lineno}: expected {3 * j} joint coordinates")
-        try:
-            arr = np.asarray(coords, dtype=np.float64).reshape(j, 3)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"line {lineno}: bad joint coordinates ({exc})") from None
+        arr = _numbers(rec.get("joints"), 3 * j, f'line {lineno}: "joints"').reshape(j, 3)
         if not np.all(np.isfinite(arr)):
             raise SchemaError(f"line {lineno}: non-finite joint coordinates")
         if np.any(arr[0] != 0.0):
@@ -187,28 +199,16 @@ def load_poses(path) -> PoseDataset:
 
 
 def save_observations(records, path, joint_names):
-    joint_names = list(joint_names)
-    header = {
-        "format": OBS_FORMAT,
-        "version": FILE_VERSION,
-        "J": len(joint_names),
-        "joint_names": joint_names,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec in records:
-            cam, kp = rec.camera, rec.keypoints
-            doc = {
-                "frame_id": rec.frame_id,
-                "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy},
-                "keypoints": [{"mean": mean.tolist(), "valid": bool(valid), "cov": cov.tolist()}
-                              for mean, valid, cov in zip(kp.means, kp.valid, kp.covs)],
-                "root": {"mean": rec.root.mean.tolist(), "cov": rec.root.cov.tolist()},
-            }
-            if rec.gt_pose is not None:
-                doc["gt_pose"] = rec.gt_pose.joints.ravel().tolist()
-                doc["gt_frame"] = rec.gt_pose.frame
-            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_jsonl(path, OBS_FORMAT, joint_names, {}, ({
+        "frame_id": rec.frame_id,
+        "camera": {key: getattr(rec.camera, key) for key in CAMERA_KEYS},
+        "keypoints": [{"mean": mean.tolist(), "valid": bool(valid), "cov": cov.tolist()}
+                      for mean, valid, cov in zip(rec.keypoints.means, rec.keypoints.valid,
+                                                  rec.keypoints.covs)],
+        "root": {"mean": rec.root.mean.tolist(), "cov": rec.root.cov.tolist()},
+        **({"gt_pose": rec.gt_pose.joints.ravel().tolist(), "gt_frame": rec.gt_pose.frame}
+           if rec.gt_pose is not None else {}),
+    } for rec in records))
 
 
 def load_observations(path) -> list:
@@ -224,49 +224,44 @@ def load_observations(path) -> list:
     fallback_cov = [FALLBACK_SIGMA_PX**2, 0.0, FALLBACK_SIGMA_PX**2]
     for lineno, doc in raw_records:
         try:
-            cam_doc = doc["camera"]
-            cam = Camera(cam_doc["fx"], cam_doc["fy"], cam_doc["cx"], cam_doc["cy"])
+            cam = Camera(*(_numbers(doc["camera"][key], None, f'camera "{key}"')
+                           for key in CAMERA_KEYS))
             kp_docs = doc["keypoints"]
             if len(kp_docs) != j:
-                raise SchemaError(f"line {lineno}: expected {j} keypoints")
+                raise SchemaError(f"expected {j} keypoints")
             means = np.zeros((j, 2))
             covs = np.tile([1.0, 0.0, 1.0], (j, 1))
             valid = np.zeros(j, dtype=bool)
             for i, kp in enumerate(kp_docs):
                 flag = kp.get("valid", False)
                 if not isinstance(flag, bool):
-                    raise SchemaError(f'line {lineno}: keypoint {i}: "valid" must be true or '
-                                      f'false, got {flag!r}')
+                    raise SchemaError(f'keypoint {i}: "valid" must be true or false, got {flag!r}')
                 valid[i] = flag
-                try:
-                    if "mean" in kp:
-                        means[i] = kp["mean"]
-                    elif valid[i]:
-                        raise SchemaError(f"line {lineno}: keypoint {i} is valid but has no mean")
-                    if "cov" in kp:
-                        covs[i] = kp["cov"]
-                    elif valid[i]:
-                        covs[i] = fallback_cov
-                except ValueError as exc:
-                    raise ValueError(f"keypoint {i}: {exc}") from None
+                if "mean" in kp:
+                    means[i] = _numbers(kp["mean"], 2, f'keypoint {i}: "mean"')
+                elif flag:
+                    raise SchemaError(f"keypoint {i} is valid but has no mean")
+                if "cov" in kp:
+                    covs[i] = _numbers(kp["cov"], 3, f'keypoint {i}: "cov"')
+                elif flag:
+                    covs[i] = fallback_cov
             keypoints = KeypointObservation(means, covs, valid)
             root_doc = doc["root"]
-            root = RootEstimate(root_doc["mean"], root_doc.get("cov", DEFAULT_ROOT_COV))
-            gt = None
-            if "gt_pose" in doc:
-                arr = np.asarray(doc["gt_pose"], dtype=np.float64).reshape(j, 3)
-                gt = Pose(arr, doc.get("gt_frame", "absolute_camera"))
+            root = RootEstimate(_numbers(root_doc["mean"], 3, 'root "mean"'),
+                                _numbers(root_doc["cov"], 3, 'root "cov"')
+                                if "cov" in root_doc else DEFAULT_ROOT_COV)
+            gt = Pose(_numbers(doc["gt_pose"], 3 * j, '"gt_pose"').reshape(j, 3),
+                      doc.get("gt_frame", "absolute_camera")) if "gt_pose" in doc else None
             frame_id = str(doc["frame_id"])
             if frame_id in frame_lines:
-                raise SchemaError(f"line {lineno}: frame_id {frame_id} repeats line "
-                                  f"{frame_lines[frame_id]}")
+                raise SchemaError(f"frame_id {frame_id} repeats line {frame_lines[frame_id]}")
             frame_lines[frame_id] = lineno
             records.append(ObservationRecord(
                 frame_id=frame_id, camera=cam, keypoints=keypoints,
                 root=root, gt_pose=gt))
         except (KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"line {lineno}: malformed observation record ({exc})") from None
-        except ValueError as exc:
+        except (SchemaError, ValueError) as exc:
             raise SchemaError(f"line {lineno}: {exc}") from None
     return records
 

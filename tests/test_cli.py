@@ -238,6 +238,23 @@ def test_every_flag_readme_names_is_an_option():
     assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - options == others
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._main_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["evaluate", "--hyp", "h", "--gt", "g", "--out", "o",
+                         "--stride", "0"]) == 2
+        assert "error: --stride must be >= 1, got 0\n" in capsys.readouterr().err
+    assert len(built) == 1
+    assert build() is not build()  # every other caller gets a parser of its own
+
+
 @pytest.mark.parametrize("command", ["estimate", "complete", "sweep", "sample"])
 def test_sampling_commands_load_only_the_sampling_state(tiny_setup, tmp_path, monkeypatch,
                                                         command):
@@ -475,7 +492,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("which,named", [
         ("record", "line 2: a pose record must be a JSON object"),
-        ("coordinate", "line 2: bad joint coordinates"),
+        ("coordinate", 'line 2: "joints" must be a list of 51 numbers, got [0.0, 0.0, '),
     ], ids=["not-object", "non-numeric"])
     def test_bad_pose_record_exits_2(self, tiny_setup, tmp_path, which, named):
         lines = tiny_setup["train"].read_text().splitlines()
@@ -496,7 +513,7 @@ class TestTrainCommand:
         (lambda lines: [lines[0].replace('"version":1', '"version":2')],
          "unsupported file version 2"),
         (lambda lines: [lines[0].replace('"J":17', '"J":16')],
-         "header J=16 inconsistent with joint_names"),
+         'line 1: header "joint_names" must be a list of 16 strings'),
         (lambda lines: [lines[0], json.dumps({"joints": [0.0] * 3 + [math.nan] * 48})],
          "line 2: non-finite joint coordinates"),
         (lambda lines: lines[:1], "training pose file holds no records"),
@@ -627,8 +644,10 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["keypoints"][5].update(mean=[1, 2, 3]), "line 3: keypoint 5: "),
         (lambda doc: doc["camera"].update(fx=-5), "line 3: focal lengths must be positive"),
-        (lambda doc: doc["root"].update(mean=[1, 2]), "line 3: root estimate needs 3-vector"),
-        (lambda doc: doc.update(gt_pose=[1, 2, 3]), "line 3: cannot reshape"),
+        (lambda doc: doc["root"].update(mean=[1, 2]),
+         'line 3: root "mean" must be a list of 3 numbers, got [1, 2]'),
+        (lambda doc: doc.update(gt_pose=[1, 2, 3]),
+         'line 3: "gt_pose" must be a list of 51 numbers, got [1, 2, 3]'),
         (lambda doc: doc["camera"].update(fx=float("nan")), "line 3: camera parameters must be"),
         (lambda doc: doc["camera"].update(cx=float("inf")), "line 3: camera parameters must be"),
         (lambda doc: doc["camera"].update(fy=float("inf")), "line 3: camera parameters must be"),
@@ -917,6 +936,7 @@ class TestCompleteCommand:
         ("r_knee", "unknown joint name 'r_knee'"),
         ("joint5", "unknown joint name 'joint5'"),
         ("1,5", "mask index 5 out of range"),
+        ("\u00b2", "unknown joint name '\u00b2'"),  # a digit that int() refuses
     ])
     def test_mask_outside_5_joints_exits_2(self, five_joint_setup, tmp_path, mask, named):
         out = tmp_path / "c.jsonl"
@@ -963,16 +983,18 @@ class TestSweepCommand:
         assert all(float(r["reprojection_px"]) >= 0.0 for r in rows)
         assert all(r["best_of_m_mpjpe"] for r in rows)
 
-    @pytest.mark.parametrize("values,item", [
-        ("1,x", "'x'"), ("1,", "''"), ("nan", "'nan'"), ("2e-4,inf", "'inf'"),
-    ])
-    def test_bad_values_item_exits_2(self, tiny_setup, tmp_path, values, item):
+    @pytest.mark.parametrize("values,named", [
+        ("1,x", "'x' is not a number"), ("1,", "'' is not a number"),
+        ("nan", "--gamma must be finite and >= 0, got nan"),
+        ("2e-4,inf", "--gamma must be finite and >= 0, got inf"),
+    ], ids=["1,x-'x'", "1,-''", "nan-'nan'", "2e-4,inf-'inf'"])
+    def test_bad_values_item_exits_2(self, tiny_setup, tmp_path, values, named):
         out = tmp_path / "sweep.csv"
         proc = run_cli(["sweep", "--model", str(tiny_setup["ckpt"]),
                         "--obs", str(tiny_setup["obs"]), "--out", str(out),
                         "--sweep", "gamma", f"--values={values}", "-M", "2"])
         assert proc.returncode == 2
-        assert f"--values: {item} is not a finite number" in proc.stderr
+        assert f"error: --values: {named}\n" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep,values,named", [

@@ -101,7 +101,8 @@ class TestPoseFile:
     @pytest.mark.parametrize("record,named", [
         ('[1,2]', "line 3: a pose record must be a JSON object"),
         ('{"joints":[0,0,0,0,0,0],"meta":[1]}', 'line 3: "meta" must be a JSON object'),
-        ('{"joints":[0,0,0,"x",0,0]}', "line 3: bad joint coordinates"),
+        ('{"joints":[0,0,0,"x",0,0]}',
+         'line 3: "joints" must be a list of 6 numbers, got [0, 0, 0, "x", 0, 0]'),
     ], ids=["not-object", "meta-not-object", "non-numeric"])
     def test_bad_record_names_line(self, tmp_path, record, named):
         path = tmp_path / "bad.jsonl"
