@@ -5,8 +5,9 @@ error, writes machine-readable output to files, and is deterministic
 given its flags and files. The commands that draw random numbers
 (synth, train, estimate, complete, sample, sweep) also take --seed and
 echo it with the configuration; evaluate and fit-heatmap draw none and
-do not take it. Exit codes: 0 success, 2 input or schema error
-(unreadable files included), 3 numerical divergence.
+do not take it. Exit codes: 0 success, 2 an input error (a `PosePriorError`,
+or an `OSError` such as an unreadable file), 3 numerical divergence. Any
+other exception is a bug: it ends in a traceback, exit code 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio, denoiser, metrics, numeric, sampler
-from .errors import DivergenceError, PosePriorError, SchemaError
+from .errors import AlignmentError, DivergenceError, PosePriorError, SchemaError
 from .geometry import Pose, project
 from .numeric import RngStream
 from .observation import fit_gaussian_heatmap
@@ -98,7 +99,7 @@ def cmd_train(args) -> int:
     _echo_config(args)
     dataset = dataio.load_poses(args.poses)
     if dataset.num_poses == 0:
-        raise PosePriorError("training pose file holds no records")
+        raise PosePriorError(f"{args.poses}: training pose file holds no records")
     sched = cosine_schedule(args.T, args.offset)
     model = denoiser.DenoiserModel.initialize(
         dataset.num_joints, args.hidden, sched, RngStream(args.seed, numeric.INIT_STREAM))
@@ -183,7 +184,8 @@ def _write_hypotheses(path, joint_names, per_frame, header_meta):
 
 
 def _mean_reprojection(hyp, keypoints, cam):
-    """Mean pixel residual over all (hypothesis, joint) pairs in front of the camera.
+    """Mean pixel residual over all (hypothesis, joint) pairs in front of the camera; inf
+    where a projection, or the square of a residual, is beyond float64.
 
     One projection over the stacked (M, J, 3) absolute joints; each
     hypothesis's residuals are summed on their own, in hypothesis order.
@@ -193,16 +195,21 @@ def _mean_reprojection(hyp, keypoints, cam):
     if not np.any(ok):
         return float("nan")
     means = np.broadcast_to(keypoints.means, joints.shape[:2] + (2,))
-    residual = np.linalg.norm(project(joints[ok], cam) - means[ok], axis=1)
+    with np.errstate(over="ignore"):  # the inf of the docstring
+        residual = np.linalg.norm(project(joints[ok], cam) - means[ok], axis=1)
     total = 0.0
     for part in np.split(residual, np.cumsum(ok.sum(axis=1))[:-1]):
         total += float(part.sum())
     return total / residual.size
 
 
-def _metric_row(joints, gt, reprojection_px):
-    """Best-of-M metrics of one frame's (M, J, 3) hypotheses: a `_write_metrics_csv` row."""
-    errors, pa_errors = metrics.hypothesis_errors(joints, gt)
+def _metric_row(joints, gt, reprojection_px, frame_id):
+    """Best-of-M metrics of one frame's (M, J, 3) hypotheses: a `_write_metrics_csv` row. A
+    pose Procrustes cannot align (collinear, or coincident joints) raises naming the frame."""
+    try:
+        errors, pa_errors = metrics.hypothesis_errors(joints, gt)
+    except AlignmentError as exc:
+        raise AlignmentError(f"frame {frame_id}: {exc}") from None
     best = Pose(joints[int(np.argmin(errors))])
     return {
         "mpjpe": float(np.min(errors)),
@@ -254,7 +261,8 @@ def cmd_estimate(args) -> int:
         if rec.gt_pose is not None:
             reprojection = _mean_reprojection(hyp, keypoints, rec.camera)
             metric_rows.append((rec.frame_id, len(hyp),
-                                _metric_row(hyp.joints, rec.gt_pose, reprojection)))
+                                _metric_row(hyp.joints, rec.gt_pose, reprojection,
+                                            rec.frame_id)))
 
     header_meta = {"seed": args.seed, "gamma": args.gamma,
                    "cov_scale": args.cov_scale, "cov_rotate": args.cov_rotate,
@@ -400,7 +408,8 @@ def cmd_evaluate(args) -> int:
         if not frame:
             raise SchemaError(f"no hypotheses for frame {frame_id}")
         joints = hyp_data.poses[[frame[index] for index in sorted(frame)]]
-        rows.append((frame_id, len(frame), _metric_row(joints, Pose(gt_pose), float("nan"))))
+        rows.append((frame_id, len(frame),
+                     _metric_row(joints, Pose(gt_pose), float("nan"), frame_id)))
     _write_metrics_csv(args.out, rows)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -554,7 +563,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: diverged: {exc} {exc.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (PosePriorError, OSError, ValueError) as exc:
+    except (PosePriorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,6 +8,7 @@ downstream stage can be exercised without licensed mocap data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denoiser as dn
-from .errors import FormatError, ParseError, SchemaError, VersionError
-from .geometry import DEFAULT_ROOT_COV, Camera, Pose, RootEstimate, project
+from .errors import FormatError, ParseError, PosePriorError, SchemaError, VersionError
+from .geometry import (ABSOLUTE_CAMERA, DEFAULT_ROOT_COV, ROOT_RELATIVE, Camera, Pose,
+                       RootEstimate, project)
 from .numeric import SYNTH_HELDOUT_STREAM, SYNTH_OBS_STREAM, SYNTH_TRAIN_STREAM, RngStream
 from .observation import FALLBACK_SIGMA_PX, Heatmap, KeypointObservation
 from .schedule import cosine_schedule
@@ -115,13 +117,27 @@ def _write_jsonl(path, file_format, joint_names, extra, docs):
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+def _naming_file(load):
+    """A JSON-lines loader whose `PosePriorError` messages start with the file's path."""
+    @functools.wraps(load)
+    def loader(path):
+        try:
+            return load(path)
+        except PosePriorError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+    return loader
+
+
 def _read_jsonl(path, expected_format):
+    """The header and (line number, record) pairs of a file `_write_jsonl` writes, with the
+    header's format, version, J and joint names checked."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise ParseError("empty file: missing header", line=1)
@@ -130,12 +146,18 @@ def _read_jsonl(path, expected_format):
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"bad header: {exc}", line=1) from None
     if not isinstance(header, dict) or header.get("format") != expected_format:
-        raise SchemaError(f"not a {expected_format} file: {path}")
-    if header.get("version") != FILE_VERSION:
-        raise VersionError(f"unsupported file version {header.get('version')}")
-    j = header.get("J")
-    if type(j) is not int or j < 1:  # JSON true and false are not integers here
+        raise SchemaError(f'line 1: not a {expected_format} file: header "format" must be '
+                          f'"{expected_format}"')
+    version = header.get("version")
+    if type(version) is not int or version != FILE_VERSION:  # JSON true is not 1 here
+        raise VersionError(f'line 1: header "version" must be {FILE_VERSION}, '
+                           f"got {json.dumps(version)}")
+    j, joint_names = header.get("J"), header.get("joint_names")
+    if type(j) is not int or j < 1:
         raise SchemaError(f"line 1: header J must be an integer >= 1, got {json.dumps(j)}")
+    if (type(joint_names) is not list or len(joint_names) != j
+            or not all(type(name) is str for name in joint_names)):
+        raise SchemaError(f'line 1: header "joint_names" must be a list of {j} strings')
     records = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -147,18 +169,22 @@ def _read_jsonl(path, expected_format):
     return header, records
 
 
-def _numbers(value, n, field):
+def _numbers(value, n, field, finite=True):
     """``value`` as float64 if it is a JSON list of exactly ``n`` numbers, or with ``n`` None
-    as a float if it is one number; else SchemaError naming ``field``. Strings, booleans,
-    null, nested lists and integers beyond float64 are not numbers."""
+    as a float if it is one number, each finite unless ``finite`` is false; else SchemaError
+    naming ``field``. Strings, booleans, null, nested lists and integers beyond float64 are
+    not numbers; NaN and the infinities are numbers that are not finite."""
     items, count = ([value], 1) if n is None else (value, n)
+    kind = "a number" if n is None else f"a list of {n} numbers"
     if type(items) is list and len(items) == count and set(map(type, items)) <= {int, float}:
         try:
             arr = np.array(items, dtype=np.float64)
-            return float(arr[0]) if n is None else arr
         except OverflowError:
             pass
-    kind = "a number" if n is None else f"a list of {n} numbers"
+        else:
+            if not finite or np.all(np.isfinite(arr)):
+                return float(arr[0]) if n is None else arr
+            kind = "finite"
     got = json.dumps(value)
     raise SchemaError(f"{field} must be {kind}, got {got if len(got) <= 40 else got[:37] + '...'}")
 
@@ -172,21 +198,18 @@ def save_poses(dataset: PoseDataset, path):
         for pose, meta in zip(dataset.poses, dataset.meta)))
 
 
+@_naming_file
 def load_poses(path) -> PoseDataset:
     header, records = _read_jsonl(path, POSE_FORMAT)
-    j, joint_names = header["J"], header.get("joint_names")
-    if (type(joint_names) is not list or len(joint_names) != j
-            or not all(type(name) is str for name in joint_names)):
-        raise SchemaError(f'line 1: header "joint_names" must be a list of {j} strings')
-    if header.get("root_index", 0) != 0:
-        raise SchemaError(f"header root_index must be 0, got {header['root_index']!r}")
+    j = header["J"]
+    root_index = header.get("root_index", 0)
+    if type(root_index) is not int or root_index != 0:
+        raise SchemaError(f'line 1: header "root_index" must be 0, got {json.dumps(root_index)}')
     poses, meta = [], []
     for lineno, rec in records:
         if not isinstance(rec, dict):
             raise SchemaError(f"line {lineno}: a pose record must be a JSON object")
         arr = _numbers(rec.get("joints"), 3 * j, f'line {lineno}: "joints"').reshape(j, 3)
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError(f"line {lineno}: non-finite joint coordinates")
         if np.any(arr[0] != 0.0):
             raise SchemaError(f"line {lineno}: root joint not at the origin")
         rec_meta = rec.get("meta", {})
@@ -195,7 +218,7 @@ def load_poses(path) -> PoseDataset:
         poses.append(arr)
         meta.append(rec_meta)
     arr = np.stack(poses) if poses else np.zeros((0, j, 3))
-    return PoseDataset(joint_names, arr, meta, header.get("meta", {}))
+    return PoseDataset(header["joint_names"], arr, meta, header.get("meta", {}))
 
 
 def save_observations(records, path, joint_names):
@@ -211,12 +234,13 @@ def save_observations(records, path, joint_names):
     } for rec in records))
 
 
+@_naming_file
 def load_observations(path) -> list:
     """Read observation records; missing covariances get the fixed fallback.
 
-    Frame ids are compared as strings, so ``1`` and ``"1"`` are one id, and
-    a repeated id raises. A keypoint's ``"valid"`` is JSON true or false;
-    an absent flag means false.
+    Frame ids are strings or integers, compared as strings, so ``1`` and
+    ``"1"`` are one id, and a repeated id raises. A keypoint's ``"valid"``
+    is JSON true or false; an absent flag means false.
     """
     header, raw_records = _read_jsonl(path, OBS_FORMAT)
     j = header["J"]
@@ -238,11 +262,11 @@ def load_observations(path) -> list:
                     raise SchemaError(f'keypoint {i}: "valid" must be true or false, got {flag!r}')
                 valid[i] = flag
                 if "mean" in kp:
-                    means[i] = _numbers(kp["mean"], 2, f'keypoint {i}: "mean"')
+                    means[i] = _numbers(kp["mean"], 2, f'keypoint {i}: "mean"', finite=flag)
                 elif flag:
                     raise SchemaError(f"keypoint {i} is valid but has no mean")
                 if "cov" in kp:
-                    covs[i] = _numbers(kp["cov"], 3, f'keypoint {i}: "cov"')
+                    covs[i] = _numbers(kp["cov"], 3, f'keypoint {i}: "cov"', finite=flag)
                 elif flag:
                     covs[i] = fallback_cov
             keypoints = KeypointObservation(means, covs, valid)
@@ -250,9 +274,17 @@ def load_observations(path) -> list:
             root = RootEstimate(_numbers(root_doc["mean"], 3, 'root "mean"'),
                                 _numbers(root_doc["cov"], 3, 'root "cov"')
                                 if "cov" in root_doc else DEFAULT_ROOT_COV)
+            gt_frame = doc.get("gt_frame", ABSOLUTE_CAMERA)
+            if gt_frame not in (ABSOLUTE_CAMERA, ROOT_RELATIVE):
+                raise SchemaError(f'"gt_frame" must be "{ABSOLUTE_CAMERA}" or "{ROOT_RELATIVE}", '
+                                  f"got {json.dumps(gt_frame)}")
             gt = Pose(_numbers(doc["gt_pose"], 3 * j, '"gt_pose"').reshape(j, 3),
-                      doc.get("gt_frame", "absolute_camera")) if "gt_pose" in doc else None
-            frame_id = str(doc["frame_id"])
+                      gt_frame) if "gt_pose" in doc else None
+            frame_id = doc["frame_id"]
+            if type(frame_id) not in (str, int):  # so 1.0, true and null name no frame
+                raise SchemaError(f'"frame_id" must be a string or an integer, '
+                                  f"got {json.dumps(frame_id)}")
+            frame_id = str(frame_id)
             if frame_id in frame_lines:
                 raise SchemaError(f"frame_id {frame_id} repeats line {frame_lines[frame_id]}")
             frame_lines[frame_id] = lineno

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError
-from .geometry import Pose, to_root_relative
+from .geometry import Pose
 from .numeric import svd_3x3
 
 __all__ = [
@@ -51,10 +51,30 @@ def _hypotheses(hypotheses, gt: Pose):
     return stacked
 
 
+# Below 2^400 mm, no square or sum of products of coordinates overflows float64; a pose at
+# or above it is scored in units of 2^k mm (exact powers of two), and its figures scaled back.
+_SAFE_EXPONENT = 400
+
+
+def _units(x, axis=None) -> np.ndarray:
+    """The least k >= 0 that puts the magnitudes of ``x`` over ``axis`` below 2^400 in units
+    of 2^k mm; 0 for finite values below 2^400 mm. ``axis`` is kept, to broadcast."""
+    return np.maximum(np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1] - _SAFE_EXPONENT, 0)
+
+
+def _mm(values, k):
+    """Figures in units of 2^k mm back in mm, exactly; inf where a figure exceeds float64."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, k)
+
+
 def _distances(stacked, gt: Pose) -> np.ndarray:
-    """Per-joint distances (M, J) of an (M, J, 3) stack to gt after root alignment; a
-    root-relative pose's root is at the origin, so subtracting it changes nothing."""
-    return np.linalg.norm(stacked - stacked[:, :1] - to_root_relative(gt).joints, axis=2)
+    """Per-joint distances (M, J) of an (M, J, 3) stack to gt after root alignment, each pose
+    and gt in that pose's units; a root-relative pose's root is at the origin, so
+    subtracting it changes nothing."""
+    k = np.maximum(_units(stacked, axis=(1, 2)), _units(gt.joints))
+    p, g = np.ldexp(stacked, -k), np.ldexp(gt.joints, -k)
+    return _mm(np.linalg.norm(p - p[:, :1] - (g - g[:, :1]), axis=2), k[:, 0])
 
 
 def _procrustes(stacked, gt: Pose):
@@ -63,10 +83,13 @@ def _procrustes(stacked, gt: Pose):
     Centroids are removed, the rotation comes from the SVD of the
     cross-covariance (with reflection correction so det = +1), and the
     scale is the optimal least-squares factor. The ground truth's rank
-    is checked once. Returns rotations (M, 3, 3), scales (M,),
-    translations (M, 3) and the aligned poses (M, J, 3).
+    is checked once. Each pose is solved in its own units and gt in its
+    own, which leaves the rotation as it is. Returns rotations (M, 3, 3),
+    scales (M,), translations (M, 3), the aligned poses (M, J, 3) and
+    their per-joint distances to gt (M, J).
     """
-    g = gt.joints
+    kp, kg = _units(stacked, axis=(1, 2)), _units(gt.joints)
+    stacked, g = np.ldexp(stacked, -kp), np.ldexp(gt.joints, -kg)
     m, joints = stacked.shape[:2]
     if joints < 3:
         raise AlignmentError("need at least 3 joints for alignment")
@@ -91,7 +114,8 @@ def _procrustes(stacked, gt: Pose):
     # SimilarityTransform, keep the bits of one pose aligned alone
     translation = g_mean - ((scale[:, None, None] * rot) @ p_mean[:, :, None])[:, :, 0]
     aligned = (scale[:, None, None] * stacked) @ np.swapaxes(rot, 1, 2) + translation[:, None, :]
-    return rot, scale, translation, aligned
+    return (rot, _mm(scale, (kg - kp).ravel()), _mm(translation, kg), _mm(aligned, kg),
+            _mm(np.linalg.norm(aligned - g, axis=2), kg))
 
 
 def hypothesis_errors(hypotheses, gt: Pose):
@@ -101,8 +125,7 @@ def hypothesis_errors(hypotheses, gt: Pose):
     `pa_mpjpe` of that hypothesis alone, bit for bit.
     """
     stacked = _hypotheses(hypotheses, gt)
-    aligned = _procrustes(stacked, gt)[3]
-    pa = np.mean(np.linalg.norm(aligned - gt.joints, axis=2), axis=1)
+    pa = np.mean(_procrustes(stacked, gt)[4], axis=1)
     return np.mean(_distances(stacked, gt), axis=1), pa
 
 
@@ -116,7 +139,7 @@ def procrustes_align(pred: Pose, gt: Pose):
 
     Returns the transform and the transformed prediction.
     """
-    rot, scale, translation, aligned = _procrustes(_hypotheses([pred], gt), gt)
+    rot, scale, translation, aligned, _ = _procrustes(_hypotheses([pred], gt), gt)
     transform = SimilarityTransform(rotation=rot[0], scale=float(scale[0]),
                                     translation=translation[0])
     return transform, aligned[0]
@@ -158,6 +181,8 @@ def per_joint_std(hypotheses) -> float:
     stacked = np.asarray(hypotheses, dtype=np.float64)
     if len(stacked) < 2:
         raise ValueError("need at least 2 hypotheses for a spread estimate")
+    k = _units(stacked)  # one unit for the whole stack, whose spread is across poses
+    stacked = np.ldexp(stacked, -k)
     axis_std = (stacked - stacked[:, :1]).std(axis=0)  # (J, 3), population std
-    return float(np.mean(np.linalg.norm(axis_std, axis=1)))
+    return float(_mm(np.mean(np.linalg.norm(axis_std, axis=1)), k.item()))
 

@@ -239,12 +239,14 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         abs_joints = model.denormalize(x_norm).reshape(n, joints, 3) + roots[:, None, :]
         depth = abs_joints[..., 2]
         counts["behind_camera_skips"] += int(np.count_nonzero((depth <= 0.0) & obs.valid))
-        g_mm, residual = grad_and_residual(abs_joints, obs, cam)
-        if not np.isfinite(g_mm).all():
-            bad = ~np.isfinite(g_mm).all(axis=-1)
-            g_mm[bad] = 0.0
-            counts["nonfinite_grad_zeroed"] += int(np.count_nonzero(bad))
-        with np.errstate(over="ignore"):  # _clip_rows handles overflowed rows
+        # far-off inputs overflow: non-finite gradient rows are zeroed and counted here, an
+        # infinite residual leaves a joint at STEP_CAP_MM, and _clip_rows handles the rest
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_mm, residual = grad_and_residual(abs_joints, obs, cam)
+            if not np.isfinite(g_mm).all():
+                bad = ~np.isfinite(g_mm).all(axis=-1)
+                g_mm[bad] = 0.0
+                counts["nonfinite_grad_zeroed"] += int(np.count_nonzero(bad))
             step_mm = cfg.gamma * g_mm * norm_std * norm_std
             q = step_mm * step_mm  # summed in np.linalg.norm's order
             norms = np.sqrt((q[..., 0] + q[..., 1]) + q[..., 2])

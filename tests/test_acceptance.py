@@ -408,7 +408,8 @@ def test_c10_determinism(toy_world, tmp_path):
 
     model_path = str(toy_world.paths["checkpoint"])
     outs = [tmp_path / f"hyp{i}.jsonl" for i in range(3)]
-    envs = [None, None, {"POSEPRIOR_THREADS": "3"}]
+    # the reruns at one BLAS thread, then the thread leg at two
+    envs = [{"OPENBLAS_NUM_THREADS": threads} for threads in ("1", "1", "2")]
     for out, env in zip(outs, envs):
         proc = run_cli(["estimate", "--model", model_path, "--obs", obs,
                         "--out", str(out), "-M", "6", "--seed", "4"], env_extra=env)

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,11 +512,11 @@ class TestTrainCommand:
         (lambda lines: [], "line 1: empty file: missing header"),
         (lambda lines: ["{"], "line 1: bad header: "),
         (lambda lines: [lines[0].replace('"version":1', '"version":2')],
-         "unsupported file version 2"),
+         'line 1: header "version" must be 1, got 2'),
         (lambda lines: [lines[0].replace('"J":17', '"J":16')],
          'line 1: header "joint_names" must be a list of 16 strings'),
         (lambda lines: [lines[0], json.dumps({"joints": [0.0] * 3 + [math.nan] * 48})],
-         "line 2: non-finite joint coordinates"),
+         'line 2: "joints" must be finite, got [0.0, 0.0, 0.0, NaN, '),
         (lambda lines: lines[:1], "training pose file holds no records"),
     ], ids=["empty", "bad-header", "version", "names", "non-finite", "no-records"])
     def test_bad_pose_file_exits_2(self, tiny_setup, tmp_path, edit, named):
@@ -525,7 +526,7 @@ class TestTrainCommand:
         proc = run_cli(["train", "--poses", str(poses), "--out", str(tmp_path / "m.ckpt"),
                         "--steps", "0", "--hidden", "8", "--T", "10"])
         assert proc.returncode == 2
-        assert f"error: {named}" in proc.stderr
+        assert f"error: {poses}: {named}" in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_blank_record_lines_are_skipped(self, tiny_setup, tmp_path):
@@ -543,7 +544,7 @@ class TestTrainCommand:
         proc = run_cli(["train", "--poses", str(rooted), "--out", str(tmp_path / "m.ckpt"),
                         "--steps", "0", "--hidden", "8", "--T", "10"])
         assert proc.returncode == 2
-        assert "root_index must be 0" in proc.stderr
+        assert f'error: {rooted}: line 1: header "root_index" must be 0, got 1\n' in proc.stderr
 
     @pytest.mark.parametrize("j", [17.0, True], ids=["float", "bool"])
     def test_joint_count_not_an_integer_exits_2(self, tiny_setup, tmp_path, j):
@@ -553,12 +554,23 @@ class TestTrainCommand:
         proc = run_cli(["train", "--poses", str(poses), "--out", str(tmp_path / "m.ckpt"),
                         "--steps", "0", "--hidden", "8", "--T", "10"])
         assert proc.returncode == 2
-        assert f"error: line 1: header J must be an integer >= 1, got {json.dumps(j)}\n" \
-            in proc.stderr
+        assert f"error: {poses}: line 1: header J must be an integer >= 1, " \
+            f"got {json.dumps(j)}\n" in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEstimateCommand:
+    def test_library_value_error_is_a_bug_not_an_input_error(self, tiny_setup, tmp_path,
+                                                              monkeypatch):
+        # exit 2 is for a PosePriorError or an OSError; anything else ends in a traceback
+        def broken(*args, **kwargs):
+            raise ValueError("a bug in the library")
+
+        monkeypatch.setattr(sampler, "sample_guided", broken)
+        with pytest.raises(ValueError, match="a bug in the library"):
+            cli.main(["estimate", "--model", str(tiny_setup["ckpt"]),
+                      "--obs", str(tiny_setup["obs"]), "--out", str(tmp_path / "x.jsonl")])
+
     def test_produces_hypotheses_and_metrics(self, tiny_setup, tmp_path):
         out = tmp_path / "hyp.jsonl"
         proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]),
@@ -622,8 +634,10 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda kp: kp.pop("mean"), "line 3: keypoint 5 is valid but has no mean"),
-        (lambda kp: kp.update(mean=[float("nan"), 1.0]), "line 3: non-finite mean or covariance"),
-        (lambda kp: kp.update(cov=[float("nan"), 0.0, 4.0]), "line 3: non-finite mean or covariance"),
+        (lambda kp: kp.update(mean=[float("nan"), 1.0]),
+         'line 3: keypoint 5: "mean" must be finite, got [NaN, 1.0]'),
+        (lambda kp: kp.update(cov=[float("nan"), 0.0, 4.0]),
+         'line 3: keypoint 5: "cov" must be finite, got [NaN, 0.0, 4.0]'),
         # a string flag used to load as a valid joint
         (lambda kp: kp.update(valid="false"),
          'line 3: keypoint 5: "valid" must be true or false, got \'false\''),
@@ -648,13 +662,16 @@ class TestEstimateCommand:
          'line 3: root "mean" must be a list of 3 numbers, got [1, 2]'),
         (lambda doc: doc.update(gt_pose=[1, 2, 3]),
          'line 3: "gt_pose" must be a list of 51 numbers, got [1, 2, 3]'),
-        (lambda doc: doc["camera"].update(fx=float("nan")), "line 3: camera parameters must be"),
-        (lambda doc: doc["camera"].update(cx=float("inf")), "line 3: camera parameters must be"),
-        (lambda doc: doc["camera"].update(fy=float("inf")), "line 3: camera parameters must be"),
+        (lambda doc: doc["camera"].update(fx=float("nan")),
+         'line 3: camera "fx" must be finite, got NaN'),
+        (lambda doc: doc["camera"].update(cx=float("inf")),
+         'line 3: camera "cx" must be finite, got Infinity'),
+        (lambda doc: doc["camera"].update(fy=float("inf")),
+         'line 3: camera "fy" must be finite, got Infinity'),
         (lambda doc: doc["root"]["mean"].__setitem__(0, float("nan")),
-         "line 3: root estimate needs a finite mean"),
+         'line 3: root "mean" must be finite, got [NaN, '),
         (lambda doc: doc["root"].update(cov=[1.0, float("inf"), 1.0]),
-         "line 3: root estimate needs a finite mean"),
+         'line 3: root "cov" must be finite, got [1.0, Infinity, 1.0]'),
         (lambda doc: doc["keypoints"].pop(), "line 3: expected 17 keypoints"),
         (lambda doc: doc.pop("camera"), "line 3: malformed observation record ('camera')"),
     ], ids=["keypoint-mean", "camera-fx", "root-mean", "gt-pose", "camera-fx-nan",
@@ -682,7 +699,8 @@ class TestEstimateCommand:
         proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(obs),
                         "--out", str(out), "-M", "1"])
         assert proc.returncode == 2
-        assert f"error: line 3: frame_id {records[0]['frame_id']} repeats line 2\n" in proc.stderr
+        assert f"error: {obs}: line 3: frame_id {records[0]['frame_id']} repeats line 2\n" \
+            in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
@@ -719,7 +737,7 @@ class TestEstimateCommand:
         proc = run_cli(["estimate", "--model", str(tiny_setup["ckpt"]), "--obs", str(obs),
                         "--out", str(tmp_path / "x.jsonl"), "-M", "1"])
         assert proc.returncode == 2
-        assert f"error: line 3: {obs} is not UTF-8 text (byte 0xfc)" in proc.stderr
+        assert f"error: {obs}: line 3: not UTF-8 text (byte 0xfc)\n" in proc.stderr
 
     @pytest.mark.parametrize("grad_space", ["x0hat", "xt"])
     def test_overflowing_guidance_step_is_clipped(self, tiny_setup, tmp_path, grad_space):
@@ -1172,6 +1190,36 @@ class TestFitHeatmapCommand:
 
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("scale", [1e155, 1e303])
+    def test_far_off_poses_are_scored(self, tiny_setup, tmp_path, scale):
+        # squares of such coordinates overflow float64; each figure is still the scale
+        # times the figure of the unscaled files, with no warning
+        gt = dataio.load_poses(tiny_setup["gt"])
+        other = gt.poses[::-1]  # each frame's hypotheses: blends of it and the other frame
+        meta = [{"frame_id": m["frame_id"], "hypothesis": h} for m in gt.meta for h in range(3)]
+        hyp = dataio.PoseDataset(gt.joint_names, np.stack(
+            [0.9 * gt.poses + 0.1 * other, 0.5 * (gt.poses + other), other],
+            axis=1).reshape(-1, 17, 3), meta)
+        paths = {}
+        for name, data in (("hyp", hyp), ("gt", gt)):
+            paths[name] = tmp_path / f"far-{name}.jsonl"
+            dataio.save_poses(dataio.PoseDataset(data.joint_names, scale * data.poses,
+                                                 data.meta), paths[name])
+        out = tmp_path / "eval.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = run_cli(["evaluate", "--hyp", str(paths["hyp"]), "--gt", str(paths["gt"]),
+                            "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(open(out)))
+        assert len(rows) == gt.num_poses + 1
+        for row, meta, gt_pose in zip(rows, gt.meta, gt.poses):
+            joints = hyp.poses[[i for i, m in enumerate(hyp.meta)
+                                if m["frame_id"] == meta["frame_id"]]]
+            errors, pa_errors = metrics.hypothesis_errors(joints, Pose(gt_pose))
+            assert float(row["mpjpe"]) == pytest.approx(scale * errors.min(), rel=1e-12)
+            assert float(row["pa_mpjpe"]) == pytest.approx(scale * pa_errors.min(), rel=1e-12)
+
     def test_perfect_predictions_score_zero(self, tiny_setup, tmp_path):
         gt = dataio.load_poses(tiny_setup["gt"])
         poses, meta = [], []
@@ -1277,8 +1325,8 @@ class TestEvaluateCommand:
         proc = run_cli(["evaluate", "--hyp", str(files["hyp"]), "--gt", str(files["gt"]),
                         "--out", str(out)])
         assert proc.returncode == 2
-        assert f"error: line 1: header J must be an integer >= 1, got {json.dumps(j)}\n" \
-            in proc.stderr
+        assert f"error: {bad}: line 1: header J must be an integer >= 1, " \
+            f"got {json.dumps(j)}\n" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("index", [[1], "x", -1, 1.5, True, None],
@@ -1418,7 +1466,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("joints,frames,named", [
         (17, 1, "no hypotheses for frame synth00001"),
-        (2, 2, "need at least 3 joints for alignment"),
+        (2, 2, "frame synth00000: need at least 3 joints for alignment"),
     ], ids=["frame-without-hypotheses", "two-joints"])
     def test_unscorable_files_exit_2(self, tiny_setup, tmp_path, joints, frames, named):
         gt = dataio.load_poses(tiny_setup["gt"])
@@ -1440,7 +1488,7 @@ class TestEvaluateCommand:
         proc = run_cli(["evaluate", "--hyp", str(hyp), "--gt", str(tiny_setup["gt"]),
                         "--out", str(out)])
         assert proc.returncode == 2
-        assert f"error: line 3: {hyp} is not UTF-8 text (byte 0xfc)" in proc.stderr
+        assert f"error: {hyp}: line 3: not UTF-8 text (byte 0xfc)\n" in proc.stderr
         assert not out.exists()
 
     def test_frame_mismatch_exits_2(self, tiny_setup, tmp_path):
@@ -1459,5 +1507,5 @@ class TestEvaluateCommand:
         proc = run_cli(["evaluate", "--hyp", str(tiny_setup["gt"]), "--gt", str(rooted),
                         "--out", str(tmp_path / "e.csv")])
         assert proc.returncode == 2
-        assert "root_index must be 0" in proc.stderr
+        assert f'error: {rooted}: line 1: header "root_index" must be 0, got 1\n' in proc.stderr
         assert not (tmp_path / "e.csv").exists()

@@ -65,7 +65,8 @@ class TestPoseFile:
         path = tmp_path / "rooted.jsonl"
         header = '{"format":"poseprior/poses","version":1,"J":2,"joint_names":["a","b"],"root_index":1}'
         path.write_text(header + '\n{"joints":[5,0,0,0,0,0]}\n')
-        with pytest.raises(SchemaError, match="root_index must be 0, got 1"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f'{path}: line 1: header "root_index" must be 0, got 1')):
             dataio.load_poses(path)
 
     def test_header_records_root_0(self, tmp_path):
@@ -89,7 +90,7 @@ class TestPoseFile:
         with pytest.raises(ParseError) as err:
             load(path)
         assert err.value.line == 3
-        assert str(err.value) == f"line 3: {path} is not UTF-8 text (byte 0xfc)"
+        assert str(err.value) == f"{path}: line 3: not UTF-8 text (byte 0xfc)"
 
     def test_wrong_coordinate_count(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -123,8 +124,8 @@ class TestPoseFile:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format":"poseprior/poses","version":1,"J":%s,"joint_names":["a"]}\n'
                         % j)
-        with pytest.raises(SchemaError, match=f"^line 1: header J must be an integer >= 1, "
-                                              f"got {re.escape(j)}$"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 1: header J must be an integer >= 1, got {j}") + "$"):
             dataio.load_poses(path)
 
 
@@ -197,8 +198,10 @@ class TestObservationFile:
 
     @pytest.mark.parametrize("keypoint,message", [
         ('{"cov":[1,0,1],"valid":true}', "line 3: keypoint 1 is valid but has no mean"),
-        ('{"mean":[NaN,0],"cov":[1,0,1],"valid":true}', r"line 3: non-finite .* \[1\]"),
-        ('{"mean":[0,0],"cov":[1,0,Infinity],"valid":true}', r"line 3: non-finite .* \[1\]"),
+        ('{"mean":[NaN,0],"cov":[1,0,1],"valid":true}',
+         'line 3: keypoint 1: "mean" must be finite, got [NaN, 0]'),
+        ('{"mean":[0,0],"cov":[1,0,Infinity],"valid":true}',
+         'line 3: keypoint 1: "cov" must be finite, got [1, 0, Infinity]'),
     ], ids=["no-mean", "nan-mean", "inf-cov"])
     def test_bad_valid_keypoint_rejected_with_line_and_joint(self, tmp_path, keypoint, message):
         path = tmp_path / "obs.jsonl"
@@ -207,7 +210,7 @@ class TestObservationFile:
                '"keypoints":[{"mean":[0,0],"valid":true},%s],"root":{"mean":[0,0,0]}}')
         good = rec % (0, '{"mean":[1,1],"valid":true}')
         path.write_text("\n".join([header, good, rec % (1, keypoint)]) + "\n")
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
             dataio.load_observations(path)
 
     @pytest.mark.parametrize("first,second,named", [
@@ -219,7 +222,8 @@ class TestObservationFile:
         rec = ('{"frame_id":%s,"camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
                '"keypoints":[{"mean":[0,0],"valid":true}],"root":{"mean":[0,0,0]}}')
         path.write_text("\n".join([header, rec % first, rec % '"g"', rec % second]) + "\n")
-        with pytest.raises(SchemaError, match=f"^line 4: frame_id {named} repeats line 2$"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 4: frame_id {named} repeats line 2") + "$"):
             dataio.load_observations(path)
 
     @pytest.mark.parametrize("flag", ['"false"', '"true"', "0", "1", "null", "[]"])
@@ -242,8 +246,8 @@ class TestObservationFile:
         rec = ('{"frame_id":"f0","camera":{"fx":1,"fy":1,"cx":0,"cy":0},'
                '"keypoints":[{"mean":[0,0],"valid":true}],"root":{"mean":[0,0,0]}}')
         path.write_text(header % j + "\n" + rec + "\n")
-        with pytest.raises(SchemaError, match=f"^line 1: header J must be an integer >= 1, "
-                                              f"got {re.escape(j)}$"):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 1: header J must be an integer >= 1, got {j}") + "$"):
             dataio.load_observations(path)
 
     def test_invalid_keypoint_may_omit_mean(self, tmp_path):

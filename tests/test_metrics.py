@@ -375,6 +375,60 @@ class TestPerJointStd:
             per_joint_std([random_pose(RngStream(74, 0))])
 
 
+class TestFarOffPoses:
+    """Poses at or above 2^400 mm are scored in units of 2^k mm: every square and product of
+    coordinates stays finite, and each figure is the scale times the unscaled one."""
+
+    @pytest.mark.parametrize("scale", [2.0**300, 2.0**401, 1e155, 1e303])
+    def test_figures_scale_with_the_poses(self, scale):
+        rng = RngStream(170, 0)
+        gt = random_pose(rng, joints=17)
+        poses = np.stack([random_pose(rng, joints=17).joints for _ in range(4)])
+        errors, pa_errors = hypothesis_errors(poses, gt)
+        far_errors, far_pa = hypothesis_errors(scale * poses, Pose(scale * gt.joints))
+        np.testing.assert_allclose(far_errors, scale * errors, rtol=1e-12)
+        np.testing.assert_allclose(far_pa, scale * pa_errors, rtol=1e-12)
+        assert best_of_m(scale * poses, Pose(scale * gt.joints)) == far_errors.min()
+        assert per_joint_std(scale * poses) == pytest.approx(scale * per_joint_std(poses),
+                                                             rel=1e-12)
+        transform, aligned = procrustes_align(Pose(scale * poses[0]), Pose(scale * gt.joints))
+        near, _ = procrustes_align(Pose(poses[0]), gt)
+        assert transform.scale == pytest.approx(near.scale, rel=1e-12)
+        np.testing.assert_allclose(aligned, transform.apply(scale * poses[0]), rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e303])
+    def test_far_off_copy_of_the_ground_truth(self, scale):
+        # the ground truth scaled: its MPJPE is (scale - 1) times the mean joint distance
+        # from the root, and Procrustes undoes the scale
+        gt = random_pose(RngStream(171, 0), joints=17)
+        errors, pa_errors = hypothesis_errors([scale * gt.joints], gt)
+        mean_norm = np.mean(np.linalg.norm(gt.joints, axis=1))
+        assert errors[0] == pytest.approx(scale * mean_norm, rel=1e-12)
+        assert pa_errors[0] < 1e-9 * mean_norm
+        assert pck(Pose(scale * gt.joints), gt) == pytest.approx(100.0 / 17)  # the root
+
+    def test_each_pose_has_its_own_units(self):
+        # one far-off hypothesis leaves the bits of the others as they are, and
+        # Procrustes scales it back to the ground truth's size
+        rng = RngStream(172, 0)
+        gt = random_pose(rng, joints=17)
+        poses = np.stack([random_pose(rng, joints=17).joints for _ in range(3)])
+        mixed = poses.copy()
+        mixed[1] *= 1e300
+        for got, want in zip(hypothesis_errors(mixed, gt), hypothesis_errors(poses, gt)):
+            assert got[0] == want[0] and got[2] == want[2]
+        errors, pa_errors = hypothesis_errors(mixed, gt)
+        assert errors[1] > 1e300 and pa_errors[1] < 1000.0
+
+    def test_a_figure_beyond_float64_reads_inf(self):
+        gt = random_pose(RngStream(173, 0), joints=5)
+        far = np.full((1, 5, 3), 1.5e308)
+        far[0, 0] = 0.0
+        far[0, 1:, 0] = -1.5e308
+        errors, pa_errors = hypothesis_errors(far, gt)
+        assert errors[0] == np.inf and np.isfinite(pa_errors[0])
+
+
 class TestReprojectionError:
     """The one reprojection rule, `cli._mean_reprojection`."""
 
