@@ -371,6 +371,17 @@ def cmd_fit_heatmap(args) -> int:
     return 0
 
 
+def _frame_of(path, i, meta, default) -> str:
+    """Pose record i's frame id as a string, ``default`` when it has none.
+    A present id must be a JSON string or integer, as in an observation
+    file, so 1.0, true and null name no frame."""
+    frame_id = meta.get("frame_id", default)
+    if "frame_id" in meta and type(frame_id) not in (str, int):
+        raise SchemaError(f'{path}: record {i + 1}: "frame_id" must be a string or an '
+                          f"integer, got {json.dumps(frame_id)}")
+    return str(frame_id)
+
+
 def cmd_evaluate(args) -> int:
     _echo_config(args)
     hyp_data = dataio.load_poses(args.hyp)
@@ -379,7 +390,7 @@ def cmd_evaluate(args) -> int:
         raise SchemaError(f"{args.hyp} has {hyp_data.num_joints} joints "
                           f"but {args.gt} has {gt_data.num_joints}")
 
-    gt_frames = [str(meta.get("frame_id", i)) for i, meta in enumerate(gt_data.meta)]
+    gt_frames = [_frame_of(args.gt, i, meta, i) for i, meta in enumerate(gt_data.meta)]
     # frame id -> {hypothesis index: record row}
     by_frame: dict[str, dict] = {}
     for i, frame_id in enumerate(gt_frames):
@@ -393,7 +404,7 @@ def cmd_evaluate(args) -> int:
         if type(index) is not int or index < 0:
             raise SchemaError(f"{args.hyp}: record {i + 1}: \"hypothesis\" must be a "
                               f"non-negative integer, got {json.dumps(index)}")
-        frame_id = str(meta.get("frame_id"))
+        frame_id = _frame_of(args.hyp, i, meta, None)
         if frame_id not in by_frame:
             raise SchemaError(f"{args.hyp}: record {i + 1}: frame {frame_id} is not in {args.gt}")
         frame = by_frame[frame_id]

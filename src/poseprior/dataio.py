@@ -419,12 +419,6 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
                 raise FormatError(f"non-finite {name} in checkpoint {path}")
             return arr
 
-        def stat(key):
-            arr = checked(key, fill(np.empty(hidden), "<f4"))
-            if key.endswith("_v") and np.any(arr < 0.0):
-                raise FormatError(f"negative running variance {key} in checkpoint {path}")
-            return arr
-
         def ema_tensors():
             """The EMA tensors in PARAM_KEYS order, each read into one reused buffer."""
             buf = np.empty(max(math.prod(shape) for shape in shapes.values()), np.float32)
@@ -438,7 +432,12 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
             raise FormatError(f"norm_std has an entry <= 0 in checkpoint {path}")
         weights_at = fh.tell()
         fh.seek(size - stats_bytes)
-        stats = {key: stat(key) for key in dn.STAT_KEYS}
+        stats = dn.ParamGroup(dn.stat_shapes(hidden))
+        fill(stats.flat, "<f4")
+        for key, arr in stats.items():
+            checked(key, arr)
+            if key.endswith("_v") and np.any(arr < 0.0):
+                raise FormatError(f"negative running variance {key} in checkpoint {path}")
         fh.seek(weights_at)
 
         groups = dict.fromkeys(("params", "ema_params", "adam_m", "adam_v"))

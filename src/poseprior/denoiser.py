@@ -39,14 +39,27 @@ as float32 (GROUP_DTYPES): they hold only float32 values, so float32
 storage keeps every bit at half the bytes. The parameters and the
 gradients stay float64, as every training GEMM reads them. Only
 ``DenoiserModel.initialize``, the checkpoint loader and ``train`` build
-groups; everything else writes into their views or ``flat``. The backward
-pass writes gradients into their views with ``out=``. Adam and EMA each
-make one pass over the flat buffers in chunks of UPDATE_CHUNK elements,
-through float64 scratch that stays in cache, with the per-element
-operations of the per-key formulas in the same order, so every bit is
-kept. A numpy op over a whole tensor would make a tensor-sized
-temporary, which misses cache and faults in fresh pages; that, not
-memory traffic, is what the chunks save.
+groups; everything else writes into their views or ``flat``. The eight
+batch-norm running statistics are a ParamGroup too, over STAT_KEYS: one
+(8 h) float64 buffer. The backward pass writes gradients into their
+views with ``out=``.
+
+The train pass keeps the bits of the textbook formulas (``np.mean`` and
+``np.var`` batch norm, one fresh array per operation) with fewer numpy
+calls and batch-sized temporaries: ``_bn_train`` normalizes in place,
+the forward caches each hidden layer's input, zhat, inv_std and ReLU
+output and adds each residual in place, ``_backward_core`` builds each
+batch-norm term in place and sums with ``np.add.reduce``, and
+``loss_and_grads`` and ``_grad_norm`` say how the loss, the running
+statistics and the gradient norm keep theirs. ``tests/test_denoiser.py``
+checks the pass against those formulas bit for bit.
+
+Adam and EMA each make one pass over the flat buffers in chunks of
+UPDATE_CHUNK elements, through float64 scratch that stays in cache,
+with the per-element operations of the per-key formulas in the same
+order, so every bit is kept. A numpy op over a whole tensor would make
+a tensor-sized temporary, which misses cache and faults in fresh pages;
+that, not memory traffic, is what the chunks save.
 """
 
 from __future__ import annotations
@@ -113,6 +126,11 @@ STAT_KEYS = (
     "b2_bn1_m", "b2_bn1_v", "b2_bn2_m", "b2_bn2_v",
 )
 _BLOCKS = ("b1", "b2")
+# The four hidden layers in forward order, each as (batch-norm layer,
+# linear weight, linear bias, batch-norm gain, batch-norm shift); layer
+# k's running mean and variance are STAT_KEYS[2k] and STAT_KEYS[2k + 1].
+_LAYERS = tuple((f"{blk}_{bn}", f"{blk}_{lin}_w", f"{blk}_{lin}_b", f"{blk}_{bn}_g",
+                 f"{blk}_{bn}_b") for blk in _BLOCKS for lin, bn in (("l1", "bn1"), ("l2", "bn2")))
 
 # Buffer dtype of each weight group of a DenoiserModel (see above).
 GROUP_DTYPES = {"params": np.float64, "ema_params": np.float32,
@@ -133,7 +151,12 @@ def param_shapes(joints: int, hidden_dim: int) -> dict:
         for bn in ("bn1", "bn2"):
             shapes[f"{blk}_{bn}_g"] = (h,)
             shapes[f"{blk}_{bn}_b"] = (h,)
-    return shapes
+    return {key: shapes[key] for key in PARAM_KEYS}
+
+
+def stat_shapes(hidden_dim: int) -> dict:
+    """The running-statistic shapes, in STAT_KEYS order."""
+    return dict.fromkeys(STAT_KEYS, (hidden_dim,))
 
 
 def _snap(arr: np.ndarray) -> np.ndarray:
@@ -155,8 +178,10 @@ def _chunks(*flats):
 
 
 class ParamGroup(dict):
-    """One tensor per PARAM_KEYS key, each a view into one contiguous
-    buffer ``flat`` (float64 by default, or float32) in PARAM_KEYS order.
+    """One tensor per key of ``shapes``, each a view into one contiguous
+    buffer ``flat`` (float64 by default, or float32) in the order of
+    ``shapes``: PARAM_KEYS order for a weight group (``param_shapes``),
+    STAT_KEYS order for the running statistics (``stat_shapes``).
 
     Assigning a key copies the value into its view, so ``flat`` stays
     the group's one storage; a value of another shape raises ValueError.
@@ -164,11 +189,11 @@ class ParamGroup(dict):
 
     def __init__(self, shapes: dict, flat=None, dtype=np.float64):
         super().__init__()
-        sizes = [math.prod(shapes[key]) for key in PARAM_KEYS]
+        sizes = [math.prod(shape) for shape in shapes.values()]
         self.flat = np.zeros(sum(sizes), dtype) if flat is None else flat
         lo = 0
-        for key, size in zip(PARAM_KEYS, sizes):
-            dict.__setitem__(self, key, self.flat[lo:lo + size].reshape(shapes[key]))
+        for (key, shape), size in zip(shapes.items(), sizes):
+            dict.__setitem__(self, key, self.flat[lo:lo + size].reshape(shape))
             lo += size
 
     def shapes(self) -> dict:
@@ -207,6 +232,8 @@ class DenoiserModel:
     trained nor saved. Otherwise ``eval_form`` is None and each weight
     group is a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
     ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``.
+    ``bn_stats`` is a float64 ParamGroup over STAT_KEYS (``stat_shapes``),
+    whose ``flat`` buffer the train pass updates.
     """
 
     joints: int
@@ -250,9 +277,9 @@ class DenoiserModel:
                 fan_in = shapes[key[:-2] + "_w"][0]
                 bound = 1.0 / np.sqrt(fan_in)
                 params[key] = _snap(rng.uniform(-bound, bound, shape))
-        stats = {}
-        for key in STAT_KEYS:
-            stats[key] = np.zeros(hidden_dim) if key.endswith("_m") else np.ones(hidden_dim)
+        stats = ParamGroup(stat_shapes(hidden_dim))
+        for key in STAT_KEYS[1::2]:  # the variances
+            stats[key][...] = 1.0
         d = 3 * joints
         return cls(
             joints=joints, hidden_dim=hidden_dim, sched=sched,
@@ -323,12 +350,29 @@ def _project_temb(params, t_arr) -> tuple:
     return e, (e_sin, r1)
 
 
-def _bn_train(z, gamma, beta):
-    mu = z.mean(axis=0)
-    var = z.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    zhat = (z - mu) * inv_std
-    return gamma * zhat + beta, (zhat, inv_std, mu, var)
+def _bn_train(z, stats):
+    """Batch-normalize ``z`` (B, h) in place with its batch statistics;
+    returns (zhat, inv_std), zhat being ``z`` itself.
+
+    Writes the batch mean and (biased) variance into the two rows of
+    ``stats``. Each output bit is that of ``np.mean``, ``np.var`` and
+    ``(z - mu) * inv_std``: the mean is sum / B, the deviation d = z - mu
+    is made once, in place on ``z``, and serves both the variance, sum
+    d * d / B (``np.var`` would sum and divide for the mean again), and
+    zhat = d * inv_std, with inv_std = 1 / sqrt(var + eps).
+    """
+    b = z.shape[0]
+    mu, var = stats
+    np.add.reduce(z, 0, out=mu)
+    mu /= b
+    z -= mu
+    np.add.reduce(z * z, 0, out=var)
+    var /= b
+    inv_std = var + BN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    z *= inv_std
+    return z, inv_std
 
 
 def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
@@ -336,91 +380,104 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
 
     Training multiplies the whole batch with one GEMM, normalizes with
     batch statistics (it ignores ``bn_pairs``) and keeps a cache for the
-    backward pass. Eval multiplies row by row and returns no cache, so
-    each output row equals its own 1-row call bit for bit; it normalizes
-    in place on each product's buffer with ``bn_pairs``, the folded
-    (scale, shift) per batch-norm layer from ``build_eval_form``.
+    backward pass: per hidden layer its input ``a``, zhat, inv_std and
+    ReLU output, and the batch means and variances as one (8, h) array
+    in STAT_KEYS order. Eval multiplies row by row and returns no cache,
+    so each output row equals its own 1-row call bit for bit; it
+    normalizes in place on each product's buffer with ``bn_pairs``, the
+    folded (scale, shift) per batch-norm layer from ``build_eval_form``.
     Training projects the step embedding from ``t_arr``; eval takes it
-    precomputed as ``temb``.
+    precomputed as ``temb``. Both add each residual in place on the
+    block's input, which nothing else holds.
     """
     matmul = np.matmul if train else _rowwise
     e, temb_cache = _project_temb(params, t_arr) if train else (temb, None)
     h = matmul(x, params["in_w"])
     h += params["in_b"]
-    cache = {"x": x, "temb": temb_cache, "e": e, "h_in": h, "blocks": []} if train else None
+    if train:
+        layers, stats = [], np.empty((len(STAT_KEYS), h.shape[1]))
 
-    for blk in _BLOCKS:
-        h_skip = h
-        blk_cache = {"h_skip": h_skip}
-        for i, (lin, bn) in enumerate((("l1", "bn1"), ("l2", "bn2"))):
-            a = h + e
-            z = matmul(a, params[f"{blk}_{lin}_w"])
-            z += params[f"{blk}_{lin}_b"]
-            if train:
-                n, bn_cache = _bn_train(z, params[f"{blk}_{bn}_g"], params[f"{blk}_{bn}_b"])
-                blk_cache[f"a{i}"] = a
-                blk_cache[f"bn{i}"] = bn_cache
-                blk_cache[f"n{i}"] = n
-                h = np.maximum(n, 0.0)
-            else:
-                scale, shift = bn_pairs[f"{blk}_{bn}"]
-                z *= scale
-                z += shift
-                h = np.maximum(z, 0.0, out=z)
-        h = h_skip + h
+    for k, (bn, w, bias, gain, shift) in enumerate(_LAYERS):
+        if k % 2 == 0:
+            h_skip = h
+        a = h + e
+        z = matmul(a, params[w])
+        z += params[bias]
         if train:
-            cache["blocks"].append(blk_cache)
+            zhat, inv_std = _bn_train(z, stats[2 * k:2 * k + 2])
+            h = zhat * params[gain]
+            h += params[shift]
+            np.maximum(h, 0.0, out=h)
+            layers.append((a, zhat, inv_std, h))
+        else:
+            scale, offset = bn_pairs[bn]
+            z *= scale
+            z += offset
+            h = np.maximum(z, 0.0, out=z)
+        if k % 2:
+            h_skip += h
+            h = h_skip
     a_out = h + e
     out = matmul(a_out, params["out_w"])
     out += params["out_b"]
-    if train:
-        cache["a_out"] = a_out
-    return out, cache
+    if not train:
+        return out, None
+    return out, {"x": x, "temb": temb_cache, "layers": layers, "a_out": a_out, "stats": stats}
 
 
 def _backward_core(params, cache, dout, grads=None):
     """Exact reverse-mode gradients of the training forward pass, written
-    into ``grads`` (a ParamGroup; a new one when None) and returned."""
+    into ``grads`` (a ParamGroup; a new one when None) and returned.
+
+    Each batch-norm layer's input gradient, (inv_std / B) (B dzhat -
+    sum dzhat - zhat sum(dzhat zhat)) with dzhat = gain * ReLU'(n) * dh,
+    is built in place on one buffer in that order of operations, and
+    the residual and embedding gradients accumulate in place.
+    """
     if grads is None:
         grads = ParamGroup(params.shapes())
-    a_out = cache["a_out"]
-    np.matmul(a_out.T, dout, out=grads["out_w"])
-    dout.sum(axis=0, out=grads["out_b"])
-    dh = dout @ params["out_w"].T
-    de = dh.copy()  # embedding feeds the output pre-activation too
+    add = np.add.reduce
+    np.matmul(cache["a_out"].T, dout, out=grads["out_w"])
+    add(dout, 0, out=grads["out_b"])
+    dh = de = dout @ params["out_w"].T  # the embedding feeds the output pre-activation too
+    b = dh.shape[0]
+    prod = np.empty_like(dh)
 
-    for blk, blk_cache in zip(reversed(_BLOCKS), reversed(cache["blocks"])):
-        dh_skip = dh.copy()  # residual connection
-        dr = dh
-        for i, (lin, bn) in ((1, ("l2", "bn2")), (0, ("l1", "bn1"))):
-            n = blk_cache[f"n{i}"]
-            dn = dr * (n > 0.0)
-            zhat, inv_std, _, _ = blk_cache[f"bn{i}"]
-            (dn * zhat).sum(axis=0, out=grads[f"{blk}_{bn}_g"])
-            dn.sum(axis=0, out=grads[f"{blk}_{bn}_b"])
-            dzhat = dn * params[f"{blk}_{bn}_g"]
-            b = zhat.shape[0]
-            dz = (inv_std / b) * (
-                b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0)
-            )
-            a = blk_cache[f"a{i}"]
-            np.matmul(a.T, dz, out=grads[f"{blk}_{lin}_w"])
-            dz.sum(axis=0, out=grads[f"{blk}_{lin}_b"])
-            da = dz @ params[f"{blk}_{lin}_w"].T
-            de += da
-            dr = da  # gradient w.r.t. the h entering this sub-layer
-        dh = dr + dh_skip
+    for k in range(len(_LAYERS) - 1, -1, -1):
+        _, w, bias, gain, shift = _LAYERS[k]
+        a, zhat, inv_std, relu = cache["layers"][k]
+        if k % 2:
+            dh_skip = dh  # the residual connection
+        dz = dh * (relu > 0.0)  # > 0 where the pre-ReLU value is; NaN fails both
+        add(np.multiply(dz, zhat, out=prod), 0, out=grads[gain])
+        add(dz, 0, out=grads[shift])
+        dz *= params[gain]
+        total = add(dz, 0)
+        moment = add(np.multiply(dz, zhat, out=prod), 0)
+        dz *= b
+        dz -= total
+        dz -= np.multiply(zhat, moment, out=prod)
+        dz *= inv_std / b
+        np.matmul(a.T, dz, out=grads[w])
+        add(dz, 0, out=grads[bias])
+        dh = dz @ params[w].T
+        if k == len(_LAYERS) - 1:
+            de = de + dh  # the first sum leaves the output layer's gradient as it is
+        else:
+            de += dh
+        if k % 2 == 0:
+            dh += dh_skip
 
     np.matmul(cache["x"].T, dh, out=grads["in_w"])
-    dh.sum(axis=0, out=grads["in_b"])
+    add(dh, 0, out=grads["in_b"])
 
     e_sin, r1 = cache["temb"]
     np.matmul(r1.T, de, out=grads["te2_w"])
-    de.sum(axis=0, out=grads["te2_b"])
-    dr1 = de @ params["te2_w"].T
-    dz1 = dr1 * (r1 > 0.0)  # > 0 where the pre-ReLU value is; NaN fails both
+    add(de, 0, out=grads["te2_b"])
+    dz1 = de @ params["te2_w"].T
+    dz1 *= r1 > 0.0
     np.matmul(e_sin.T, dz1, out=grads["te1_w"])
-    dz1.sum(axis=0, out=grads["te1_b"])
+    add(dz1, 0, out=grads["te1_b"])
     return grads
 
 
@@ -432,6 +489,12 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     is the batch mean. Updates the model's batch-norm running
     statistics as a side effect (this is the train-mode forward). The
     gradients go into ``grads`` when it is given.
+
+    The loss is ``np.mean(np.sum(diff * diff, axis=1))`` as two
+    ``np.add.reduce`` calls and a division by B, and the running
+    statistics ``snap((1 - momentum) stat + momentum batch)`` of every
+    STAT_KEYS key as one pass over their (8 h) buffer and one float32
+    snap; both keep every bit of those formulas.
     """
     x0 = np.asarray(batch_x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] < 1 or x0.shape[1] != model.dim:
@@ -440,20 +503,20 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     t = rng.integers(1, model.sched.T + 1, b)
     eps = rng.standard_normal((b, model.dim))
     ab = model.sched.alphabar[t]
-    x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
+    x_t = np.sqrt(ab)[:, None] * x0
+    x_t += np.sqrt(1.0 - ab)[:, None] * eps
 
-    out, cache = _forward_core(model.params, model.bn_stats, x_t, t, train=True)
-    diff = out - eps
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    grads = _backward_core(model.params, cache, (2.0 / b) * diff, grads)
+    diff, cache = _forward_core(model.params, model.bn_stats, x_t, t, train=True)
+    diff -= eps
+    loss = float(np.add.reduce(np.add.reduce(diff * diff, 1))) / b
+    diff *= 2.0 / b
+    grads = _backward_core(model.params, cache, diff, grads)
 
-    for blk_idx, blk in enumerate(_BLOCKS):
-        blk_cache = cache["blocks"][blk_idx]
-        for i, bn in ((0, "bn1"), (1, "bn2")):
-            _, _, mu, var = blk_cache[f"bn{i}"]
-            for stat_key, batch_val in ((f"{blk}_{bn}_m", mu), (f"{blk}_{bn}_v", var)):
-                updated = (1.0 - BN_MOMENTUM) * model.bn_stats[stat_key] + BN_MOMENTUM * batch_val
-                model.bn_stats[stat_key] = _snap(updated)
+    stats, batch = model.bn_stats.flat, cache["stats"].reshape(-1)
+    stats *= 1.0 - BN_MOMENTUM
+    batch *= BN_MOMENTUM
+    stats += batch
+    stats[...] = stats.astype(np.float32)
     return loss, grads
 
 
@@ -513,6 +576,16 @@ def ema_update(model: DenoiserModel, decay: float):
     return model
 
 
+def _grad_norm(pairs) -> float:
+    """The gradient norm, sqrt(sum(np.sum(g * g) for g in grads.values())), bit
+    for bit: ``pairs`` holds each gradient, in PARAM_KEYS order, with a
+    scratch view of its shape for its squares."""
+    total = 0.0
+    for g, sq in pairs:
+        total += float(np.add.reduce(np.multiply(g, g, out=sq), None))
+    return math.sqrt(total)
+
+
 def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
           ema_decay: float, rng: RngStream, checkpoint_sink=None,
           checkpoint_every: int = 0, loss_log=None) -> DenoiserModel:
@@ -535,14 +608,14 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     data = model.normalize(poses)
     n = data.shape[0]
     grads = ParamGroup(model.params.shapes())
+    # each gradient with its view of one scratch the size of the largest
     squares = np.empty(max(g.size for g in grads.values()))
+    pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
 
     for step in range(1, steps + 1):
         idx = rng.integers(0, n, batch_size)
-        loss, grads = loss_and_grads(model, data[idx], rng, grads)
-        grad_norm = float(np.sqrt(sum(
-            float(np.sum(np.multiply(g, g, out=squares[:g.size].reshape(g.shape))))
-            for g in grads.values())))
+        loss, _ = loss_and_grads(model, data[idx], rng, grads)
+        grad_norm = _grad_norm(pairs)
         if not np.isfinite(loss) or not np.isfinite(grad_norm):
             raise DivergenceError(
                 f"non-finite loss at step {step}", step=step,

@@ -81,6 +81,10 @@ def test_traced_run_counts_layers_and_changes_no_output():
     assert counts["denoiser.eval_calls"] == 10
     assert counts["denoiser.eval_rows"] == 3 * 10
     assert counts["denoiser.train_steps"] == 2
+    # the tracer wraps loss_and_grads by its module name and reads the batch
+    # from its second argument: 2 steps of batch 8
+    assert sum(span[0] == "denoiser.loss_and_grads" for span in tracer.spans) == 2
+    assert tracer.counts["train_rows"] == 2 * 8
 
     # one block renoise per step; each trajectory stream is drawn in chunks
     # of NOISE_CHUNK steps (initial state included), plus one root draw

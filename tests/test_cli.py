@@ -1346,6 +1346,28 @@ class TestEvaluateCommand:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_in", ["gt", "hyp"])
+    @pytest.mark.parametrize("frame_id", [None, 1.0, True, ["a"]],
+                             ids=["null", "float", "bool", "list"])
+    def test_frame_id_not_a_string_or_integer_exits_2(self, tiny_setup, tmp_path, bad_in,
+                                                      frame_id):
+        # the rule an observation file's frame_id keeps; a pair of files
+        # whose records both said null was scored as frame "None"
+        gt = dataio.load_poses(tiny_setup["gt"])
+        paths = {"gt": tmp_path / "gt.jsonl", "hyp": tmp_path / "hyp.jsonl"}
+        for name, path in paths.items():
+            frame = frame_id if bad_in == "gt" or name == "hyp" else "synth00000"
+            dataio.save_poses(dataio.PoseDataset(gt.joint_names, gt.poses[:1],
+                                                 [{"frame_id": frame, "hypothesis": 0}]), path)
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["evaluate", "--hyp", str(paths["hyp"]), "--gt", str(paths["gt"]),
+                        "--out", str(out)])
+        assert proc.returncode == 2
+        assert (f'error: {paths[bad_in]}: record 1: "frame_id" must be a string or an integer, '
+                f"got {json.dumps(frame_id)}\n") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_repeated_record_exits_2(self, tiny_setup, tmp_path):
         # three hypotheses of each frame, then the last record again
         gt = dataio.load_poses(tiny_setup["gt"])

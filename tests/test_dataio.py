@@ -10,6 +10,7 @@ import pytest
 from poseprior import dataio
 from poseprior.denoiser import (
     PARAM_KEYS,
+    STAT_KEYS,
     DenoiserModel,
     ParamGroup,
     build_eval_form,
@@ -516,7 +517,8 @@ class TestCheckpoint:
         # stream into the eval form through one float32 buffer of the
         # largest tensor: the peak allocation of the load and the closure is
         # what the model holds (the form, the statistics) plus that buffer
-        # and SLACK for Python objects; no weight group is made. Loading the
+        # and SLACK for Python objects; the one group made is the running
+        # statistics', and no weight group is made. Loading the
         # float32 EMA group and building the form from it, as before, needs
         # the group's bytes more, which is above the bound
         slack = 64 * 1024
@@ -535,7 +537,8 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert groups == [] and back.ema_params is None
+        assert [tuple(shapes) for shapes, *_ in groups] == [STAT_KEYS]
+        assert back.ema_params is None
         form = back.eval_form
         held = (form.temb.nbytes + sum(w.nbytes for w in form.weights.values())
                 + sum(a.nbytes for pair in form.bn_pairs.values() for a in pair)

@@ -417,6 +417,112 @@ class TestFlatGroups:
         assert peak < 2 * param_bytes
 
 
+def reference_train_step(model, x0, rng):
+    """One train step by the per-key formulas: ``np.mean``/``np.var`` batch
+    norm, a fresh array per operation, each running statistic snapped on
+    its own, the loss as ``np.mean(np.sum(...))`` and the gradient norm as
+    a sum of per-key ``np.sum``, on float64 copies of the model's state.
+    Returns (loss, gradients, running statistics, gradient norm); the
+    train pass must match it bit for bit."""
+    p = {key: value.copy() for key, value in model.params.items()}
+    stats = {key: value.copy() for key, value in model.bn_stats.items()}
+    b = x0.shape[0]
+    t = rng.integers(1, model.sched.T + 1, b)
+    eps = rng.standard_normal((b, model.dim))
+    ab = model.sched.alphabar[t]
+    x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
+
+    e_sin = sinusoidal_embedding(t, model.hidden_dim)
+    r1 = np.maximum(e_sin @ p["te1_w"] + p["te1_b"], 0.0)
+    e = r1 @ p["te2_w"] + p["te2_b"]
+    h = x_t @ p["in_w"] + p["in_b"]
+    layers = []
+    for blk in ("b1", "b2"):
+        h_skip = h
+        for lin, bn in (("l1", "bn1"), ("l2", "bn2")):
+            a = h + e
+            z = a @ p[f"{blk}_{lin}_w"] + p[f"{blk}_{lin}_b"]
+            mu, var = z.mean(axis=0), z.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + denoiser.BN_EPS)
+            zhat = (z - mu) * inv_std
+            n = p[f"{blk}_{bn}_g"] * zhat + p[f"{blk}_{bn}_b"]
+            h = np.maximum(n, 0.0)
+            layers.append((f"{blk}_{lin}", f"{blk}_{bn}", a, zhat, inv_std, n))
+            for key, batch_val in ((f"{blk}_{bn}_m", mu), (f"{blk}_{bn}_v", var)):
+                stats[key] = _snap((1.0 - denoiser.BN_MOMENTUM) * stats[key]
+                                   + denoiser.BN_MOMENTUM * batch_val)
+        h = h_skip + h
+    a_out = h + e
+    diff = a_out @ p["out_w"] + p["out_b"] - eps
+    loss = float(np.mean(np.sum(diff * diff, axis=1)))
+
+    dout = (2.0 / b) * diff
+    grads = {"out_w": a_out.T @ dout, "out_b": dout.sum(axis=0)}
+    dh = dout @ p["out_w"].T
+    de = dh.copy()
+    for k in (3, 2, 1, 0):
+        lin, bn, a, zhat, inv_std, n = layers[k]
+        if k % 2:
+            dh_skip, dr = dh.copy(), dh
+        dn = dr * (n > 0.0)
+        grads[f"{bn}_g"] = (dn * zhat).sum(axis=0)
+        grads[f"{bn}_b"] = dn.sum(axis=0)
+        dzhat = dn * p[f"{bn}_g"]
+        dz = (inv_std / b) * (b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0))
+        grads[f"{lin}_w"] = a.T @ dz
+        grads[f"{lin}_b"] = dz.sum(axis=0)
+        dr = dz @ p[f"{lin}_w"].T
+        de += dr
+        if k % 2 == 0:
+            dh = dr + dh_skip
+    grads["in_w"], grads["in_b"] = x_t.T @ dh, dh.sum(axis=0)
+    grads["te2_w"], grads["te2_b"] = r1.T @ de, de.sum(axis=0)
+    dz1 = (de @ p["te2_w"].T) * (r1 > 0.0)
+    grads["te1_w"], grads["te1_b"] = e_sin.T @ dz1, dz1.sum(axis=0)
+    grad_norm = float(np.sqrt(sum(float(np.sum(grads[key] * grads[key])) for key in PARAM_KEYS)))
+    return loss, grads, stats, grad_norm
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("joints,hidden,batch", [(17, 64, 128), (2, 8, 3)])
+    def test_train_pass_equals_per_key_formulas_bitwise(self, joints, hidden, batch):
+        # several steps, with Adam and EMA in between, so the batch norms
+        # run with gains, shifts and statistics away from their initial values
+        model = small_model(joints=joints, hidden=hidden, t_steps=100, seed=45)
+        data = RngStream(45, 1).standard_normal((50, model.dim))
+        draws, rng, ref_rng = RngStream(45, 2), RngStream(45, 3), RngStream(45, 3)
+        grads = ParamGroup(model.params.shapes())
+        squares = np.empty(max(g.size for g in grads.values()))
+        pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
+        for _ in range(4):
+            x0 = data[draws.integers(0, len(data), batch)]
+            want_loss, want_grads, want_stats, want_norm = reference_train_step(
+                model, x0, ref_rng)
+            loss, got = loss_and_grads(model, x0, rng, grads)
+            assert got is grads
+            assert same_bits(loss, want_loss)
+            for key in PARAM_KEYS:
+                assert same_bits(grads[key], want_grads[key]), key
+            for key in STAT_KEYS:
+                assert same_bits(model.bn_stats[key], want_stats[key]), key
+            assert same_bits(denoiser._grad_norm(pairs), want_norm)
+            adam_step(model, grads, 1e-2)
+            ema_update(model, 0.9)
+        assert np.all(model.bn_stats.flat != np.repeat([0.0, 1.0] * 4, hidden))
+
+    def test_running_statistics_are_views_of_one_buffer(self):
+        stats = small_model().bn_stats
+        assert tuple(stats) == STAT_KEYS
+        assert all(np.shares_memory(stats[key], stats.flat) for key in STAT_KEYS)
+        stats["b2_bn1_v"] = np.full(stats["b2_bn1_v"].shape, 2.5)
+        assert np.count_nonzero(stats.flat == 2.5) == stats["b2_bn1_v"].size
+
+
 def reference_eval_rows(model, block, emb):
     """The eval forward of each row of ``block`` on its own, from the unfolded formulas.
 

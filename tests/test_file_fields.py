@@ -45,7 +45,14 @@ OBS_FIELDS = [
      {"huge": "frame synth00000: ground-truth joints are collinear"}),
 ]
 
-MISSING = object()  # the key is deleted
+class _Missing:
+    """The value of a deleted key; its repr is the case's test id, the same in every run."""
+
+    def __repr__(self):
+        return "MISSING"
+
+
+MISSING = _Missing()  # the key is deleted
 # A field that is not a number: (id, line, keys, value, the message after the path, or None
 # where the value is legal). A pose file's cases go through evaluate, the others estimate.
 POSE_CASES = [
