@@ -149,6 +149,17 @@ def _check_stream_ranges(frames: int):
                              f"{numeric.MAX_FRAMES} frames")
 
 
+def _check_ground_truth(path, records):
+    """Refuse, naming the file and the frame, a ``gt_pose`` that Procrustes cannot align
+    (`metrics.check_alignable`): before the model is loaded, not after sampling its frame."""
+    for rec in records:
+        if rec.gt_pose is not None:
+            try:
+                metrics.check_alignable(rec.gt_pose)
+            except AlignmentError as exc:
+                raise AlignmentError(f"{path}: frame {rec.frame_id}: {exc}") from None
+
+
 def _joint_names(joints: int) -> tuple:
     """Joint labels: the built-in names for 17 joints, else joint0, joint1, ..."""
     if joints == len(dataio.DEFAULT_JOINT_NAMES):
@@ -245,6 +256,7 @@ def cmd_estimate(args) -> int:
     if args.report and all(rec.gt_pose is None for rec in records):
         raise PosePriorError(f"--report {args.report}: no observation record has a gt_pose, "
                              f"so there are no metrics to report")
+    _check_ground_truth(args.obs, records)
     gcfg = _guidance_config(args)
     model = _load_model_for(args.model, records)
     mask_indices = _mask_indices(mask, model.joints) if mask else set()

@@ -26,6 +26,16 @@ the next, so a panel is read from cache by all rows of the block. Each
 row still runs its own product over the full inner dimension, and the
 panels keep every bit of the 2-D product (see ``_panels``).
 
+Sampling uses a second thread where it pays: when some eval linear of
+a ``sample_guided`` call reaches SPLIT_MADDS multiply-adds over more
+than one panel (hidden 1024 at any M, hidden 256 from M = 16; never at
+hidden 64), and the process may run on at least two CPUs
+(``os.sched_getaffinity``). That call then owns one helper thread
+(``eval_helper``), which multiplies the second half of each large
+product's panels while the caller multiplies the first. Every bit is
+kept. ``taskset -c 0 poseprior ...`` keeps a run on one core and one
+thread.
+
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
 after every update) so checkpoints, which store them as float32, round
@@ -64,7 +74,10 @@ that, not memory traffic, is what the chunks save.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,6 +97,7 @@ __all__ = [
     "make_eval_forward",
     "build_eval_form",
     "EvalForm",
+    "eval_helper",
     "ParamGroup",
     "PARAM_KEYS",
     "STAT_KEYS",
@@ -104,6 +118,18 @@ ADAM_EPS = 1e-8
 # over the 2-D weight. Widths 32 and 128 performed the same; 256 was
 # slower at M = 2.
 PANEL_COLS = 64
+
+# Multiply-adds (rows x K x N) from which an eval product of more than
+# one panel splits its panels between the calling thread and a helper
+# thread (``_rowwise``); a handoff to the helper costs about 50 us. One
+# sampling step with the products from 2^20 split (2-vCPU Xeon, OpenBLAS
+# 0.3.31, one BLAS thread, median us, serial against split): h = 1024,
+# M = 1: 3,600 against 2,420; h = 512, M = 4: 1,062 against 1,174, but
+# split faster in 6 of 7 pairs; h = 256, M = 16: 880 against 837;
+# h = 128, M = 64: 1,713 against 1,541. With every product of more than
+# one panel split, h = 256 at M = 8 (2^19) took 803 against 578, and
+# h = 128 at M = 32 885 against 678.
+SPLIT_MADDS = 1 << 20
 
 # Elements per chunk of the Adam and EMA passes: 256 KB per float64
 # scratch buffer, so a chunk's temporaries stay in L2. Adam + EMA at
@@ -233,7 +259,8 @@ class DenoiserModel:
     group is a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
     ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``.
     ``bn_stats`` is a float64 ParamGroup over STAT_KEYS (``stat_shapes``),
-    whose ``flat`` buffer the train pass updates.
+    whose ``flat`` buffer the train pass updates; any other value raises
+    ValueError when the model is built.
     """
 
     joints: int
@@ -241,13 +268,20 @@ class DenoiserModel:
     sched: DiffusionSchedule
     params: ParamGroup | None = field(repr=False)
     ema_params: ParamGroup | None = field(repr=False)
-    bn_stats: dict = field(repr=False)
+    bn_stats: ParamGroup = field(repr=False)
     norm_mean: np.ndarray = field(repr=False)
     norm_std: np.ndarray = field(repr=False)
     adam_m: ParamGroup | None = field(repr=False)
     adam_v: ParamGroup | None = field(repr=False)
     adam_steps: int = 0
     eval_form: EvalForm | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        stats, want = self.bn_stats, stat_shapes(self.hidden_dim)
+        got = stats.shapes() if isinstance(stats, ParamGroup) else type(stats).__name__
+        if got != want or list(got) != list(want):  # the keys in STAT_KEYS order, too
+            raise ValueError(f"bn_stats must be a ParamGroup over STAT_KEYS of "
+                             f"({self.hidden_dim},) views, got {got}")
 
     @property
     def dim(self) -> int:
@@ -307,6 +341,11 @@ def sinusoidal_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+def _panel_cols(n: int) -> int:
+    """Columns per panel of a weight with ``n`` columns (see ``_panels``)."""
+    return PANEL_COLS if n > PANEL_COLS and n % PANEL_COLS == 0 else n
+
+
 def _panels(w):
     """Weight ``w`` (K, N) copied into a contiguous float64 (N / C, 1, K, C) stack
     of column panels: C = PANEL_COLS when N is a multiple of PANEL_COLS
@@ -319,21 +358,40 @@ def _panels(w):
     different, hence the multiple-of rule.
     """
     k, n = w.shape
-    cols = PANEL_COLS if n > PANEL_COLS and n % PANEL_COLS == 0 else n
+    cols = _panel_cols(n)
     return w.reshape(k, n // cols, cols).transpose(1, 0, 2).astype(np.float64, order="C")[:, None]
 
 
-def _rowwise(a, w):
+def _splits(rows: int, k: int, n: int) -> bool:
+    """Whether ``_rowwise`` given a helper splits a ``rows``-row product by a (K, N) weight:
+    it has more than one panel and rows x K x N reaches SPLIT_MADDS."""
+    return n > _panel_cols(n) and rows * k * n >= SPLIT_MADDS
+
+
+def _rowwise(a, w, helper=None):
     """``a @ w`` computed one row at a time, so a row's result does not
     depend on the other rows in the block (a GEMM over the block does).
 
     ``w`` is a panel stack from ``_panels``. numpy's matmul loops over the
     panels outside and the rows inside, so each panel stays in cache while
     every row multiplies it; the (panel, row) results are then put back in
-    (row, column) order.
+    (row, column) order. Where ``helper``, a one-thread executor, is given
+    and the product ``_splits``, the helper multiplies the second half of
+    the panels while this thread multiplies the first, in this thread's
+    context, so under its ``np.errstate``. Each (panel, row) product is the
+    same call either way, so the split keeps every bit.
     """
-    out = (a[None, :, None, :] @ w)[:, :, 0, :]
-    return out.transpose(1, 0, 2).reshape(a.shape[0], -1)
+    rows = a[None, :, None, :]
+    if helper is not None and _splits(len(a), w.shape[2], len(w) * w.shape[3]):
+        half = len(w) // 2
+        out = np.empty((len(w), len(a), 1, w.shape[3]))
+        rest = helper.submit(contextvars.copy_context().run, np.matmul, rows, w[half:],
+                             out=out[half:])
+        np.matmul(rows, w[:half], out=out[:half])
+        rest.result()
+    else:
+        out = rows @ w
+    return out[:, :, 0, :].transpose(1, 0, 2).reshape(len(a), -1)
 
 
 def _project_temb(params, t_arr) -> tuple:
@@ -375,7 +433,7 @@ def _bn_train(z, stats):
     return z, inv_std
 
 
-def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
+def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None, helper=None):
     """The network body for training and eval. Returns (out, cache).
 
     Training multiplies the whole batch with one GEMM, normalizes with
@@ -387,10 +445,10 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None):
     normalizes in place on each product's buffer with ``bn_pairs``, the
     folded (scale, shift) per batch-norm layer from ``build_eval_form``.
     Training projects the step embedding from ``t_arr``; eval takes it
-    precomputed as ``temb``. Both add each residual in place on the
-    block's input, which nothing else holds.
+    precomputed as ``temb`` and hands ``helper`` to ``_rowwise``. Both add
+    each residual in place on the block's input, which nothing else holds.
     """
-    matmul = np.matmul if train else _rowwise
+    matmul = np.matmul if train else (lambda a, w: _rowwise(a, w, helper))
     e, temb_cache = _project_temb(params, t_arr) if train else (temb, None)
     h = matmul(x, params["in_w"])
     h += params["in_b"]
@@ -660,7 +718,20 @@ def build_eval_form(tensors, bn_stats, steps: int) -> EvalForm:
     return EvalForm(temb, weights, bn_pairs)
 
 
-def make_eval_forward(model: DenoiserModel):
+def eval_helper(model: DenoiserModel, rows: int):
+    """The helper for one sampling call's ``rows``-row eval products, as a context: a
+    one-thread executor when some eval linear of ``model`` ``_splits`` at ``rows`` rows and
+    the process may run on at least two CPUs, else a null context, whose value is None.
+    The executor starts its thread at the first split and joins it on exit."""
+    d, h = model.dim, model.hidden_dim
+    if len(os.sched_getaffinity(0)) < 2 or not any(
+            _splits(rows, k, n) for k, n in ((d, h), (h, h), (h, d))):
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # only a call that splits imports it
+    return ThreadPoolExecutor(1)
+
+
+def make_eval_forward(model: DenoiserModel, helper=None):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
     Uses the EMA weights and the batch-norm running statistics in their
@@ -670,7 +741,9 @@ def make_eval_forward(model: DenoiserModel):
     holds the form built at load, and every closure shares it. The
     linears multiply row by row over the weight panels, which keep every
     bit of the 2-D product, so each row's output equals that of its own
-    1-row block bit for bit.
+    1-row block bit for bit. ``helper`` is ``eval_helper``'s value: with
+    an executor, products large enough split their panels with it
+    (``_rowwise``), which keeps every bit too.
     """
     form = model.eval_form
     if model.ema_params is not None:
@@ -679,7 +752,8 @@ def make_eval_forward(model: DenoiserModel):
     temb, weights, bn_pairs = form
 
     def eval_forward(x, t: int):
-        out, _ = _forward_core(weights, bn_pairs, x, None, train=False, temb=temb[t - 1])
+        out, _ = _forward_core(weights, bn_pairs, x, None, train=False, temb=temb[t - 1],
+                               helper=helper)
         return out
 
     return eval_forward

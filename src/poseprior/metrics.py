@@ -19,6 +19,7 @@ __all__ = [
     "SimilarityTransform",
     "mpjpe",
     "procrustes_align",
+    "check_alignable",
     "pa_mpjpe",
     "hypothesis_errors",
     "pck",
@@ -77,29 +78,36 @@ def _distances(stacked, gt: Pose) -> np.ndarray:
     return _mm(np.linalg.norm(p - p[:, :1] - (g - g[:, :1]), axis=2), k[:, 0])
 
 
+def check_alignable(gt: Pose):
+    """Raise AlignmentError unless Procrustes can align poses onto ``gt``: it needs at least
+    3 joints, and after centering, in gt's own units (`_units`), joints not all on one line."""
+    g = np.ldexp(gt.joints, -_units(gt.joints))
+    if len(g) < 3:
+        raise AlignmentError("need at least 3 joints for alignment")
+    if np.linalg.matrix_rank(g - g.mean(axis=0)) < 2:
+        raise AlignmentError("ground-truth joints are collinear")
+
+
 def _procrustes(stacked, gt: Pose):
     """Similarity alignment of each pose of an (M, J, 3) stack onto gt.
 
     Centroids are removed, the rotation comes from the SVD of the
     cross-covariance (with reflection correction so det = +1), and the
-    scale is the optimal least-squares factor. The ground truth's rank
-    is checked once. Each pose is solved in its own units and gt in its
-    own, which leaves the rotation as it is. Returns rotations (M, 3, 3),
-    scales (M,), translations (M, 3), the aligned poses (M, J, 3) and
-    their per-joint distances to gt (M, J).
+    scale is the optimal least-squares factor. The ground truth is
+    checked once, by `check_alignable`. Each pose is solved in its own
+    units and gt in its own, which leaves the rotation as it is. Returns
+    rotations (M, 3, 3), scales (M,), translations (M, 3), the aligned
+    poses (M, J, 3) and their per-joint distances to gt (M, J).
     """
+    check_alignable(gt)
     kp, kg = _units(stacked, axis=(1, 2)), _units(gt.joints)
     stacked, g = np.ldexp(stacked, -kp), np.ldexp(gt.joints, -kg)
-    m, joints = stacked.shape[:2]
-    if joints < 3:
-        raise AlignmentError("need at least 3 joints for alignment")
+    m = len(stacked)
     p_mean, g_mean = stacked.mean(axis=1), g.mean(axis=0)
     p0, g0 = stacked - p_mean[:, None, :], g - g_mean
     p_var = np.sum((p0 * p0).reshape(m, -1), axis=1)
     if np.any(p_var == 0.0):
         raise AlignmentError("prediction joints are all coincident")
-    if np.linalg.matrix_rank(g0) < 2:
-        raise AlignmentError("ground-truth joints are collinear")
     u, s, v = svd_3x3(np.swapaxes(p0, 1, 2) @ g0)
     u_t = np.swapaxes(u, 1, 2)
     d = np.sign(np.linalg.det(v @ u_t))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import DenoiserModel, make_eval_forward
+from .denoiser import DenoiserModel, eval_helper, make_eval_forward
 from .errors import DivergenceError
 from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
@@ -219,7 +219,6 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
                              f"model expects {model.joints}")
         if cam is None:
             raise ValueError("observations given without a camera")
-    eval_fn = make_eval_forward(model)
 
     n, joints = cfg.num_hypotheses, model.joints
     rngs, roots = [], np.zeros((n, 3))
@@ -270,24 +269,27 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     # eq2 draws at t = T..2 and alg1 at t = T..1, each after the initial state
     slabs = sched.T + (cfg.renoise_variant == RENOISE_ALG1)
     noise = _TrajectoryNoise(rngs, model.dim, slabs)
-    x = noise.standard_normal((n, model.dim))
-    for t in range(sched.T, 0, -1):
-        _check_finite(x, "state", t)
-        eps_pred = eval_fn(x, t)
-        if guided and cfg.grad_space == GRAD_XT:
-            # classic score-space guidance: fold the gradient into the
-            # noise estimate, which scales it by sqrt(1 - alphabar_t)
-            eps_pred = eps_pred - np.sqrt(1.0 - sched.alphabar[t]) * guidance_step(
-                x, trust_region=False)
-        x0_hat = estimate_x0(x, eps_pred, t, sched)
-        if guided and cfg.grad_space == GRAD_X0HAT:
-            _check_finite(x0_hat, "clean estimate", t)
-            x0_hat = x0_hat + guidance_step(x0_hat)
-        if cfg.renoise_variant == RENOISE_EQ2:
-            x = renoise(x0_hat, t - 1, noise, sched)
-        else:
-            ab = sched.alphabar[t]
-            x = np.sqrt(ab) * x0_hat + (1.0 - ab) * noise.standard_normal(x0_hat.shape)
+    # the helper thread, if any, lives for this call: the with block joins it
+    with eval_helper(model, n) as helper:
+        eval_fn = make_eval_forward(model, helper)
+        x = noise.standard_normal((n, model.dim))
+        for t in range(sched.T, 0, -1):
+            _check_finite(x, "state", t)
+            eps_pred = eval_fn(x, t)
+            if guided and cfg.grad_space == GRAD_XT:
+                # classic score-space guidance: fold the gradient into the
+                # noise estimate, which scales it by sqrt(1 - alphabar_t)
+                eps_pred = eps_pred - np.sqrt(1.0 - sched.alphabar[t]) * guidance_step(
+                    x, trust_region=False)
+            x0_hat = estimate_x0(x, eps_pred, t, sched)
+            if guided and cfg.grad_space == GRAD_X0HAT:
+                _check_finite(x0_hat, "clean estimate", t)
+                x0_hat = x0_hat + guidance_step(x0_hat)
+            if cfg.renoise_variant == RENOISE_EQ2:
+                x = renoise(x0_hat, t - 1, noise, sched)
+            else:
+                ab = sched.alphabar[t]
+                x = np.sqrt(ab) * x0_hat + (1.0 - ab) * noise.standard_normal(x0_hat.shape)
 
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports overflow
         pose_mm = model.denormalize(x).reshape(n, joints, 3)

@@ -86,8 +86,10 @@ def unchecked_model():
         shapes = denoiser.param_shapes(joints, hidden)
         groups = {name: denoiser.ParamGroup(shapes, dtype=dtype)
                   for name, dtype in denoiser.GROUP_DTYPES.items()}
+        stats = denoiser.ParamGroup(denoiser.stat_shapes(hidden))
+        stats.flat[:] = 1.0
         return denoiser.DenoiserModel(
             joints=joints, hidden_dim=hidden, sched=cosine_schedule(t_steps, 0.008),
-            bn_stats={key: np.ones(hidden) for key in denoiser.STAT_KEYS},
+            bn_stats=stats,
             norm_mean=np.zeros(3 * joints), norm_std=np.ones(3 * joints), **groups)
     return build

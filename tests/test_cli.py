@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -20,6 +21,7 @@ from poseprior.errors import FormatError, PosePriorError
 from poseprior.geometry import Pose
 from poseprior.numeric import SymMat2, spd_inverse_2x2
 from poseprior.observation import Heatmap
+from poseprior.schedule import cosine_schedule
 
 
 def run_cli(args):
@@ -597,6 +599,51 @@ class TestEstimateCommand:
             rows = list(csv.DictReader(open(report)))
             values[m] = float(rows[-1]["mpjpe"])
         assert values[50] <= values[1]
+
+    # `estimate` in a child: pinned to one CPU when argv[1] is "1", else as started. It
+    # counts the eval products handed to a helper thread and prints the count.
+    CPU_CHILD = (
+        "import os, sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "if sys.argv[1] == '1':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "submit, splits = ThreadPoolExecutor.submit, []\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    splits.append(1)\n"
+        "    return submit(self, *args, **kwargs)\n"
+        "ThreadPoolExecutor.submit = counted\n"
+        "from poseprior.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "print(len(splits))\n"
+        "sys.exit(code)\n")
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to compare one CPU against two")
+    def test_paper_size_bytes_do_not_depend_on_cpus(self, tmp_path):
+        # hidden 1024 at M = 2: each 1024 x 1024 linear splits its panels with a helper
+        # thread when the process may use two CPUs, and runs on one thread when pinned
+        skel = dataio.SyntheticSkeletonConfig(n_train=1, n_eval=1, seed=21)
+        _, _, records = dataio.generate_synthetic(skel)
+        obs, ckpt = tmp_path / "obs.jsonl", tmp_path / "model.ckpt"
+        dataio.save_observations(records, obs, skel.joint_names)
+        model = denoiser.DenoiserModel.initialize(17, 1024, cosine_schedule(5, 0.008),
+                                                  numeric.RngStream(21, numeric.INIT_STREAM))
+        dataio.save_checkpoint(model, ckpt)
+        del model
+        outputs = {}
+        for cpus, threads in (("1", "1"), ("2", "1"), ("2", "2")):
+            out = tmp_path / f"hyp-{cpus}-{threads}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.CPU_CHILD, cpus, "estimate", "--model", str(ckpt),
+                 "--obs", str(obs), "--out", str(out), "-M", "2", "--seed", "3"],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            # 4 hidden linears x T = 5 steps split, unless pinned to one CPU
+            assert proc.stdout.split() == ["0" if cpus == "1" else "20"]
+            outputs[cpus, threads] = (out.read_bytes(),
+                                      Path(f"{out}.metrics.csv").read_bytes())
+        assert outputs["1", "1"] == outputs["2", "1"] == outputs["2", "2"]
 
     def test_gamma_zero_matches_sample(self, tiny_setup, tmp_path):
         # single-frame observation file so the stream namespaces line up

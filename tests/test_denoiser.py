@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -515,6 +516,19 @@ class TestTrainStep:
             ema_update(model, 0.9)
         assert np.all(model.bn_stats.flat != np.repeat([0.0, 1.0] * 4, hidden))
 
+    @pytest.mark.parametrize("case", ["dict", "wide", "order"])
+    def test_model_refuses_running_statistics_not_a_stat_group(self, case):
+        # a plain dict used to save, then fail in train on `.flat`
+        model = small_model()
+        stats = {"dict": {key: np.ones(8) for key in STAT_KEYS},
+                 "wide": ParamGroup(denoiser.stat_shapes(9)),
+                 "order": ParamGroup(dict.fromkeys(reversed(STAT_KEYS), (8,)))}[case]
+        with pytest.raises(ValueError, match=r"^bn_stats must be a ParamGroup over STAT_KEYS"):
+            DenoiserModel(joints=2, hidden_dim=8, sched=model.sched, params=model.params,
+                          ema_params=model.ema_params, bn_stats=stats,
+                          norm_mean=model.norm_mean, norm_std=model.norm_std,
+                          adam_m=model.adam_m, adam_v=model.adam_v)
+
     def test_running_statistics_are_views_of_one_buffer(self):
         stats = small_model().bn_stats
         assert tuple(stats) == STAT_KEYS
@@ -677,6 +691,48 @@ class TestPanels:
         for m in (1, 2, 5, 50, 1000):
             a = RngStream(28, m).standard_normal((m, k))
             assert np.array_equal(denoiser._rowwise(a, panels), (a[:, None, :] @ w)[:, 0, :])
+
+    @pytest.mark.parametrize("k, n", [(51, 1024), (1024, 1024), (1024, 1088), (128, 192),
+                                      (1024, 51), (64, 64)])
+    def test_split_equals_serial_bitwise(self, k, n, monkeypatch):
+        # (1024, 1088) has 17 panels, an odd count; (1024, 51) and (64, 64) have
+        # one panel, which never splits
+        w = RngStream(30, k * 10000 + n).standard_normal((k, n))
+        panels = denoiser._panels(w)
+        submitted = []
+
+        class Helper(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(1)
+                return super().submit(*args, **kwargs)
+
+        with Helper(1) as helper:
+            for madds in (1, denoiser.SPLIT_MADDS):  # lowered, then the module's own
+                monkeypatch.setattr(denoiser, "SPLIT_MADDS", madds)
+                for m in (1, 2, 3, 50):
+                    a = RngStream(31, m).standard_normal((m, k))
+                    serial = denoiser._rowwise(a, panels)
+                    submitted.clear()
+                    assert np.array_equal(denoiser._rowwise(a, panels, helper), serial)
+                    # the split runs where the panels and the product's size say, and
+                    # only there: on both sides of the module's constant
+                    assert len(submitted) == (len(panels) > 1 and m * k * n >= madds)
+                    one_by_one = [denoiser._rowwise(a[i:i + 1], panels, helper) for i in range(m)]
+                    assert np.array_equal(np.concatenate(one_by_one), serial)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        # only the helper's half of the panels overflows, and the suite makes the
+        # overflow warning an error: it is raised in the caller by the future
+        monkeypatch.setattr(denoiser, "SPLIT_MADDS", 1)
+        w = np.ones((8, 256))
+        w[:, 192:] = 1e300
+        a = np.full((2, 8), 1e300)
+        with ThreadPoolExecutor(1) as helper:
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                denoiser._rowwise(a, denoiser._panels(w), helper)
+            with np.errstate(over="ignore"):  # the caller's errstate holds in the helper
+                out = denoiser._rowwise(a, denoiser._panels(w), helper)
+        assert np.all(out[:, 192:] == np.inf) and np.all(np.isfinite(out[:, :192]))
 
 
 class TestSampleMoments:

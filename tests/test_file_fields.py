@@ -40,7 +40,7 @@ OBS_FIELDS = [
     ("root-cov", 2, ("root", "cov"), 'root "cov"', 1, ("zero", "huge"),
      {"negative": "line 2: root estimate needs a finite mean and finite cov >= 0"}),
     # one coordinate at 1e303 mm puts the other joints below float64's resolution, so the
-    # pose is collinear to Procrustes; the frame is named once it is scored
+    # pose is collinear to Procrustes; it is refused, naming the frame, before sampling
     ("gt-pose", 2, ("gt_pose",), '"gt_pose"', 4, ("zero", "negative"),
      {"huge": "frame synth00000: ground-truth joints are collinear"}),
 ]
@@ -190,13 +190,12 @@ def number_cases(fields, legal):
 
 def number_case(path, field, kind, tmp_path):
     """The file of a number field's case, and the message it exits 2 with (None where the
-    field takes the kind). A message names the file, except one about a scored frame."""
+    field takes the kind). Every message names the file."""
     _, line, keys, named, index, legal, checked = field
     bad = edited(path, line, keys, tmp_path, lambda value: bad_value(value, index, kind))
     if kind in legal:
         return bad, None
-    message = checked.get(kind, f"line {line}: {named} must be ")
-    return bad, message if message.startswith("frame ") else f"{bad}: {message}"
+    return bad, f"{bad}: {checked.get(kind, f'line {line}: {named} must be ')}"
 
 
 @pytest.mark.parametrize("field,kind", number_cases(POSE_FIELDS, legal=False))
@@ -231,3 +230,12 @@ def test_pose_field_value(world, tmp_path, capsys, field, line, keys, value, mes
 def test_observation_field_value(world, tmp_path, capsys, field, line, keys, value, message):
     obs = edited(world["obs"], line, keys, tmp_path, lambda _: value)
     estimate(world, obs, message and f"{obs}: {message}", tmp_path, capsys)
+
+
+def test_unalignable_ground_truth_exits_2_before_the_model_is_read(world, tmp_path, capsys):
+    # the model file does not exist: the ground truth is refused before it is opened
+    field = next(field for field in OBS_FIELDS if field[0] == "gt-pose")
+    obs, message = number_case(world["obs"], field, "huge", tmp_path)
+    out = tmp_path / "hyp.jsonl"
+    expect(["estimate", "--model", str(tmp_path / "absent.ckpt"), "--obs", str(obs),
+            "--out", str(out)], out, message, capsys)

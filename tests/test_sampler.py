@@ -1,7 +1,11 @@
 import copy
 import dataclasses
 import re
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,8 +185,8 @@ class TestGuided:
     def test_divergence_names_lowest_nonfinite_row(self, toy_world, monkeypatch):
         make_eval = sampler.make_eval_forward
 
-        def poisoned(model):
-            eval_fn = make_eval(model)
+        def poisoned(model, helper):
+            eval_fn = make_eval(model, helper)
 
             def eval_forward(x, t):
                 out = eval_fn(x, t)
@@ -335,6 +339,71 @@ class TestGuided:
         with pytest.raises(ValueError):
             sampler.sample_guided(toy_world.model, None, bad, toy_world.records[0].camera,
                                   toy_world.records[0].root, cfg)
+
+
+class TestHelperThread:
+    """Eval products split between the caller and one helper thread (`denoiser.eval_helper`)."""
+
+    @staticmethod
+    def count_splits(monkeypatch, cpus):
+        """Let the process see ``cpus`` usable CPUs; return the list each split appends to."""
+        monkeypatch.setattr(denoiser.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        submit, splits = ThreadPoolExecutor.submit, []
+
+        def counted(self, *args, **kwargs):
+            splits.append(1)
+            return submit(self, *args, **kwargs)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        return splits
+
+    @staticmethod
+    def hidden_256():
+        return denoiser.DenoiserModel.initialize(17, 256, cosine_schedule(10, 0.008),
+                                                 RngStream(960, 0))
+
+    def test_split_keeps_hypotheses_and_joins_its_thread(self, toy_world, monkeypatch):
+        # at M = 16 the four 256 x 256 linears reach SPLIT_MADDS (2^20) and split;
+        # the 51 x 256 input linear stays under it, and the output linear is one panel
+        model, rec = self.hidden_256(), toy_world.records[0]
+        cfg = sampler.GuidanceConfig(num_hypotheses=16, seed=961)
+        threads = threading.active_count()
+        runs = {}
+        for cpus in (1, 2):
+            splits = self.count_splits(monkeypatch, cpus)
+            runs[cpus] = sampler.sample_guided(model, None, rec.keypoints, rec.camera,
+                                               rec.root, cfg)
+            assert len(splits) == (cpus - 1) * 4 * model.sched.T
+            assert threading.active_count() == threads
+        assert np.array_equal(runs[1].joints, runs[2].joints)
+        assert np.array_equal(runs[1].roots, runs[2].roots)
+        assert runs[1].diagnostics == runs[2].diagnostics
+
+    def test_divergence_joins_the_helper(self, toy_world, monkeypatch):
+        model, rec = self.hidden_256(), toy_world.records[0]
+        model.ema_params["b2_l2_w"] = np.full_like(model.ema_params["b2_l2_w"], np.inf)
+        splits = self.count_splits(monkeypatch, 2)
+        threads = threading.active_count()
+        cfg = sampler.GuidanceConfig(num_hypotheses=16, seed=962)
+        # the caller's errstate holds in the helper, which multiplies the inf panels
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            sampler.sample_guided(model, None, rec.keypoints, rec.camera, rec.root, cfg)
+        assert exc.value.step == model.sched.T
+        assert splits and threading.active_count() == threads
+
+    def test_toy_size_starts_no_thread_and_imports_nothing(self):
+        # every linear of a hidden-64 model is one panel, so no product splits
+        code = (
+            "import sys, threading\n"
+            "from poseprior import denoiser, sampler\n"
+            "from poseprior.numeric import RngStream\n"
+            "from poseprior.schedule import cosine_schedule\n"
+            "model = denoiser.DenoiserModel.initialize(17, 64, cosine_schedule(10, 0.008),\n"
+            "                                          RngStream(963, 0))\n"
+            "sampler.sample_unconditional(model, None, RngStream(963, 1), 50)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
 
 
 class TestTrustRegionCounts:
