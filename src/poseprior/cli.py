@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model_for(model_path, records):
-    """The checkpoint's sampling state, checked against the observations' joint count."""
+    """The checkpoint's sampling `Prior`, checked against the observations' joint count."""
     model = dataio.load_checkpoint(model_path, train_state=False)
     for rec in records:
         if rec.keypoints.num_joints != model.joints:
@@ -196,10 +196,11 @@ def _write_hypotheses(path, joint_names, per_frame, header_meta):
 
 def _mean_reprojection(hyp, keypoints, cam):
     """Mean pixel residual over all (hypothesis, joint) pairs in front of the camera; inf
-    where a projection, or the square of a residual, is beyond float64.
+    where a projection or a residual is beyond float64.
 
     One projection over the stacked (M, J, 3) absolute joints; each
     hypothesis's residuals are summed on their own, in hypothesis order.
+    A residual whose square overflows is taken from its offset scaled by its largest entry.
     """
     joints = hyp.joints + hyp.roots[:, None, :]
     ok = keypoints.valid & (joints[..., 2] > 0.0)
@@ -207,7 +208,11 @@ def _mean_reprojection(hyp, keypoints, cam):
         return float("nan")
     means = np.broadcast_to(keypoints.means, joints.shape[:2] + (2,))
     with np.errstate(over="ignore"):  # the inf of the docstring
-        residual = np.linalg.norm(project(joints[ok], cam) - means[ok], axis=1)
+        offset = project(joints[ok], cam) - means[ok]
+        residual = np.linalg.norm(offset, axis=1)
+        big = np.isinf(residual) & np.isfinite(offset).all(axis=1)
+        scale = np.max(np.abs(offset[big]), axis=1, keepdims=True)
+        residual[big] = np.linalg.norm(offset[big] / scale, axis=1) * scale[:, 0]
     total = 0.0
     for part in np.split(residual, np.cumsum(ok.sum(axis=1))[:-1]):
         total += float(part.sum())

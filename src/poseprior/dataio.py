@@ -335,8 +335,9 @@ def load_heatmap(path) -> Heatmap:
 def save_checkpoint(model: dn.DenoiserModel, path):
     """Write the model to a binary checkpoint (weights as float32; the
     EMA shadows and Adam moments straight from their float32 buffers)."""
-    model.require_train_state("save")
-    if model.norm_mean.shape != (model.dim,) or model.norm_std.shape != (model.dim,):
+    groups = (model.params, model.ema_params, model.adam_m, model.adam_v)  # a Prior opens no file
+    d = 3 * model.joints
+    if model.norm_mean.shape != (d,) or model.norm_std.shape != (d,):
         raise ValueError("model normalization statistics have the wrong shape")
     with open(path, "wb") as fh:
         fh.write(_CKPT_HEADER.pack(
@@ -345,31 +346,27 @@ def save_checkpoint(model: dn.DenoiserModel, path):
         ))
         fh.write(model.norm_mean.astype("<f8").tobytes())
         fh.write(model.norm_std.astype("<f8").tobytes())
-        for group in (model.params, model.ema_params, model.adam_m, model.adam_v):
+        for group in groups:
             for i in range(0, group.flat.size, _CKPT_IO_VALUES):
                 fh.write(group.flat[i:i + _CKPT_IO_VALUES].astype("<f4", copy=False))
         for key in dn.STAT_KEYS:
             fh.write(model.bn_stats[key].astype("<f4").tobytes())
 
 
-def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
-    """Read a checkpoint; rebuilds the schedule from the stored config.
+def load_checkpoint(path, train_state=True) -> dn.DenoiserModel | dn.Prior:
+    """Read a checkpoint into a ``DenoiserModel``, or with ``train_state=False`` into the
+    ``Prior`` that sampling reads; either way the schedule is rebuilt from the stored config.
 
     The file size is checked against the header before any tensor is
-    read. The batch-norm statistics, stored last, are read first; then
-    each weight group is read straight into its ``ParamGroup`` buffer, so
-    the whole file is never held in memory next to the model it becomes:
-    the float32 groups (EMA shadows, Adam moments) in one read with no
-    conversion, the float64 parameters in small pieces.
-
-    With ``train_state=False`` only what sampling uses is read: the
-    normalization statistics, the EMA weights and the batch-norm
-    statistics. The reader seeks past the parameters and streams the EMA
-    tensors one at a time, through one float32 buffer the size of the
-    largest, into ``denoiser.build_eval_form``; the other three weight
-    groups are not read. The model holds that eval form and no weight
-    group, so it never holds the float32 EMA weights. It samples as the
-    full load does, bit for bit; ``train`` and ``save_checkpoint`` refuse it.
+    read. The batch-norm statistics, stored last, are read first. A model
+    then reads each weight group straight into its ``ParamGroup`` buffer,
+    so the whole file is never held in memory next to the model: the
+    float32 groups (EMA shadows, Adam moments) in one read with no
+    conversion, the float64 parameters in small pieces. A prior seeks
+    past the parameters and streams the EMA tensors one at a time,
+    through one float32 buffer the size of the largest, into
+    ``denoiser.build_eval_form``, and reads no other weight group. It
+    samples as the model's ``prior()`` does, bit for bit.
 
     Both loads reject, with FormatError naming the file and the tensor,
     a non-finite normalization statistic, EMA tensor or batch-norm
@@ -381,10 +378,10 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         if head[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic in {path}")
         if len(head) < _CKPT_HEADER.size:
-            raise FormatError("truncated checkpoint header")
+            raise FormatError(f"truncated checkpoint header in {path}")
         magic, version, joints, hidden, t_steps, offset, adam_steps = _CKPT_HEADER.unpack(head)
         if version != CHECKPOINT_VERSION:
-            raise VersionError(f"checkpoint version {version} not supported")
+            raise VersionError(f"checkpoint version {version} of {path} not supported")
         if joints < 1 or hidden < 4 or hidden % 2:
             raise FormatError(f"checkpoint {path} header: need joints >= 1 and an even "
                               f"hidden width >= 4, got joints {joints}, hidden {hidden}")
@@ -399,7 +396,7 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
         stats_bytes = 4 * len(dn.STAT_KEYS) * hidden
         expected = _CKPT_HEADER.size + 2 * 8 * d + 4 * 4 * n_param + stats_bytes
         if size != expected:
-            raise FormatError(f"checkpoint is {size} bytes, expected {expected}")
+            raise FormatError(f"checkpoint {path} is {size} bytes, expected {expected}")
 
         def fill(flat, dtype):
             """Read the next ``flat.size`` values of ``dtype`` into the 1-D ``flat``."""
@@ -440,22 +437,20 @@ def load_checkpoint(path, train_state=True) -> dn.DenoiserModel:
                 raise FormatError(f"negative running variance {key} in checkpoint {path}")
         fh.seek(weights_at)
 
-        groups = dict.fromkeys(("params", "ema_params", "adam_m", "adam_v"))
-        form = None
-        if train_state:
-            for name in groups:
-                groups[name] = dn.ParamGroup(shapes, dtype=dn.GROUP_DTYPES[name])
-                fill(groups[name].flat, "<f4")
-            for key in dn.PARAM_KEYS:
-                checked(f"EMA {key}", groups["ema_params"][key])
-        else:
+        if not train_state:
             fh.seek(4 * n_param, os.SEEK_CUR)
-            form = dn.build_eval_form(ema_tensors(), stats, t_steps)
+            return dn.Prior(joints, hidden, sched, norm_mean, norm_std,
+                            *dn.build_eval_form(ema_tensors(), stats, t_steps))
+        groups = {}
+        for name, dtype in dn.GROUP_DTYPES.items():
+            groups[name] = dn.ParamGroup(shapes, dtype=dtype)
+            fill(groups[name].flat, "<f4")
+        for key in dn.PARAM_KEYS:
+            checked(f"EMA {key}", groups["ema_params"][key])
 
     return dn.DenoiserModel(
         joints=joints, hidden_dim=hidden, sched=sched, bn_stats=stats,
-        norm_mean=norm_mean, norm_std=norm_std, adam_steps=adam_steps, eval_form=form,
-        **groups,
+        norm_mean=norm_mean, norm_std=norm_std, adam_steps=adam_steps, **groups,
     )
 
 

@@ -10,21 +10,22 @@ That is eight linears in total.
 
 One network body, ``_forward_core``, serves training and eval, and one
 projection, ``_project_temb``, gives both their step embeddings with
-one GEMM per linear. Training uses batch statistics and one GEMM per
-linear over the batch. The eval forward, ``make_eval_forward``, reads
-the EMA weights and the running statistics in their eval form, which
-``build_eval_form`` makes in one pass over the EMA tensors in
-PARAM_KEYS order: it projects the embeddings of all T steps once into a
-table and keeps nothing else of that projection, folds each batch-norm
-layer into a (scale, shift) pair, and copies each weight once into
-column panels. A checkpoint's sampling-state load streams its EMA
-tensors straight into that pass, so a sampling run holds the form and
-never the float32 EMA weights. The eval forward multiplies row by row,
-so rows are independent: a row's output does not depend on the other
-rows of its block. It runs every row over one panel before moving to
-the next, so a panel is read from cache by all rows of the block. Each
-row still runs its own product over the full inner dimension, and the
-panels keep every bit of the 2-D product (see ``_panels``).
+one GEMM per linear. Training updates a ``DenoiserModel`` with batch
+statistics and one GEMM per linear over the batch. Sampling reads a
+frozen ``Prior``, which holds the eval form of the EMA weights and
+running statistics that ``build_eval_form`` makes in one pass over the
+EMA tensors in PARAM_KEYS order: it projects the embeddings of all T
+steps once into a table and keeps nothing else of that projection,
+folds each batch-norm layer into a (scale, shift) pair, and copies each
+weight once into column panels. ``DenoiserModel.prior()`` builds one; a
+checkpoint's sampling-state load streams its EMA tensors straight into
+one, never holding the float32 EMA weights. The eval forward,
+``make_eval_forward``, multiplies row by row, so rows are independent:
+a row's output does not depend on the other rows of its block. It runs
+every row over one panel before moving to the next, so a panel is read
+from cache by all rows of the block. Each row still runs its own
+product over the full inner dimension, and the panels keep every bit of
+the 2-D product (see ``_panels``).
 
 Sampling uses a second thread where it pays: when some eval linear of
 a ``sample_guided`` call reaches SPLIT_MADDS multiply-adds over more
@@ -79,7 +80,6 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +96,7 @@ __all__ = [
     "train",
     "make_eval_forward",
     "build_eval_form",
-    "EvalForm",
+    "Prior",
     "eval_helper",
     "ParamGroup",
     "PARAM_KEYS",
@@ -235,63 +235,65 @@ class ParamGroup(dict):
         return type(self), (self.shapes(), self.flat)
 
 
-class EvalForm(NamedTuple):
-    """What the eval forward reads, all float64: ``temb``, the (T, h) table of
-    projected step embeddings; ``weights``, the six network linears'
-    weights in column panels (``_panels``) and their biases, keyed by PARAM_KEYS;
-    and ``bn_pairs``, each batch-norm layer's folded (scale, shift), keyed
-    by layer ("b1_bn1", ...)."""
-
-    temb: np.ndarray
-    weights: dict
-    bn_pairs: dict
-
-
-@dataclass
-class DenoiserModel:
-    """The denoiser and its training state.
-
-    A model read with ``load_checkpoint(path, train_state=False)`` holds
-    only what sampling uses: its four weight groups are None, and
-    ``eval_form`` holds the EMA weights and batch-norm statistics in the
-    form the eval forward reads (``build_eval_form``). It can be neither
-    trained nor saved. Otherwise ``eval_form`` is None and each weight
-    group is a ``ParamGroup`` of its GROUP_DTYPES dtype: float64
-    ``params``, float32 ``ema_params``, ``adam_m`` and ``adam_v``.
-    ``bn_stats`` is a float64 ParamGroup over STAT_KEYS (``stat_shapes``),
-    whose ``flat`` buffer the train pass updates; any other value raises
-    ValueError when the model is built.
+@dataclass(frozen=True, eq=False)
+class Prior:
+    """What sampling reads of a trained denoiser, frozen: ``joints``, ``hidden_dim``, ``sched``,
+    ``norm_mean``, ``norm_std`` and the eval form of the EMA weights and running statistics
+    (``build_eval_form``), all float64. ``temb`` is the (T, h) table of projected step
+    embeddings, ``weights`` the six network linears' weights in column panels (``_panels``)
+    and their biases, keyed by PARAM_KEYS, and ``bn_pairs`` each batch-norm layer's folded
+    (scale, shift), keyed by layer ("b1_bn1", ...). It cannot be trained or saved.
     """
 
     joints: int
     hidden_dim: int
     sched: DiffusionSchedule
-    params: ParamGroup | None = field(repr=False)
-    ema_params: ParamGroup | None = field(repr=False)
-    bn_stats: ParamGroup = field(repr=False)
     norm_mean: np.ndarray = field(repr=False)
     norm_std: np.ndarray = field(repr=False)
-    adam_m: ParamGroup | None = field(repr=False)
-    adam_v: ParamGroup | None = field(repr=False)
-    adam_steps: int = 0
-    eval_form: EvalForm | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        stats, want = self.bn_stats, stat_shapes(self.hidden_dim)
-        got = stats.shapes() if isinstance(stats, ParamGroup) else type(stats).__name__
-        if got != want or list(got) != list(want):  # the keys in STAT_KEYS order, too
-            raise ValueError(f"bn_stats must be a ParamGroup over STAT_KEYS of "
-                             f"({self.hidden_dim},) views, got {got}")
+    temb: np.ndarray = field(repr=False)
+    weights: dict = field(repr=False)
+    bn_pairs: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return 3 * self.joints
 
-    def require_train_state(self, action: str):
-        """Raise ValueError unless the parameters and Adam moments are loaded."""
-        if self.params is None or self.adam_m is None or self.adam_v is None:
-            raise ValueError(f"cannot {action} a model loaded without its training state "
-                             f"(load_checkpoint(..., train_state=False))")
+    def denormalize(self, x: np.ndarray) -> np.ndarray:
+        return x * self.norm_std + self.norm_mean
+
+
+@dataclass
+class DenoiserModel:
+    """The denoiser and its training state; sampling reads its ``prior()``.
+
+    Each weight group is a ``ParamGroup`` over PARAM_KEYS of its GROUP_DTYPES dtype,
+    ``bn_stats`` a float64 ParamGroup over STAT_KEYS, whose ``flat`` buffer the train pass
+    updates. Any other value of a group raises ValueError when the model is built.
+    """
+
+    joints: int
+    hidden_dim: int
+    sched: DiffusionSchedule
+    params: ParamGroup = field(repr=False)
+    ema_params: ParamGroup = field(repr=False)
+    bn_stats: ParamGroup = field(repr=False)
+    norm_mean: np.ndarray = field(repr=False)
+    norm_std: np.ndarray = field(repr=False)
+    adam_m: ParamGroup = field(repr=False)
+    adam_v: ParamGroup = field(repr=False)
+    adam_steps: int = 0
+
+    def __post_init__(self):
+        shapes = param_shapes(self.joints, self.hidden_dim)
+        groups = {name: ("PARAM_KEYS", shapes, dtype) for name, dtype in GROUP_DTYPES.items()}
+        groups["bn_stats"] = ("STAT_KEYS", stat_shapes(self.hidden_dim), np.float64)
+        for name, (keys, want, dtype) in groups.items():
+            group = getattr(self, name)
+            got = ((group.shapes(), group.flat.dtype) if isinstance(group, ParamGroup)
+                   else type(group).__name__)
+            if got != (want, dtype) or list(got[0]) != list(want):  # the key order, too
+                raise ValueError(f"{name} must be a {np.dtype(dtype)} ParamGroup over {keys} "
+                                 f"of ({self.joints} joints, {self.hidden_dim} hidden), got {got}")
 
     @classmethod
     def initialize(cls, joints: int, hidden_dim: int, sched: DiffusionSchedule,
@@ -325,11 +327,12 @@ class DenoiserModel:
             adam_v=ParamGroup(shapes, dtype=np.float32),
         )
 
-    def normalize(self, poses_flat: np.ndarray) -> np.ndarray:
-        return (poses_flat - self.norm_mean) / self.norm_std
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return x * self.norm_std + self.norm_mean
+    def prior(self) -> Prior:
+        """The sampling prior of the model as it is now; a later update does not move it."""
+        form = build_eval_form((self.ema_params[k] for k in PARAM_KEYS), self.bn_stats,
+                               self.sched.T)
+        return Prior(self.joints, self.hidden_dim, self.sched, self.norm_mean.copy(),
+                     self.norm_std.copy(), *form)
 
 
 def sinusoidal_embedding(t, dim: int) -> np.ndarray:
@@ -554,12 +557,12 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     STAT_KEYS key as one pass over their (8 h) buffer and one float32
     snap; both keep every bit of those formulas.
     """
-    x0 = np.asarray(batch_x0, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[0] < 1 or x0.shape[1] != model.dim:
-        raise ValueError(f"batch must be (B>=1, {model.dim}), got {x0.shape}")
+    x0, d = np.asarray(batch_x0, dtype=np.float64), 3 * model.joints
+    if x0.ndim != 2 or x0.shape[0] < 1 or x0.shape[1] != d:
+        raise ValueError(f"batch must be (B>=1, {d}), got {x0.shape}")
     b = x0.shape[0]
     t = rng.integers(1, model.sched.T + 1, b)
-    eps = rng.standard_normal((b, model.dim))
+    eps = rng.standard_normal((b, d))
     ab = model.sched.alphabar[t]
     x_t = np.sqrt(ab)[:, None] * x0
     x_t += np.sqrt(1.0 - ab)[:, None] * eps
@@ -654,18 +657,17 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     "step,loss,grad_norm" line per step; ``checkpoint_sink(model, step)``
     is called every ``checkpoint_every`` steps when set.
     """
-    model.require_train_state("train")
+    grads = ParamGroup(model.params.shapes())  # first, so a Prior raises before any change
     poses = np.asarray(poses, dtype=np.float64)
     if poses.ndim == 3:
         poses = poses.reshape(poses.shape[0], -1)
-    if poses.ndim != 2 or poses.shape[0] < 1 or poses.shape[1] != model.dim:
-        raise ValueError(f"dataset must be (N>=1, {model.dim}) after flattening")
+    if poses.ndim != 2 or poses.shape[0] < 1 or poses.shape[1] != 3 * model.joints:
+        raise ValueError(f"dataset must be (N>=1, {3 * model.joints}) after flattening")
 
     model.norm_mean = poses.mean(axis=0)
     model.norm_std = np.maximum(poses.std(axis=0), NORM_STD_FLOOR)
-    data = model.normalize(poses)
+    data = (poses - model.norm_mean) / model.norm_std
     n = data.shape[0]
-    grads = ParamGroup(model.params.shapes())
     # each gradient with its view of one scratch the size of the largest
     squares = np.empty(max(g.size for g in grads.values()))
     pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
@@ -687,10 +689,11 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     return model
 
 
-def build_eval_form(tensors, bn_stats, steps: int) -> EvalForm:
-    """The eval form of the EMA weights ``tensors``, an iterable of the
-    tensors in PARAM_KEYS order, with the batch-norm running statistics
-    ``bn_stats``, for a schedule of ``steps`` steps.
+def build_eval_form(tensors, bn_stats, steps: int) -> tuple:
+    """The eval form of a ``Prior``, (temb, weights, bn_pairs), of the EMA
+    weights ``tensors``, an iterable of the tensors in PARAM_KEYS order,
+    with the batch-norm running statistics ``bn_stats``, for a schedule of
+    ``steps`` steps.
 
     Each tensor is consumed as it arrives and nothing of it is kept but
     copies, so a caller may stream the tensors through one reused
@@ -715,15 +718,15 @@ def build_eval_form(tensors, bn_stats, steps: int) -> EvalForm:
                 bn_pairs[layer] = (scale, w.astype(np.float64) - bn_stats[f"{layer}_m"] * scale)
         else:
             weights[key] = _panels(w) if key.endswith("_w") else w.astype(np.float64)
-    return EvalForm(temb, weights, bn_pairs)
+    return temb, weights, bn_pairs
 
 
-def eval_helper(model: DenoiserModel, rows: int):
+def eval_helper(prior: Prior, rows: int):
     """The helper for one sampling call's ``rows``-row eval products, as a context: a
-    one-thread executor when some eval linear of ``model`` ``_splits`` at ``rows`` rows and
+    one-thread executor when some eval linear of ``prior`` ``_splits`` at ``rows`` rows and
     the process may run on at least two CPUs, else a null context, whose value is None.
     The executor starts its thread at the first split and joins it on exit."""
-    d, h = model.dim, model.hidden_dim
+    d, h = prior.dim, prior.hidden_dim
     if len(os.sched_getaffinity(0)) < 2 or not any(
             _splits(rows, k, n) for k, n in ((d, h), (h, h), (h, d))):
         return contextlib.nullcontext()
@@ -731,25 +734,17 @@ def eval_helper(model: DenoiserModel, rows: int):
     return ThreadPoolExecutor(1)
 
 
-def make_eval_forward(model: DenoiserModel, helper=None):
+def make_eval_forward(prior: Prior, helper=None):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
-    Uses the EMA weights and the batch-norm running statistics in their
-    eval form (``build_eval_form``). A trainable model's form is built
-    here from its ``ema_params``, so a later ``ema_update`` does not move
-    the closure's outputs; a model loaded with ``train_state=False``
-    holds the form built at load, and every closure shares it. The
-    linears multiply row by row over the weight panels, which keep every
-    bit of the 2-D product, so each row's output equals that of its own
-    1-row block bit for bit. ``helper`` is ``eval_helper``'s value: with
-    an executor, products large enough split their panels with it
-    (``_rowwise``), which keeps every bit too.
+    Reads the prior's eval form, which every closure of the prior shares.
+    The linears multiply row by row over the weight panels, which keep
+    every bit of the 2-D product, so each row's output equals that of
+    its own 1-row block bit for bit. ``helper`` is ``eval_helper``'s
+    value: with an executor, products large enough split their panels
+    with it (``_rowwise``), which keeps every bit too.
     """
-    form = model.eval_form
-    if model.ema_params is not None:
-        form = build_eval_form((model.ema_params[k] for k in PARAM_KEYS), model.bn_stats,
-                               model.sched.T)
-    temb, weights, bn_pairs = form
+    temb, weights, bn_pairs = prior.temb, prior.weights, prior.bn_pairs
 
     def eval_forward(x, t: int):
         out, _ = _forward_core(weights, bn_pairs, x, None, train=False, temb=temb[t - 1],

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import DenoiserModel, eval_helper, make_eval_forward
+from .denoiser import DenoiserModel, Prior, eval_helper, make_eval_forward
 from .errors import DivergenceError
 from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
@@ -181,7 +181,7 @@ def _check_finite(x, what: str, step: int):
                           diagnostics={"hypothesis": m})
 
 
-def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
+def sample_guided(model: Prior | DenoiserModel, sched: DiffusionSchedule | None,
                   obs, cam: Camera | None, root_est: RootEstimate | None,
                   cfg: GuidanceConfig) -> HypothesisSet:
     """Draw pose hypotheses from the prior steered by one 2D observation.
@@ -189,13 +189,14 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     Per hypothesis: sample a root, start from unit Gaussian noise, and
     walk the reverse process; at every step the clean estimate is
     nudged by gamma times the observation log-likelihood gradient (zero
-    for invalid or behind-camera joints) before renoising. ``obs`` is a
-    `KeypointObservation` of the model's J joints, used as given (its
-    covariance edit is `KeypointObservation.edited`), seen through
-    ``cam``, or None; ``gamma = 0`` or no observation reduces exactly to
-    unconditional sampling. ``sched`` must be the model's own schedule
-    (``None`` means ``model.sched``): one of another T or offset raises
-    ``ValueError``.
+    for invalid or behind-camera joints) before renoising. ``model`` is a
+    `Prior`, or a `DenoiserModel` whose ``prior()`` the call builds once.
+    ``obs`` is a `KeypointObservation` of the model's J joints, used as
+    given (its covariance edit is `KeypointObservation.edited`), seen
+    through ``cam``, or None; ``gamma = 0`` or no observation reduces
+    exactly to unconditional sampling. ``sched`` must be the model's own
+    schedule (``None`` means ``model.sched``): one of another T or offset
+    raises ``ValueError``.
 
     All M hypotheses advance together as one (M, 3J) state, and every
     row's arithmetic is independent of the other rows. If a state or a
@@ -220,6 +221,7 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
         if cam is None:
             raise ValueError("observations given without a camera")
 
+    model = model.prior() if isinstance(model, DenoiserModel) else model
     n, joints = cfg.num_hypotheses, model.joints
     rngs, roots = [], np.zeros((n, 3))
     for m in range(n):
@@ -298,7 +300,7 @@ def sample_guided(model: DenoiserModel, sched: DiffusionSchedule | None,
     return HypothesisSet(pose_mm, roots, counts)
 
 
-def sample_unconditional(model: DenoiserModel, sched: DiffusionSchedule | None,
+def sample_unconditional(model: Prior | DenoiserModel, sched: DiffusionSchedule | None,
                          rng: RngStream, n: int) -> HypothesisSet:
     """Draw n poses from the prior alone (the zero-guidance path).
 
@@ -311,7 +313,7 @@ def sample_unconditional(model: DenoiserModel, sched: DiffusionSchedule | None,
     return sample_guided(model, sched, None, None, None, cfg)
 
 
-def complete_pose(model: DenoiserModel, sched: DiffusionSchedule | None,
+def complete_pose(model: Prior | DenoiserModel, sched: DiffusionSchedule | None,
                   obs, cam: Camera, root_est: RootEstimate | None,
                   cfg: GuidanceConfig) -> HypothesisSet:
     """Guided sampling with masked joints: the prior inpaints the rest.
@@ -324,7 +326,7 @@ def complete_pose(model: DenoiserModel, sched: DiffusionSchedule | None,
     return sample_guided(model, sched, obs, cam, root_est, cfg)
 
 
-def diversity_sweep(model: DenoiserModel, sched: DiffusionSchedule | None,
+def diversity_sweep(model: Prior | DenoiserModel, sched: DiffusionSchedule | None,
                     obs, cam: Camera, root_est: RootEstimate | None,
                     cfg: GuidanceConfig, s_values) -> list:
     """Per-joint spread of the hypothesis set for ``obs`` edited to each covariance scale."""

@@ -102,6 +102,37 @@ def test_traced_run_counts_layers_and_changes_no_output():
     assert traced_hyp.diagnostics == hyp.diagnostics
 
 
+def test_traced_estimate_command_samples_the_loaded_prior(tmp_path):
+    # the CLI samples the Prior that the checkpoint's sampling-state load returns:
+    # the tracer reads its shape from make_eval_forward's first argument, and the
+    # schedule from sample_guided's "model"
+    tracing = load_perfbench("tracing")
+    skel = dataio.SyntheticSkeletonConfig(n_train=40, n_eval=1, seed=7)
+    train, _, records = dataio.generate_synthetic(skel)
+    model = denoiser.DenoiserModel.initialize(
+        train.num_joints, 8, cosine_schedule(10, 0.008), RngStream(7, 0))
+    denoiser.train(model, train.poses, steps=2, batch_size=8, lr=1e-3, ema_decay=0.99,
+                   rng=RngStream(7, 1))
+    ckpt, obs = tmp_path / "model.ckpt", tmp_path / "obs.jsonl"
+    dataio.save_checkpoint(model, ckpt)
+    dataio.save_observations(records, obs, skel.joint_names)
+    before = tracing.module_state(poseprior)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(poseprior)
+        assert poseprior.cli.main(["estimate", "--model", str(ckpt), "--obs", str(obs),
+                                   "--out", str(tmp_path / "hyp.jsonl"), "-M", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracing.module_state(poseprior) == before
+
+    counts = tracing.layer_metrics(tracer, 1.0)
+    assert counts["denoiser.eval_calls"] == 10
+    assert counts["denoiser.eval_rows"] == 3 * 10
+    assert counts["sampler.hyp_steps"] == 3 * 10
+    assert tracer.info["eval_shape"] == (train.num_joints, 8)
+
+
 @pytest.mark.parametrize("workload", ["estimate-toy", "estimate-paper", "train-paper"])
 def test_workload_runs_untraced_at_tiny_size(tmp_path, workload):
     # what the benchmark calls on the package: setup, the measured call,

@@ -335,6 +335,27 @@ def test_bad_sampling_tensor_in_checkpoint_exits_2(tiny_setup, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "estimate"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda blob: b"", "bad checkpoint magic in {path}"),
+    (lambda blob: blob[:4], "truncated checkpoint header in {path}"),
+    (lambda blob: blob[:-17], "checkpoint {path} is {size} bytes, expected {full}"),
+    (lambda blob: blob + b"\x00", "checkpoint {path} is {size} bytes, expected {full}"),
+    (lambda blob: blob[:4] + b"\x63" + blob[5:], "checkpoint version 99 of {path} not supported"),
+], ids=["empty", "magic-only", "truncated", "extended", "bad-version"])
+def test_bad_checkpoint_file_exits_2_naming_it(tiny_setup, tmp_path, capsys, edit, message,
+                                               command):
+    blob = tiny_setup["ckpt"].read_bytes()
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(edit(blob))
+    out = tmp_path / "out.jsonl"
+    flags = ["-n", "2"] if command == "sample" else ["--obs", str(tiny_setup["obs"]), "-M", "2"]
+    assert cli.main([command, "--model", str(ckpt), "--out", str(out), *flags]) == 2
+    expected = message.format(path=ckpt, size=ckpt.stat().st_size, full=len(blob))
+    assert capsys.readouterr().err.endswith(f"error: {expected}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["estimate", "-M", "2"],
     ["sweep", "-M", "2", "--sweep", "gamma", "--values", "0,1e-4"],
@@ -343,7 +364,7 @@ def test_bad_sampling_tensor_in_checkpoint_exits_2(tiny_setup, tmp_path, capsys,
 ], ids=["estimate", "sweep", "complete", "sweep-cov-scale"])
 def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, flags):
     # the observations hold 2 frames: an estimate or a completion samples
-    # twice and a 2-value sweep four times, all from the form built at load
+    # twice and a 2-value sweep four times, all from the Prior read at load
     original = denoiser.build_eval_form
     builds, sampled = [], []
 
@@ -353,16 +374,16 @@ def test_eval_form_is_built_once_per_command(tiny_setup, tmp_path, monkeypatch, 
 
     guided = sampler.sample_guided
 
-    def count(*args, **kwargs):
-        sampled.append(1)
-        return guided(*args, **kwargs)
+    def count(model, *args, **kwargs):
+        sampled.append(type(model))
+        return guided(model, *args, **kwargs)
 
     monkeypatch.setattr(denoiser, "build_eval_form", spy)
     monkeypatch.setattr(sampler, "sample_guided", count)
     assert cli.main([flags[0], "--model", str(tiny_setup["ckpt"]), "--obs",
                      str(tiny_setup["obs"]), "--out", str(tmp_path / "out"),
                      *flags[1:]]) == 0
-    assert len(sampled) == (4 if flags[0] == "sweep" else 2)
+    assert sampled == [denoiser.Prior] * (4 if flags[0] == "sweep" else 2)
     assert len(builds) == 1
 
 

@@ -9,11 +9,10 @@ import pytest
 
 from poseprior import dataio
 from poseprior.denoiser import (
-    PARAM_KEYS,
     STAT_KEYS,
     DenoiserModel,
     ParamGroup,
-    build_eval_form,
+    Prior,
     make_eval_forward,
     train,
 )
@@ -335,7 +334,8 @@ class TestCheckpoint:
         dataio.save_checkpoint(model, path)
         back = dataio.load_checkpoint(path)
         x = RngStream(84, 0).standard_normal((3, 9))
-        assert np.array_equal(make_eval_forward(model)(x, 7), make_eval_forward(back)(x, 7))
+        assert np.array_equal(make_eval_forward(model.prior())(x, 7),
+                              make_eval_forward(back.prior())(x, 7))
         assert np.array_equal(model.norm_mean, back.norm_mean)
         assert back.sched.T == 20
         assert back.adam_steps == model.adam_steps
@@ -450,38 +450,30 @@ class TestCheckpoint:
         dataio.save_checkpoint(self.trained_model(), path)
         full = dataio.load_checkpoint(path)
         back = dataio.load_checkpoint(path, train_state=False)
-        assert all(getattr(back, name) is None
-                   for name in ("params", "ema_params", "adam_m", "adam_v"))
-        assert full.eval_form is None
-        assert (back.joints, back.hidden_dim, back.adam_steps) == (3, 8, 3)
+        assert type(full) is DenoiserModel and type(back) is Prior
+        assert (back.joints, back.hidden_dim) == (3, 8)
         assert (back.sched.T, back.sched.offset) == (full.sched.T, full.sched.offset)
         assert np.array_equal(back.sched.alphabar, full.sched.alphabar)
-        assert back.bn_stats.keys() == full.bn_stats.keys()
-        for key in back.bn_stats:
-            assert back.bn_stats[key].dtype == full.bn_stats[key].dtype
-            assert np.array_equal(back.bn_stats[key], full.bn_stats[key])
         assert not np.array_equal(full.params["in_w"], full.ema_params["in_w"])
         assert np.array_equal(back.norm_mean, full.norm_mean)
         assert np.array_equal(back.norm_std, full.norm_std)
-        # the form built at load, bit for bit the one built from the full load's EMA
-        ours = back.eval_form
-        ref = build_eval_form((full.ema_params[k] for k in PARAM_KEYS), full.bn_stats,
-                              full.sched.T)
-        assert ours.temb.dtype == ref.temb.dtype and np.array_equal(ours.temb, ref.temb)
-        assert ours.weights.keys() == ref.weights.keys()
+        # the form streamed at load, bit for bit the one the full load's prior() builds
+        ref = full.prior()
+        assert back.temb.dtype == ref.temb.dtype and np.array_equal(back.temb, ref.temb)
+        assert back.weights.keys() == ref.weights.keys()
         for key in ref.weights:
-            assert ours.weights[key].dtype == ref.weights[key].dtype, key
-            assert ours.weights[key].shape == ref.weights[key].shape, key
-            assert np.array_equal(ours.weights[key], ref.weights[key]), key
-        assert ours.bn_pairs.keys() == ref.bn_pairs.keys()
+            assert back.weights[key].dtype == ref.weights[key].dtype, key
+            assert back.weights[key].shape == ref.weights[key].shape, key
+            assert np.array_equal(back.weights[key], ref.weights[key]), key
+        assert back.bn_pairs.keys() == ref.bn_pairs.keys()
         for layer in ref.bn_pairs:
-            for a, b in zip(ours.bn_pairs[layer], ref.bn_pairs[layer]):
+            for a, b in zip(back.bn_pairs[layer], ref.bn_pairs[layer]):
                 assert a.dtype == b.dtype and np.array_equal(a, b), layer
         for m in (1, 3):
             x = RngStream(87, m).standard_normal((m, 9))
             for t in (1, 7, 20):
                 assert np.array_equal(make_eval_forward(back)(x, t),
-                                      make_eval_forward(full)(x, t)), (m, t)
+                                      make_eval_forward(ref)(x, t)), (m, t)
 
     @pytest.mark.parametrize("edit", [
         lambda blob: blob[:-17],
@@ -500,27 +492,29 @@ class TestCheckpoint:
             dataio.load_checkpoint(path, train_state=False)
 
     def test_sampling_state_cannot_be_saved_or_trained(self, tmp_path):
+        # a Prior holds no weight group: saving it opens no file, and training it
+        # raises before it sets the normalization statistics
         path = tmp_path / "m.ckpt"
         dataio.save_checkpoint(self.make_model(), path)
-        model = dataio.load_checkpoint(path, train_state=False)
-        norm_mean = model.norm_mean.copy()
-        with pytest.raises(ValueError, match="loaded without its training state"):
-            dataio.save_checkpoint(model, tmp_path / "again.ckpt")
+        prior = dataio.load_checkpoint(path, train_state=False)
+        norm_mean = prior.norm_mean.copy()
+        with pytest.raises(AttributeError, match="'Prior' object has no attribute 'params'"):
+            dataio.save_checkpoint(prior, tmp_path / "again.ckpt")
         assert not (tmp_path / "again.ckpt").exists()
-        with pytest.raises(ValueError, match="loaded without its training state"):
-            train(model, np.zeros((4, 3, 3)), steps=1, batch_size=2, lr=1e-3,
+        with pytest.raises(AttributeError, match="'Prior' object has no attribute 'params'"):
+            train(prior, np.zeros((4, 3, 3)), steps=1, batch_size=2, lr=1e-3,
                   ema_decay=0.5, rng=RngStream(88, 0))
-        assert np.array_equal(model.norm_mean, norm_mean) and model.adam_steps == 0
+        assert np.array_equal(prior.norm_mean, norm_mean)
 
     def test_sampling_state_load_holds_only_the_eval_form(self, tmp_path, monkeypatch):
         # the parameters and Adam moments are skipped, and the EMA tensors
         # stream into the eval form through one float32 buffer of the
         # largest tensor: the peak allocation of the load and the closure is
-        # what the model holds (the form, the statistics) plus that buffer
+        # what the prior holds plus the running statistics, that buffer
         # and SLACK for Python objects; the one group made is the running
-        # statistics', and no weight group is made. Loading the
-        # float32 EMA group and building the form from it, as before, needs
-        # the group's bytes more, which is above the bound
+        # statistics', and no weight group is made. Loading the float32 EMA
+        # group and building the form from it needs the group's bytes more,
+        # which is above the bound
         slack = 64 * 1024
         sched = cosine_schedule(64, 0.008)
         model = DenoiserModel.initialize(17, 256, sched, RngStream(85, 0))
@@ -538,12 +532,10 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert [tuple(shapes) for shapes, *_ in groups] == [STAT_KEYS]
-        assert back.ema_params is None
-        form = back.eval_form
-        held = (form.temb.nbytes + sum(w.nbytes for w in form.weights.values())
-                + sum(a.nbytes for pair in form.bn_pairs.values() for a in pair)
-                + sum(v.nbytes for v in back.bn_stats.values())
-                + back.norm_mean.nbytes + back.norm_std.nbytes)
+        assert type(back) is Prior
+        held = (back.temb.nbytes + sum(w.nbytes for w in back.weights.values())
+                + sum(a.nbytes for pair in back.bn_pairs.values() for a in pair)
+                + 8 * len(STAT_KEYS) * 256 + back.norm_mean.nbytes + back.norm_std.nbytes)
         buffer = max(4 * v.size for v in model.ema_params.values())
         assert peak <= held + buffer + slack
         assert buffer + slack < model.ema_params.flat.nbytes

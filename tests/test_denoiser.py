@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -37,17 +38,18 @@ class TestForward:
         model = small_model()
         for key in PARAM_KEYS:
             model.ema_params[key] = np.zeros_like(model.ema_params[key])
-        out = make_eval_forward(model)(np.ones((1, 6)), 3)
+        out = make_eval_forward(model.prior())(np.ones((1, 6)), 3)
         assert np.all(out == 0.0)
 
     def test_eval_deterministic(self):
         model = small_model()
         x = RngStream(8, 0).standard_normal((3, 6))
-        assert np.array_equal(make_eval_forward(model)(x, 5), make_eval_forward(model)(x, 5))
+        assert np.array_equal(make_eval_forward(model.prior())(x, 5),
+                              make_eval_forward(model.prior())(x, 5))
 
     def test_shapes_and_finiteness(self):
         model = small_model(joints=17, hidden=64, t_steps=100)
-        eval_fn = make_eval_forward(model)
+        eval_fn = make_eval_forward(model.prior())
         out = eval_fn(RngStream(9, 0).standard_normal((1, 51)), 42)
         assert out.shape == (1, 51)
         assert np.all(np.isfinite(out))
@@ -61,7 +63,7 @@ class TestForward:
         train_out, _ = denoiser._forward_core(
             model.params, model.bn_stats, batch, np.full(4, 3), train=True)
         # a fresh model's EMA weights equal its parameters
-        assert not np.allclose(train_out, make_eval_forward(model)(batch, 3))
+        assert not np.allclose(train_out, make_eval_forward(model.prior())(batch, 3))
 
     def test_odd_hidden_rejected(self):
         with pytest.raises(ValueError):
@@ -75,9 +77,9 @@ class TestForward:
         # eval reads only the EMA shadows, never the training parameters
         model = small_model()
         x = RngStream(11, 0).standard_normal((2, 6))
-        base = make_eval_forward(model)(x, 2)
+        base = make_eval_forward(model.prior())(x, 2)
         model.params.flat[:] = 0.0
-        assert np.array_equal(make_eval_forward(model)(x, 2), base)
+        assert np.array_equal(make_eval_forward(model.prior())(x, 2), base)
 
 
 class TestLossAndGrads:
@@ -370,34 +372,37 @@ class TestFlatGroups:
         model = small_model()
         path = tmp_path / "m.ckpt"
         dataio.save_checkpoint(model, path)
-        models = [model, dataio.load_checkpoint(path),
-                  dataio.load_checkpoint(path, train_state=False),
-                  copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+        models = [model, dataio.load_checkpoint(path), copy.deepcopy(model),
+                  pickle.loads(pickle.dumps(model))]
         for m in models:
             for name, dtype in (("params", np.float64), ("ema_params", np.float32),
                                 ("adam_m", np.float32), ("adam_v", np.float32)):
                 group = getattr(m, name)
-                if group is not None:
-                    assert group.flat.dtype == dtype, name
-                    assert all(v.dtype == dtype for v in group.values()), name
-        # the sampling-state load holds the eval form instead of the EMA group
-        assert models[2].ema_params is None
-        form = models[2].eval_form
-        arrays = [form.temb, *form.weights.values(),
-                  *(a for pair in form.bn_pairs.values() for a in pair)]
-        assert len(arrays) == 1 + 12 + 8
-        assert all(a.dtype == np.float64 for a in arrays)
-        assert all(m.eval_form is None for m in models[:2] + models[3:])
+                assert group.flat.dtype == dtype, name
+                assert all(v.dtype == dtype for v in group.values()), name
+        # a prior, loaded or built, holds the eval form instead of the EMA group
+        for prior in (dataio.load_checkpoint(path, train_state=False), model.prior()):
+            assert not hasattr(prior, "ema_params")
+            arrays = [prior.temb, *prior.weights.values(),
+                      *(a for pair in prior.bn_pairs.values() for a in pair),
+                      prior.norm_mean, prior.norm_std]
+            assert len(arrays) == 1 + 12 + 8 + 2
+            assert all(a.dtype == np.float64 for a in arrays)
 
     def test_model_without_training_groups_is_refused(self, tmp_path):
-        model = small_model()
-        model.params = None
-        assert model.params is None
-        with pytest.raises(ValueError, match="loaded without its training state"):
-            train(model, np.zeros((4, 2, 3)), steps=1, batch_size=2, lr=1e-3,
+        # a Prior is frozen and holds no weight group: train raises before it
+        # sets the normalization statistics, and save_checkpoint opens no file
+        prior = small_model().prior()
+        norm_mean = prior.norm_mean.copy()
+        with pytest.raises(AttributeError, match="'Prior' object has no attribute 'params'"):
+            train(prior, np.zeros((4, 2, 3)), steps=1, batch_size=2, lr=1e-3,
                   ema_decay=0.5, rng=RngStream(41, 0))
-        with pytest.raises(ValueError, match="loaded without its training state"):
-            dataio.save_checkpoint(model, tmp_path / "m.ckpt")
+        with pytest.raises(AttributeError, match="'Prior' object has no attribute 'params'"):
+            dataio.save_checkpoint(prior, tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+        assert np.array_equal(prior.norm_mean, norm_mean)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prior.norm_mean = np.ones(6)
 
     def test_training_allocates_under_twice_the_parameters(self):
         # the gradient group is allocated once per call and reused, and
@@ -429,7 +434,7 @@ def reference_train_step(model, x0, rng):
     stats = {key: value.copy() for key, value in model.bn_stats.items()}
     b = x0.shape[0]
     t = rng.integers(1, model.sched.T + 1, b)
-    eps = rng.standard_normal((b, model.dim))
+    eps = rng.standard_normal((b, 3 * model.joints))
     ab = model.sched.alphabar[t]
     x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
 
@@ -495,7 +500,7 @@ class TestTrainStep:
         # several steps, with Adam and EMA in between, so the batch norms
         # run with gains, shifts and statistics away from their initial values
         model = small_model(joints=joints, hidden=hidden, t_steps=100, seed=45)
-        data = RngStream(45, 1).standard_normal((50, model.dim))
+        data = RngStream(45, 1).standard_normal((50, 3 * joints))
         draws, rng, ref_rng = RngStream(45, 2), RngStream(45, 3), RngStream(45, 3)
         grads = ParamGroup(model.params.shapes())
         squares = np.empty(max(g.size for g in grads.values()))
@@ -516,18 +521,28 @@ class TestTrainStep:
             ema_update(model, 0.9)
         assert np.all(model.bn_stats.flat != np.repeat([0.0, 1.0] * 4, hidden))
 
-    @pytest.mark.parametrize("case", ["dict", "wide", "order"])
-    def test_model_refuses_running_statistics_not_a_stat_group(self, case):
-        # a plain dict used to save, then fail in train on `.flat`
+    @pytest.mark.parametrize("group", ["params", "ema_params", "adam_m", "adam_v", "bn_stats"])
+    @pytest.mark.parametrize("case", ["none", "dict", "wide", "order", "dtype"])
+    def test_model_refuses_a_group_not_its_param_group(self, case, group):
+        # every group must be a ParamGroup of its keys' shapes, in order, and of its
+        # dtype; a plain dict of running statistics used to save, then fail in train
         model = small_model()
-        stats = {"dict": {key: np.ones(8) for key in STAT_KEYS},
-                 "wide": ParamGroup(denoiser.stat_shapes(9)),
-                 "order": ParamGroup(dict.fromkeys(reversed(STAT_KEYS), (8,)))}[case]
-        with pytest.raises(ValueError, match=r"^bn_stats must be a ParamGroup over STAT_KEYS"):
-            DenoiserModel(joints=2, hidden_dim=8, sched=model.sched, params=model.params,
-                          ema_params=model.ema_params, bn_stats=stats,
-                          norm_mean=model.norm_mean, norm_std=model.norm_std,
-                          adam_m=model.adam_m, adam_v=model.adam_v)
+        groups = {name: getattr(model, name)
+                  for name in ("params", "ema_params", "adam_m", "adam_v", "bn_stats")}
+        shapes, dtype = groups[group].shapes(), groups[group].flat.dtype
+        keys = STAT_KEYS if group == "bn_stats" else PARAM_KEYS
+        wide = (denoiser.stat_shapes(9) if group == "bn_stats"
+                else denoiser.param_shapes(2, 10))
+        groups[group] = {
+            "none": None,
+            "dict": {key: np.ones(shape, dtype) for key, shape in shapes.items()},
+            "wide": ParamGroup(wide, dtype=dtype),
+            "order": ParamGroup({key: shapes[key] for key in reversed(keys)}, dtype=dtype),
+            "dtype": ParamGroup(shapes, dtype=np.float32 if dtype == np.float64 else np.float64),
+        }[case]
+        with pytest.raises(ValueError, match=rf"^{group} must be a \w+ ParamGroup over "):
+            DenoiserModel(joints=2, hidden_dim=8, sched=model.sched, norm_mean=model.norm_mean,
+                          norm_std=model.norm_std, **groups)
 
     def test_running_statistics_are_views_of_one_buffer(self):
         stats = small_model().bn_stats
@@ -583,7 +598,7 @@ class TestEvalForwardClosure:
             for key in PARAM_KEYS:
                 if "_bn" in key:
                     model.ema_params[key] = rng.uniform(-2.0, 2.0, hidden).astype(np.float32)
-            fast = make_eval_forward(model)
+            fast = make_eval_forward(model.prior())
             table, _ = denoiser._project_temb(model.ema_params, np.arange(1, t_steps + 1))
             for t in range(1, t_steps + 1):
                 step, _ = denoiser._project_temb(model.ema_params, np.array([t]))
@@ -610,7 +625,7 @@ class TestEvalForwardClosure:
         steps = np.arange(1, t_steps + 1)
         tracemalloc.start()
         try:
-            fast = make_eval_forward(model)
+            fast = make_eval_forward(model.prior())
             kept, peak = tracemalloc.get_traced_memory()
             assert peak - kept <= table
             del fast
@@ -653,7 +668,7 @@ class TestEvalForwardClosure:
         # weights (hidden 64) and with weight panels (hidden 128, 1024)
         for hidden in (64, 128, 1024):
             model = small_model(joints=17, hidden=hidden, t_steps=20)
-            fast = make_eval_forward(model)
+            fast = make_eval_forward(model.prior())
             block = RngStream(26, rows).standard_normal((rows, 51))
             for t in (1, 20):
                 one_by_one = np.concatenate([fast(block[i:i + 1], t) for i in range(rows)])
@@ -662,7 +677,7 @@ class TestEvalForwardClosure:
     def test_ema_closure_uses_shadow_weights(self):
         model = small_model()
         model.ema_params.flat[:] = 0.0
-        fast = make_eval_forward(model)
+        fast = make_eval_forward(model.prior())
         assert np.all(fast(np.ones((1, 6)), 3) == 0.0)
 
     @pytest.mark.parametrize("hidden", [8, 128])
@@ -670,13 +685,13 @@ class TestEvalForwardClosure:
         model = small_model(hidden=hidden)
         model.params.flat[:] = RngStream(29, 0).standard_normal(model.params.flat.size)
         block = RngStream(29, 1).standard_normal((3, 6))
-        fast = make_eval_forward(model)
+        fast = make_eval_forward(model.prior())
         before = fast(block, 5)
         ema_update(model, 0.5)
         for key in STAT_KEYS:
             model.bn_stats[key] += 0.25
         assert np.array_equal(fast(block, 5), before)
-        assert not np.array_equal(make_eval_forward(model)(block, 5), before)
+        assert not np.array_equal(make_eval_forward(model.prior())(block, 5), before)
 
 
 class TestPanels:

@@ -4,6 +4,7 @@ nothing; a legal one exits 0. No case ends in a traceback, and none warns (the s
 a RuntimeWarning into an error)."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -239,3 +240,15 @@ def test_unalignable_ground_truth_exits_2_before_the_model_is_read(world, tmp_pa
     out = tmp_path / "hyp.jsonl"
     expect(["estimate", "--model", str(tmp_path / "absent.ckpt"), "--obs", str(obs),
             "--out", str(out)], out, message, capsys)
+
+
+def test_huge_keypoint_mean_gets_a_finite_reprojection(world, tmp_path, capsys):
+    # the keypoint's residual, about 1e303 px, overflows when squared, but the mean
+    # over the frame's 17 joints is finite
+    field = next(field for field in OBS_FIELDS if field[0] == "keypoint-mean")
+    obs, _ = number_case(world["obs"], field, "huge", tmp_path)
+    estimate(world, obs, None, tmp_path, capsys)
+    with open(tmp_path / "hyp.jsonl.metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["frame_id"] for row in rows] == ["synth00000", "aggregate"]
+    assert all(1e301 < float(row["reprojection_px"]) < math.inf for row in rows)
