@@ -27,15 +27,24 @@ from cache by all rows of the block. Each row still runs its own
 product over the full inner dimension, and the panels keep every bit of
 the 2-D product (see ``_panels``).
 
-Sampling uses a second thread where it pays: when some eval linear of
-a ``sample_guided`` call reaches SPLIT_MADDS multiply-adds over more
-than one panel (hidden 1024 at any M, hidden 256 from M = 16; never at
+A call uses a second thread when some linear of the network reaches
+SPLIT_MADDS multiply-adds over more than one panel at the call's row
+count (sampling: hidden 1024 at any M, hidden 256 from M = 16;
+training at B = 128: hidden 128 and up in multiples of 64; never at
 hidden 64), and the process may run on at least two CPUs
-(``os.sched_getaffinity``). That call then owns one helper thread
-(``eval_helper``), which multiplies the second half of each large
-product's panels while the caller multiplies the first. Every bit is
-kept. ``taskset -c 0 poseprior ...`` keeps a run on one core and one
-thread.
+(``os.sched_getaffinity``). The call then owns one helper thread
+(``helper_thread``). In ``sample_guided`` it multiplies the second half
+of each large eval product's panels while the caller multiplies the
+first (``_rowwise``). In ``train`` it runs the six hidden-by-hidden
+weight-gradient products of ``_backward_core``, each as the same whole
+``np.matmul`` call, while the caller goes on down the input-gradient
+chain, and the second half of the Adam and EMA chunks
+(``_in_halves``). No training product is split by columns: a panel is
+the same call on either thread, but half of a 2-D product is a call of
+another shape, which OpenBLAS may run on another path (its
+small-matrix kernel at 2 to 16 rows), and its bits then differ. Every
+bit is kept either way. ``taskset -c 0 poseprior ...`` keeps a run on
+one core and one thread.
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -97,7 +106,7 @@ __all__ = [
     "make_eval_forward",
     "build_eval_form",
     "Prior",
-    "eval_helper",
+    "helper_thread",
     "ParamGroup",
     "PARAM_KEYS",
     "STAT_KEYS",
@@ -128,7 +137,11 @@ PANEL_COLS = 64
 # split faster in 6 of 7 pairs; h = 256, M = 16: 880 against 837;
 # h = 128, M = 64: 1,713 against 1,541. With every product of more than
 # one panel split, h = 256 at M = 8 (2^19) took 803 against 578, and
-# h = 128 at M = 32 885 against 678.
+# h = 128 at M = 32 885 against 678. A ``train`` call whose batch makes
+# some linear split holds the helper too (``helper_thread``), which runs
+# whole products and update halves; ms per step, one CPU against two:
+# h = 1024, B = 128: 247 against 179; h = 256: 20.4-21.1 against
+# 18.8-19.6; h = 128 (2^21): 6.8-9.3 against 7.7-9.3.
 SPLIT_MADDS = 1 << 20
 
 # Elements per chunk of the Adam and EMA passes: 256 KB per float64
@@ -197,10 +210,32 @@ def _snap_into(dst, src, single):
     dst[...] = single
 
 
-def _chunks(*flats):
-    """Matching UPDATE_CHUNK-element slices of equal-length flat buffers."""
-    for lo in range(0, flats[0].size, UPDATE_CHUNK):
-        yield tuple(flat[lo:lo + UPDATE_CHUNK] for flat in flats)
+def _chunks(lo, hi, *flats):
+    """Matching UPDATE_CHUNK-element slices of elements [lo, hi) of equal-length flat buffers."""
+    for start in range(lo, hi, UPDATE_CHUNK):
+        stop = min(start + UPDATE_CHUNK, hi)
+        yield tuple(flat[start:stop] for flat in flats)
+
+
+def _on_helper(helper, fn, *args, **kwargs):
+    """Submit ``fn(*args, **kwargs)`` to the executor ``helper`` in this thread's context,
+    so under its ``np.errstate``; the future raises what ``fn`` raised."""
+    return helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+
+
+def _in_halves(update, size: int, helper):
+    """Run ``update(lo, hi)`` over elements [0, size): at once without ``helper``; with it,
+    the second half of the UPDATE_CHUNK chunks on the helper while this thread runs the
+    first. Each half allocates its own scratch; both are done when this returns."""
+    if helper is None:
+        update(0, size)
+        return
+    mid = -(-size // UPDATE_CHUNK) // 2 * UPDATE_CHUNK
+    rest = _on_helper(helper, update, mid, size)
+    try:
+        update(0, mid)
+    finally:
+        rest.result()
 
 
 class ParamGroup(dict):
@@ -388,8 +423,7 @@ def _rowwise(a, w, helper=None):
     if helper is not None and _splits(len(a), w.shape[2], len(w) * w.shape[3]):
         half = len(w) // 2
         out = np.empty((len(w), len(a), 1, w.shape[3]))
-        rest = helper.submit(contextvars.copy_context().run, np.matmul, rows, w[half:],
-                             out=out[half:])
+        rest = _on_helper(helper, np.matmul, rows, w[half:], out=out[half:])
         np.matmul(rows, w[:half], out=out[:half])
         rest.result()
     else:
@@ -486,17 +520,29 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None, helper=Non
     return out, {"x": x, "temb": temb_cache, "layers": layers, "a_out": a_out, "stats": stats}
 
 
-def _backward_core(params, cache, dout, grads=None):
+def _backward_core(params, cache, dout, grads=None, helper=None):
     """Exact reverse-mode gradients of the training forward pass, written
     into ``grads`` (a ParamGroup; a new one when None) and returned.
 
     Each batch-norm layer's input gradient, (inv_std / B) (B dzhat -
     sum dzhat - zhat sum(dzhat zhat)) with dzhat = gain * ReLU'(n) * dh,
     is built in place on one buffer in that order of operations, and
-    the residual and embedding gradients accumulate in place.
+    the residual and embedding gradients accumulate in place. With
+    ``helper``, a one-thread executor, the six hidden-by-hidden
+    weight-gradient products run on it, each as the same whole
+    ``np.matmul`` call, while this thread goes on; nothing they read is
+    written after they are submitted, and all are done when this returns.
     """
     if grads is None:
         grads = ParamGroup(params.shapes())
+    pending = []
+
+    def weight_grad(a, dz, key):  # grads[key] = a.T @ dz
+        if helper is None:
+            np.matmul(a.T, dz, out=grads[key])
+        else:
+            pending.append(_on_helper(helper, np.matmul, a.T, dz, out=grads[key]))
+
     add = np.add.reduce
     np.matmul(cache["a_out"].T, dout, out=grads["out_w"])
     add(dout, 0, out=grads["out_b"])
@@ -519,7 +565,7 @@ def _backward_core(params, cache, dout, grads=None):
         dz -= total
         dz -= np.multiply(zhat, moment, out=prod)
         dz *= inv_std / b
-        np.matmul(a.T, dz, out=grads[w])
+        weight_grad(a, dz, w)
         add(dz, 0, out=grads[bias])
         dh = dz @ params[w].T
         if k == len(_LAYERS) - 1:
@@ -533,23 +579,26 @@ def _backward_core(params, cache, dout, grads=None):
     add(dh, 0, out=grads["in_b"])
 
     e_sin, r1 = cache["temb"]
-    np.matmul(r1.T, de, out=grads["te2_w"])
+    weight_grad(r1, de, "te2_w")
     add(de, 0, out=grads["te2_b"])
     dz1 = de @ params["te2_w"].T
     dz1 *= r1 > 0.0
-    np.matmul(e_sin.T, dz1, out=grads["te1_w"])
+    weight_grad(e_sin, dz1, "te1_w")
     add(dz1, 0, out=grads["te1_b"])
+    for job in pending:
+        job.result()
     return grads
 
 
-def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
+def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None, helper=None):
     """Simplified denoising loss on one batch and its exact parameter gradients.
 
     Per pose: draw a uniform step and unit Gaussian noise, noise the
     pose, and score the squared error of the predicted noise; the loss
     is the batch mean. Updates the model's batch-norm running
     statistics as a side effect (this is the train-mode forward). The
-    gradients go into ``grads`` when it is given.
+    gradients go into ``grads`` when it is given. ``helper``, a one-thread
+    executor or None, runs the large weight-gradient products (``_backward_core``).
 
     The loss is ``np.mean(np.sum(diff * diff, axis=1))`` as two
     ``np.add.reduce`` calls and a division by B, and the running
@@ -571,7 +620,7 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     diff -= eps
     loss = float(np.add.reduce(np.add.reduce(diff * diff, 1))) / b
     diff *= 2.0 / b
-    grads = _backward_core(model.params, cache, diff, grads)
+    grads = _backward_core(model.params, cache, diff, grads, helper)
 
     stats, batch = model.bn_stats.flat, cache["stats"].reshape(-1)
     stats *= 1.0 - BN_MOMENTUM
@@ -581,59 +630,69 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None):
     return loss, grads
 
 
-def adam_step(model: DenoiserModel, grads: ParamGroup, lr: float):
+def adam_step(model: DenoiserModel, grads: ParamGroup, lr: float, helper=None):
     """In-place Adam update with bias correction; moments live on the model.
 
     The step is ``model.adam_steps + 1``, so a resumed model continues
     its bias correction where the checkpoint left it. Per element:
     m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g; the float32
     m and v store m' and v' rounded, and p stores snap(p - lr (m' / bc1)
-    / (sqrt(v' / bc2) + eps)), from the unrounded m' and v'.
+    / (sqrt(v' / bc2) + eps)), from the unrounded m' and v'. ``helper``,
+    a one-thread executor or None, updates half of the elements (``_in_halves``).
     """
     step = model.adam_steps + 1
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
-    mt, vt, wide = np.empty((3, UPDATE_CHUNK))
-    single = np.empty(UPDATE_CHUNK, np.float32)
-    for g, m, v, p in _chunks(grads.flat, model.adam_m.flat, model.adam_v.flat,
-                              model.params.flat):
-        a, b, c = mt[:g.size], vt[:g.size], wide[:g.size]
-        # widen m and v first: float32 times a Python float stays float32
-        c[...] = m
-        c *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        a += c
-        c[...] = v
-        c *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=b)
-        b *= g
-        b += c
-        m[...] = a
-        v[...] = b
-        a /= bc1
-        a *= lr
-        b /= bc2
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        np.subtract(p, a, out=a)
-        _snap_into(p, a, single)
+    flats = (grads.flat, model.adam_m.flat, model.adam_v.flat, model.params.flat)
+
+    def update(lo, hi):
+        mt, vt, wide = np.empty((3, UPDATE_CHUNK))
+        single = np.empty(UPDATE_CHUNK, np.float32)
+        for g, m, v, p in _chunks(lo, hi, *flats):
+            a, b, c = mt[:g.size], vt[:g.size], wide[:g.size]
+            # widen m and v first: float32 times a Python float stays float32
+            c[...] = m
+            c *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            a += c
+            c[...] = v
+            c *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=b)
+            b *= g
+            b += c
+            m[...] = a
+            v[...] = b
+            a /= bc1
+            a *= lr
+            b /= bc2
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            np.subtract(p, a, out=a)
+            _snap_into(p, a, single)
+
+    _in_halves(update, grads.flat.size, helper)
     model.adam_steps = step
     return model
 
 
-def ema_update(model: DenoiserModel, decay: float):
-    """Shadow-parameter update: ema <- float32(decay * ema + (1 - decay) * params)."""
+def ema_update(model: DenoiserModel, decay: float, helper=None):
+    """Shadow-parameter update: ema <- float32(decay * ema + (1 - decay) * params).
+    ``helper``, a one-thread executor or None, updates half of the elements (``_in_halves``)."""
     if not 0.0 <= decay < 1.0:
         raise ValueError(f"decay must be in [0, 1), got {decay}")
-    scratch, wide = np.empty((2, UPDATE_CHUNK))
-    for e, p in _chunks(model.ema_params.flat, model.params.flat):
-        a, c = scratch[:e.size], wide[:e.size]
-        c[...] = e  # widened, so the product runs in float64
-        c *= decay
-        np.multiply(p, 1.0 - decay, out=a)
-        a += c
-        e[...] = a
+
+    def update(lo, hi):
+        scratch, wide = np.empty((2, UPDATE_CHUNK))
+        for e, p in _chunks(lo, hi, model.ema_params.flat, model.params.flat):
+            a, c = scratch[:e.size], wide[:e.size]
+            c[...] = e  # widened, so the product runs in float64
+            c *= decay
+            np.multiply(p, 1.0 - decay, out=a)
+            a += c
+            e[...] = a
+
+    _in_halves(update, model.ema_params.flat.size, helper)
     return model
 
 
@@ -656,6 +715,15 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     loss_and_grads / adam_step / ema_update. ``loss_log`` receives one
     "step,loss,grad_norm" line per step; ``checkpoint_sink(model, step)``
     is called every ``checkpoint_every`` steps when set.
+
+    With a helper from ``helper_thread`` at ``batch_size`` rows, held until
+    the call returns or raises, each step's six hidden-by-hidden
+    weight-gradient products run on it as whole ``np.matmul`` calls, and
+    the second half of the Adam and EMA chunks; the gradient norm and
+    every random draw stay on this thread. No product is split by
+    columns: a column half is a call of another shape, which OpenBLAS
+    may run with other bits (at 2 to 16 rows, or at 129 under its Haswell
+    kernel at two BLAS threads); a whole call keeps every bit.
     """
     grads = ParamGroup(model.params.shapes())  # first, so a Prior raises before any change
     poses = np.asarray(poses, dtype=np.float64)
@@ -672,20 +740,22 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     squares = np.empty(max(g.size for g in grads.values()))
     pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
 
-    for step in range(1, steps + 1):
-        idx = rng.integers(0, n, batch_size)
-        loss, _ = loss_and_grads(model, data[idx], rng, grads)
-        grad_norm = _grad_norm(pairs)
-        if not np.isfinite(loss) or not np.isfinite(grad_norm):
-            raise DivergenceError(
-                f"non-finite loss at step {step}", step=step,
-                diagnostics={"loss": loss, "grad_norm": grad_norm})
-        adam_step(model, grads, lr)
-        ema_update(model, ema_decay)
-        if loss_log is not None:
-            loss_log(f"{step},{loss:.8g},{grad_norm:.8g}")
-        if checkpoint_sink is not None and checkpoint_every > 0 and step % checkpoint_every == 0:
-            checkpoint_sink(model, step)
+    with helper_thread(model, batch_size) as helper:
+        for step in range(1, steps + 1):
+            idx = rng.integers(0, n, batch_size)
+            loss, _ = loss_and_grads(model, data[idx], rng, grads, helper=helper)
+            grad_norm = _grad_norm(pairs)
+            if not np.isfinite(loss) or not np.isfinite(grad_norm):
+                raise DivergenceError(
+                    f"non-finite loss at step {step}", step=step,
+                    diagnostics={"loss": loss, "grad_norm": grad_norm})
+            adam_step(model, grads, lr, helper=helper)
+            ema_update(model, ema_decay, helper=helper)
+            if loss_log is not None:
+                loss_log(f"{step},{loss:.8g},{grad_norm:.8g}")
+            if (checkpoint_sink is not None and checkpoint_every > 0
+                    and step % checkpoint_every == 0):
+                checkpoint_sink(model, step)
     return model
 
 
@@ -721,16 +791,17 @@ def build_eval_form(tensors, bn_stats, steps: int) -> tuple:
     return temb, weights, bn_pairs
 
 
-def eval_helper(prior: Prior, rows: int):
-    """The helper for one sampling call's ``rows``-row eval products, as a context: a
-    one-thread executor when some eval linear of ``prior`` ``_splits`` at ``rows`` rows and
-    the process may run on at least two CPUs, else a null context, whose value is None.
-    The executor starts its thread at the first split and joins it on exit."""
-    d, h = prior.dim, prior.hidden_dim
+def helper_thread(model: Prior | DenoiserModel, rows: int):
+    """The helper of one call that runs the linears of ``model`` over ``rows`` rows (a
+    sampling call's M, a ``train`` call's batch size), as a context: a one-thread executor
+    when some linear ``_splits`` at ``rows`` rows and the process may run on at least two
+    CPUs, else a null context, whose value is None. The executor starts its thread at the
+    first task and joins it on exit."""
+    d, h = 3 * model.joints, model.hidden_dim
     if len(os.sched_getaffinity(0)) < 2 or not any(
             _splits(rows, k, n) for k, n in ((d, h), (h, h), (h, d))):
         return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # only a call that splits imports it
+    from concurrent.futures import ThreadPoolExecutor  # only a call that uses it imports it
     return ThreadPoolExecutor(1)
 
 
@@ -740,7 +811,7 @@ def make_eval_forward(prior: Prior, helper=None):
     Reads the prior's eval form, which every closure of the prior shares.
     The linears multiply row by row over the weight panels, which keep
     every bit of the 2-D product, so each row's output equals that of
-    its own 1-row block bit for bit. ``helper`` is ``eval_helper``'s
+    its own 1-row block bit for bit. ``helper`` is ``helper_thread``'s
     value: with an executor, products large enough split their panels
     with it (``_rowwise``), which keeps every bit too.
     """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import DenoiserModel, Prior, eval_helper, make_eval_forward
+from .denoiser import DenoiserModel, Prior, helper_thread, make_eval_forward
 from .errors import DivergenceError
 from .geometry import Camera, Pose, RootEstimate, checked_joints, sample_root
 from .metrics import per_joint_std
@@ -272,7 +272,7 @@ def sample_guided(model: Prior | DenoiserModel, sched: DiffusionSchedule | None,
     slabs = sched.T + (cfg.renoise_variant == RENOISE_ALG1)
     noise = _TrajectoryNoise(rngs, model.dim, slabs)
     # the helper thread, if any, lives for this call: the with block joins it
-    with eval_helper(model, n) as helper:
+    with helper_thread(model, n) as helper:
         eval_fn = make_eval_forward(model, helper)
         x = noise.standard_normal((n, model.dim))
         for t in range(sched.T, 0, -1):
@@ -330,6 +330,7 @@ def diversity_sweep(model: Prior | DenoiserModel, sched: DiffusionSchedule | Non
                     obs, cam: Camera, root_est: RootEstimate | None,
                     cfg: GuidanceConfig, s_values) -> list:
     """Per-joint spread of the hypothesis set for ``obs`` edited to each covariance scale."""
+    model = model.prior() if isinstance(model, DenoiserModel) else model  # once for all scales
     rows = []
     for s in s_values:
         hyp = sample_guided(model, sched, obs.edited(float(s)), cam, root_est, cfg)

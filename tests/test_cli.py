@@ -1246,6 +1246,28 @@ class TestFitHeatmapCommand:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda blob: b"", "bad heatmap magic"),
+        (lambda blob: blob[:4], "truncated heatmap header"),
+        (lambda blob: blob[:19], "truncated heatmap header"),
+        (lambda blob: blob[:-1], "heatmap payload of {path} is 83 bytes, expected 84"),
+        (lambda blob: blob + b"\0", "heatmap payload of {path} is 85 bytes, expected 84"),
+        (lambda blob: blob[:24] + struct.pack("<f", -1.0) + blob[28:], "negative heatmap values"),
+    ], ids=["empty", "magic-only", "19-byte-header", "payload-short", "payload-long",
+            "negative-value"])
+    def test_bad_file_exits_2_naming_file(self, tmp_path, cut, message):
+        # a 4 x 4 heatmap is a 20-byte header and a 64-byte payload
+        good_path, bad_path = tmp_path / "good.hmp", tmp_path / "bad.hmp"
+        dataio.save_heatmap(Heatmap(4, 4, np.ones((4, 4))), good_path)
+        bad_path.write_bytes(cut(good_path.read_bytes()))
+        out = tmp_path / "fit.jsonl"
+        proc = run_cli(["fit-heatmap", str(good_path), str(bad_path), "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert message.format(path=bad_path) in proc.stderr
+        assert str(bad_path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--seed", "1"), ("--config", "c.ini")])
     def test_takes_no_seed_or_config(self, tmp_path, flag, value):
         hm_path = tmp_path / "hm.hmp"

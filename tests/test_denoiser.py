@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -748,6 +749,114 @@ class TestPanels:
             with np.errstate(over="ignore"):  # the caller's errstate holds in the helper
                 out = denoiser._rowwise(a, denoiser._panels(w), helper)
         assert np.all(out[:, 192:] == np.inf) and np.all(np.isfinite(out[:, :192]))
+
+
+class TestTrainHelper:
+    """``train``'s helper thread (`denoiser.helper_thread`): whole weight-gradient
+    products and half of the Adam and EMA chunks, every bit kept."""
+
+    # `train` at hidden `argv[2]` in a child, pinned to one CPU when argv[1] is "1": writes
+    # the checkpoint to argv[3] and the loss lines to argv[4], and prints the number of
+    # tasks handed to a helper thread
+    TRAIN_CHILD = (
+        "import os, sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "if sys.argv[1] == '1':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "submit, tasks = ThreadPoolExecutor.submit, []\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    tasks.append(1)\n"
+        "    return submit(self, *args, **kwargs)\n"
+        "ThreadPoolExecutor.submit = counted\n"
+        "from poseprior import dataio, denoiser\n"
+        "from poseprior.numeric import RngStream\n"
+        "from poseprior.schedule import cosine_schedule\n"
+        "model = denoiser.DenoiserModel.initialize(\n"
+        "    17, int(sys.argv[2]), cosine_schedule(100, 0.008), RngStream(970, 0))\n"
+        "poses = RngStream(970, 1).standard_normal((300, 51)) * 100.0\n"
+        "lines = []\n"
+        "denoiser.train(model, poses, 3, 128, 1e-3, 0.99, RngStream(970, 2),\n"
+        "               loss_log=lines.append)\n"
+        "dataio.save_checkpoint(model, sys.argv[3])\n"
+        "open(sys.argv[4], 'w').write('\\n'.join(lines))\n"
+        "print(len(tasks))\n")
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to compare one CPU against two")
+    def test_bytes_do_not_depend_on_cpus_or_blas_threads(self, tmp_path):
+        # hidden 256 at B = 128 takes a helper unless pinned to one CPU: 6 weight-gradient
+        # products, one Adam half and one EMA half per step, 3 steps
+        outputs = {}
+        for cpus, threads in (("1", "1"), ("2", "1"), ("2", "2")):
+            ckpt, log = tmp_path / f"{cpus}-{threads}.ckpt", tmp_path / f"{cpus}-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.TRAIN_CHILD, cpus, "256", str(ckpt), str(log)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["0" if cpus == "1" else str(3 * 8)]
+            outputs[cpus, threads] = (ckpt.read_bytes(), log.read_bytes())
+        assert outputs["1", "1"] == outputs["2", "1"] == outputs["2", "2"]
+
+    @pytest.mark.parametrize("lr", [1e-3, 1e18], ids=["return", "divergence"])
+    def test_train_joins_its_helper(self, lr, monkeypatch):
+        monkeypatch.setattr(denoiser.os, "sched_getaffinity", lambda pid: {0, 1})
+        submit, tasks = ThreadPoolExecutor.submit, []
+
+        def counted(self, *args, **kwargs):
+            tasks.append(1)
+            return submit(self, *args, **kwargs)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        model = DenoiserModel.initialize(17, 256, cosine_schedule(20, 0.008), RngStream(971, 0))
+        threads = threading.active_count()
+        # the caller's errstate holds in the helper, which multiplies the overflowing values
+        with np.errstate(all="ignore"):
+            if lr < 1.0:
+                train(model, synthetic_flat_poses(50), 2, 128, lr, 0.99, RngStream(971, 1))
+            else:
+                with pytest.raises(DivergenceError):
+                    train(model, synthetic_flat_poses(50), 50, 128, lr, 0.99, RngStream(971, 1))
+        assert tasks and threading.active_count() == threads
+
+    def test_toy_size_starts_no_thread_and_imports_nothing(self):
+        # at hidden 64 every linear is one panel and under SPLIT_MADDS at B = 128
+        code = (
+            "import sys, threading\n"
+            "from poseprior import denoiser\n"
+            "from poseprior.numeric import RngStream\n"
+            "from poseprior.schedule import cosine_schedule\n"
+            "model = denoiser.DenoiserModel.initialize(17, 64, cosine_schedule(10, 0.008),\n"
+            "                                          RngStream(972, 0))\n"
+            "poses = RngStream(972, 1).standard_normal((200, 51))\n"
+            "denoiser.train(model, poses, 3, 128, 1e-3, 0.99, RngStream(972, 2))\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
+
+    @pytest.mark.parametrize("update", ["adam", "ema"])
+    def test_helper_exception_reaches_the_caller(self, update):
+        # only the helper's half of the elements overflows, and the suite makes the
+        # overflow warning an error: it is raised in the caller by the future
+        model = small_model(joints=17, hidden=256)
+        size = model.params.flat.size
+        assert size > 2 * denoiser.UPDATE_CHUNK
+        grads = ParamGroup(model.params.shapes())
+        mid = -(-size // denoiser.UPDATE_CHUNK) // 2 * denoiser.UPDATE_CHUNK
+        (grads if update == "adam" else model.params).flat[mid:] = 1e300
+
+        def run(helper):
+            if update == "adam":
+                adam_step(model, grads, 1e-3, helper=helper)
+            else:
+                ema_update(model, 0.5, helper=helper)
+        with ThreadPoolExecutor(1) as helper:
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                run(helper)
+            with np.errstate(over="ignore"):  # the caller's errstate holds in the helper
+                run(helper)
+        out = (model.adam_v if update == "adam" else model.ema_params).flat
+        assert np.all(np.isinf(out[mid:])) and np.all(np.isfinite(out[:mid]))
 
 
 class TestSampleMoments:

@@ -342,7 +342,7 @@ class TestGuided:
 
 
 class TestHelperThread:
-    """Eval products split between the caller and one helper thread (`denoiser.eval_helper`)."""
+    """Eval products split between the caller and one helper thread (`denoiser.helper_thread`)."""
 
     @staticmethod
     def count_splits(monkeypatch, cpus):
@@ -554,6 +554,19 @@ class TestDiversitySweep:
         assert len(rows) == 1
         assert rows[0][0] == 2.0
         assert rows[0][1] == pytest.approx(metrics.per_joint_std(direct), abs=1e-12)
+
+    def test_builds_the_prior_once_for_all_scales(self, toy_world, monkeypatch):
+        original, builds = denoiser.build_eval_form, []
+
+        def spy(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(denoiser, "build_eval_form", spy)
+        rec = toy_world.soft_records[0]
+        cfg = sampler.GuidanceConfig(num_hypotheses=2, seed=914)
+        rows = sampler.diversity_sweep(toy_world.model, None, rec.keypoints, rec.camera,
+                                       rec.root, cfg, [0.5, 1.0, 2.0])
+        assert len(rows) == 3 and len(builds) == 1
 
     def test_rejects_nonpositive_scale(self, toy_world):
         rec = toy_world.soft_records[0]
