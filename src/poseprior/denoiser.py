@@ -27,24 +27,30 @@ from cache by all rows of the block. Each row still runs its own
 product over the full inner dimension, and the panels keep every bit of
 the 2-D product (see ``_panels``).
 
-A call uses a second thread when some linear of the network reaches
-SPLIT_MADDS multiply-adds over more than one panel at the call's row
-count (sampling: hidden 1024 at any M, hidden 256 from M = 16;
-training at B = 128: hidden 128 and up in multiples of 64; never at
-hidden 64), and the process may run on at least two CPUs
-(``os.sched_getaffinity``). The call then owns one helper thread
-(``helper_thread``). In ``sample_guided`` it multiplies the second half
-of each large eval product's panels while the caller multiplies the
-first (``_rowwise``). In ``train`` it runs the six hidden-by-hidden
-weight-gradient products of ``_backward_core``, each as the same whole
-``np.matmul`` call, while the caller goes on down the input-gradient
-chain, and the second half of the Adam and EMA chunks
-(``_in_halves``). No training product is split by columns: a panel is
-the same call on either thread, but half of a 2-D product is a call of
-another shape, which OpenBLAS may run on another path (its
-small-matrix kernel at 2 to 16 rows), and its bits then differ. Every
-bit is kept either way. ``taskset -c 0 poseprior ...`` keeps a run on
-one core and one thread.
+A call uses a second thread when a split hands it enough work and the
+process may run on at least two CPUs (``os.sched_getaffinity``); the
+call then owns one helper thread (``helper_thread``). Sampling takes one
+when some linear of the network reaches SPLIT_MADDS multiply-adds over
+more than one panel at the call's row count (hidden 1024 at any M,
+hidden 256 from M = 16; never at hidden 64), training when the helper's
+rows of a hidden-by-hidden weight gradient come to more than SPLIT_MADDS
+(at B = 128: hidden above 128). In ``sample_guided`` the helper
+multiplies the second half of each large eval product's panels while the
+caller multiplies the first (``_rowwise``). In ``train`` every
+hidden-by-hidden product is split by rows (``_split_rows``): the six
+weight gradients at a multiple of PANEL_COLS (``_grad_split``), the
+forward's six products and the backward's five input gradients at B / 2
+when B is a multiple of 128 (``_batch_split``). The helper also squares
+the finished hidden-by-hidden gradients for the gradient norm
+(``_SquareSums``) and runs the second half of the Adam and EMA chunks
+(``_in_halves``). Every split goes through one fork-join
+(``_fork_join``). No training product is split by columns, and the thin
+``in_w`` and ``out_w`` products stay whole: half of a 2-D product is a
+call of another shape, which OpenBLAS may run on another path (its
+small-matrix kernel at 2 to 16 rows, other tails at odd rows), and its
+bits then differ. The row splits made are those that kept the whole
+call's bits in scans under three kernels. Every bit is kept either way.
+``taskset -c 0 poseprior ...`` keeps a run on one core and one thread.
 
 All math runs in float64. Parameters, EMA shadows, Adam moments and
 batch-norm running statistics are kept on the float32 grid (snapped
@@ -70,7 +76,7 @@ calls and batch-sized temporaries: ``_bn_train`` normalizes in place,
 the forward caches each hidden layer's input, zhat, inv_std and ReLU
 output and adds each residual in place, ``_backward_core`` builds each
 batch-norm term in place and sums with ``np.add.reduce``, and
-``loss_and_grads`` and ``_grad_norm`` say how the loss, the running
+``loss_and_grads`` and ``_SquareSums`` say how the loss, the running
 statistics and the gradient norm keep theirs. ``tests/test_denoiser.py``
 checks the pass against those formulas bit for bit.
 
@@ -137,11 +143,12 @@ PANEL_COLS = 64
 # split faster in 6 of 7 pairs; h = 256, M = 16: 880 against 837;
 # h = 128, M = 64: 1,713 against 1,541. With every product of more than
 # one panel split, h = 256 at M = 8 (2^19) took 803 against 578, and
-# h = 128 at M = 32 885 against 678. A ``train`` call whose batch makes
-# some linear split holds the helper too (``helper_thread``), which runs
-# whole products and update halves; ms per step, one CPU against two:
-# h = 1024, B = 128: 247 against 179; h = 256: 20.4-21.1 against
-# 18.8-19.6; h = 128 (2^21): 6.8-9.3 against 7.7-9.3.
+# h = 128 at M = 32 885 against 678. A ``train`` call holds the helper
+# when the helper's rows of a hidden-by-hidden weight gradient come to
+# more than SPLIT_MADDS (``helper_thread``); ms per step at B = 128, one
+# CPU against two: h = 1024: 218-267 against 162-189; h = 256: 14.6-20.7
+# against 12.7-14.4. At h = 128 the helper's rows are 2^20, and one
+# thread took 4.5-6.2 ms against 5.1-7.0 with a helper.
 SPLIT_MADDS = 1 << 20
 
 # Elements per chunk of the Adam and EMA passes: 256 KB per float64
@@ -223,19 +230,52 @@ def _on_helper(helper, fn, *args, **kwargs):
     return helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
+def _fork_join(helper, fn, first, second):
+    """``fn(*second)`` on the executor ``helper`` (``_on_helper``) while this thread runs
+    ``fn(*first)``: the one place a task is split between the two threads. Both halves are
+    done when this returns or raises, and what the helper's half raised reaches the caller."""
+    rest = _on_helper(helper, fn, *second)
+    try:
+        fn(*first)
+    finally:
+        rest.result()
+
+
 def _in_halves(update, size: int, helper):
     """Run ``update(lo, hi)`` over elements [0, size): at once without ``helper``; with it,
     the second half of the UPDATE_CHUNK chunks on the helper while this thread runs the
-    first. Each half allocates its own scratch; both are done when this returns."""
+    first. Each half allocates its own scratch."""
     if helper is None:
         update(0, size)
         return
     mid = -(-size // UPDATE_CHUNK) // 2 * UPDATE_CHUNK
-    rest = _on_helper(helper, update, mid, size)
-    try:
-        update(0, mid)
-    finally:
-        rest.result()
+    _fork_join(helper, update, (0, mid), (mid, size))
+
+
+def _batch_split(rows: int) -> int:
+    """Where a training product over ``rows`` batch rows splits (0: it stays whole): at
+    rows / 2 when that is a multiple of PANEL_COLS. Only such halves kept the whole call's
+    bits under every kernel scanned; halves of 2 to 16 or of odd rows did not."""
+    return rows // 2 if rows % (2 * PANEL_COLS) == 0 else 0
+
+
+def _grad_split(hidden: int) -> int:
+    """Where a weight gradient ``a.T @ dz`` splits its ``hidden`` output rows (0: it stays
+    whole): at the largest multiple of PANEL_COLS up to hidden / 2, which kept the whole
+    call's bits at every batch size scanned."""
+    return hidden // 2 // PANEL_COLS * PANEL_COLS
+
+
+def _split_rows(a, b, at: int, helper=None, out=None):
+    """``a @ b``, into ``out`` when given. With ``helper`` and ``at`` > 0 the helper
+    multiplies rows [at, len(a)) of ``a`` while this thread multiplies rows [0, at)
+    (``_fork_join``); ``at`` comes from ``_batch_split`` or ``_grad_split``."""
+    if helper is None or not at:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((len(a), b.shape[1]))
+    _fork_join(helper, np.matmul, (a[:at], b, out[:at]), (a[at:], b, out[at:]))
+    return out
 
 
 class ParamGroup(dict):
@@ -423,24 +463,22 @@ def _rowwise(a, w, helper=None):
     if helper is not None and _splits(len(a), w.shape[2], len(w) * w.shape[3]):
         half = len(w) // 2
         out = np.empty((len(w), len(a), 1, w.shape[3]))
-        rest = _on_helper(helper, np.matmul, rows, w[half:], out=out[half:])
-        np.matmul(rows, w[:half], out=out[:half])
-        rest.result()
+        _fork_join(helper, np.matmul, (rows, w[:half], out[:half]), (rows, w[half:], out[half:]))
     else:
         out = rows @ w
     return out[:, :, 0, :].transpose(1, 0, 2).reshape(len(a), -1)
 
 
-def _project_temb(params, t_arr) -> tuple:
-    """Two-layer feed-forward projection of the sinusoidal encoding, one GEMM per
+def _project_temb(params, t_arr, matmul=np.matmul) -> tuple:
+    """Two-layer feed-forward projection of the sinusoidal encoding, one ``matmul`` per
     linear over all steps in ``t_arr``: (embeddings, (encoding, hidden layer after ReLU))."""
     dim = params["te1_b"].shape[0]
     e_sin = sinusoidal_embedding(t_arr, dim)
-    r1 = e_sin @ params["te1_w"]
+    r1 = matmul(e_sin, params["te1_w"])
     # bias and ReLU in place: two (T, h) temporaries fewer for the eval table
     r1 += params["te1_b"]
     np.maximum(r1, 0.0, out=r1)
-    e = r1 @ params["te2_w"]
+    e = matmul(r1, params["te2_w"])
     e += params["te2_b"]
     return e, (e_sin, r1)
 
@@ -482,12 +520,19 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None, helper=Non
     normalizes in place on each product's buffer with ``bn_pairs``, the
     folded (scale, shift) per batch-norm layer from ``build_eval_form``.
     Training projects the step embedding from ``t_arr``; eval takes it
-    precomputed as ``temb`` and hands ``helper`` to ``_rowwise``. Both add
+    precomputed as ``temb``. ``helper`` is the call's helper thread or
+    None: training splits its six hidden-by-hidden products by batch rows
+    with it (``_batch_split``), eval hands it to ``_rowwise``. Both add
     each residual in place on the block's input, which nothing else holds.
     """
-    matmul = np.matmul if train else (lambda a, w: _rowwise(a, w, helper))
-    e, temb_cache = _project_temb(params, t_arr) if train else (temb, None)
-    h = matmul(x, params["in_w"])
+    if train:
+        at = _batch_split(len(x))
+        thin, matmul = np.matmul, (lambda a, w: _split_rows(a, w, at, helper))
+        e, temb_cache = _project_temb(params, t_arr, matmul)
+    else:
+        thin = matmul = lambda a, w: _rowwise(a, w, helper)
+        e, temb_cache = temb, None
+    h = thin(x, params["in_w"])
     h += params["in_b"]
     if train:
         layers, stats = [], np.empty((len(STAT_KEYS), h.shape[1]))
@@ -513,14 +558,14 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None, helper=Non
             h_skip += h
             h = h_skip
     a_out = h + e
-    out = matmul(a_out, params["out_w"])
+    out = thin(a_out, params["out_w"])
     out += params["out_b"]
     if not train:
         return out, None
     return out, {"x": x, "temb": temb_cache, "layers": layers, "a_out": a_out, "stats": stats}
 
 
-def _backward_core(params, cache, dout, grads=None, helper=None):
+def _backward_core(params, cache, dout, grads=None, helper=None, sums=None):
     """Exact reverse-mode gradients of the training forward pass, written
     into ``grads`` (a ParamGroup; a new one when None) and returned.
 
@@ -528,20 +573,28 @@ def _backward_core(params, cache, dout, grads=None, helper=None):
     sum dzhat - zhat sum(dzhat zhat)) with dzhat = gain * ReLU'(n) * dh,
     is built in place on one buffer in that order of operations, and
     the residual and embedding gradients accumulate in place. With
-    ``helper``, a one-thread executor, the six hidden-by-hidden
-    weight-gradient products run on it, each as the same whole
-    ``np.matmul`` call, while this thread goes on; nothing they read is
-    written after they are submitted, and all are done when this returns.
+    ``helper``, a one-thread executor, each hidden-by-hidden weight
+    gradient ``a.T @ dz`` splits its rows with it (``_grad_split``) and
+    each hidden-by-hidden input gradient ``dz @ w.T`` its batch rows
+    (``_batch_split``); the thin ``in_w`` and ``out_w`` products stay
+    whole on this thread. ``sums``, a ``_SquareSums`` over ``grads`` or
+    None, gets each hidden-by-hidden weight gradient once it is final,
+    after the input gradient that follows it, so the helper squares it
+    in the batch-norm arithmetic of the next layer.
     """
     if grads is None:
         grads = ParamGroup(params.shapes())
-    pending = []
+    at, mid = _batch_split(len(dout)), _grad_split(params["te1_b"].shape[0])
 
-    def weight_grad(a, dz, key):  # grads[key] = a.T @ dz
-        if helper is None:
-            np.matmul(a.T, dz, out=grads[key])
-        else:
-            pending.append(_on_helper(helper, np.matmul, a.T, dz, out=grads[key]))
+    def weight_grad(a, dz, key):
+        _split_rows(a.T, dz, mid, helper, grads[key])
+
+    def input_grad(dz, w):
+        return _split_rows(dz, w.T, at, helper)
+
+    def done(key):
+        if sums is not None:
+            sums.start(key)
 
     add = np.add.reduce
     np.matmul(cache["a_out"].T, dout, out=grads["out_w"])
@@ -567,7 +620,8 @@ def _backward_core(params, cache, dout, grads=None, helper=None):
         dz *= inv_std / b
         weight_grad(a, dz, w)
         add(dz, 0, out=grads[bias])
-        dh = dz @ params[w].T
+        dh = input_grad(dz, params[w])
+        done(w)
         if k == len(_LAYERS) - 1:
             de = de + dh  # the first sum leaves the output layer's gradient as it is
         else:
@@ -581,16 +635,17 @@ def _backward_core(params, cache, dout, grads=None, helper=None):
     e_sin, r1 = cache["temb"]
     weight_grad(r1, de, "te2_w")
     add(de, 0, out=grads["te2_b"])
-    dz1 = de @ params["te2_w"].T
+    dz1 = input_grad(de, params["te2_w"])
+    done("te2_w")
     dz1 *= r1 > 0.0
     weight_grad(e_sin, dz1, "te1_w")
+    done("te1_w")
     add(dz1, 0, out=grads["te1_b"])
-    for job in pending:
-        job.result()
     return grads
 
 
-def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None, helper=None):
+def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None, helper=None,
+                   sums=None):
     """Simplified denoising loss on one batch and its exact parameter gradients.
 
     Per pose: draw a uniform step and unit Gaussian noise, noise the
@@ -598,7 +653,10 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None, h
     is the batch mean. Updates the model's batch-norm running
     statistics as a side effect (this is the train-mode forward). The
     gradients go into ``grads`` when it is given. ``helper``, a one-thread
-    executor or None, runs the large weight-gradient products (``_backward_core``).
+    executor or None, multiplies half of each hidden-by-hidden product of
+    the forward and the backward (``_forward_core``, ``_backward_core``);
+    ``sums``, a ``_SquareSums`` over ``grads`` or None, squares the
+    hidden-by-hidden gradients on it as they are done.
 
     The loss is ``np.mean(np.sum(diff * diff, axis=1))`` as two
     ``np.add.reduce`` calls and a division by B, and the running
@@ -616,11 +674,11 @@ def loss_and_grads(model: DenoiserModel, batch_x0, rng: RngStream, grads=None, h
     x_t = np.sqrt(ab)[:, None] * x0
     x_t += np.sqrt(1.0 - ab)[:, None] * eps
 
-    diff, cache = _forward_core(model.params, model.bn_stats, x_t, t, train=True)
+    diff, cache = _forward_core(model.params, model.bn_stats, x_t, t, train=True, helper=helper)
     diff -= eps
     loss = float(np.add.reduce(np.add.reduce(diff * diff, 1))) / b
     diff *= 2.0 / b
-    grads = _backward_core(model.params, cache, diff, grads, helper)
+    grads = _backward_core(model.params, cache, diff, grads, helper, sums)
 
     stats, batch = model.bn_stats.flat, cache["stats"].reshape(-1)
     stats *= 1.0 - BN_MOMENTUM
@@ -696,14 +754,36 @@ def ema_update(model: DenoiserModel, decay: float, helper=None):
     return model
 
 
-def _grad_norm(pairs) -> float:
-    """The gradient norm, sqrt(sum(np.sum(g * g) for g in grads.values())), bit
-    for bit: ``pairs`` holds each gradient, in PARAM_KEYS order, with a
-    scratch view of its shape for its squares."""
-    total = 0.0
-    for g, sq in pairs:
-        total += float(np.add.reduce(np.multiply(g, g, out=sq), None))
-    return math.sqrt(total)
+def _square_sum(g, scratch) -> float:
+    """``np.sum(g * g)`` bit for bit, squaring into a view of the float64 ``scratch``."""
+    return float(np.add.reduce(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)), None))
+
+
+class _SquareSums:
+    """The gradient norm of ``grads``, sqrt(sum(np.sum(g * g) for g in grads.values())), bit
+    for bit, from one sum of squares per key added in PARAM_KEYS order (``norm``), each
+    squared through one scratch the size of the largest gradient.
+
+    With ``helper``, the backward pass hands over each hidden-by-hidden gradient once it is
+    final (``start``) and the helper squares it; ``norm`` waits for those sums before it
+    squares the other keys on this thread through the same scratch.
+    """
+
+    def __init__(self, grads: ParamGroup, helper=None):
+        self.grads, self.helper, self.jobs = grads, helper, {}
+        self.scratch = np.empty(max(g.size for g in grads.values()))
+
+    def start(self, key):
+        if self.helper is not None:
+            self.jobs[key] = _on_helper(self.helper, _square_sum, self.grads[key], self.scratch)
+
+    def norm(self) -> float:
+        done = {key: job.result() for key, job in self.jobs.items()}
+        self.jobs = {}
+        total = 0.0
+        for key, g in self.grads.items():
+            total += done[key] if key in done else _square_sum(g, self.scratch)
+        return math.sqrt(total)
 
 
 def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
@@ -716,14 +796,12 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     "step,loss,grad_norm" line per step; ``checkpoint_sink(model, step)``
     is called every ``checkpoint_every`` steps when set.
 
-    With a helper from ``helper_thread`` at ``batch_size`` rows, held until
-    the call returns or raises, each step's six hidden-by-hidden
-    weight-gradient products run on it as whole ``np.matmul`` calls, and
-    the second half of the Adam and EMA chunks; the gradient norm and
-    every random draw stay on this thread. No product is split by
-    columns: a column half is a call of another shape, which OpenBLAS
-    may run with other bits (at 2 to 16 rows, or at 129 under its Haswell
-    kernel at two BLAS threads); a whole call keeps every bit.
+    With a helper from ``helper_thread`` for the model at ``batch_size``
+    rows, held until the call returns or raises, each step splits its
+    hidden-by-hidden products by rows, the gradient norm's squares
+    (``_SquareSums``) and the Adam and EMA chunks with it, as the module
+    docstring says; every random draw stays on this thread, and only
+    splits that keep the whole call's bits are made.
     """
     grads = ParamGroup(model.params.shapes())  # first, so a Prior raises before any change
     poses = np.asarray(poses, dtype=np.float64)
@@ -736,15 +814,13 @@ def train(model: DenoiserModel, poses, steps: int, batch_size: int, lr: float,
     model.norm_std = np.maximum(poses.std(axis=0), NORM_STD_FLOOR)
     data = (poses - model.norm_mean) / model.norm_std
     n = data.shape[0]
-    # each gradient with its view of one scratch the size of the largest
-    squares = np.empty(max(g.size for g in grads.values()))
-    pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
 
     with helper_thread(model, batch_size) as helper:
+        sums = _SquareSums(grads, helper)
         for step in range(1, steps + 1):
             idx = rng.integers(0, n, batch_size)
-            loss, _ = loss_and_grads(model, data[idx], rng, grads, helper=helper)
-            grad_norm = _grad_norm(pairs)
+            loss, _ = loss_and_grads(model, data[idx], rng, grads, helper=helper, sums=sums)
+            grad_norm = sums.norm()
             if not np.isfinite(loss) or not np.isfinite(grad_norm):
                 raise DivergenceError(
                     f"non-finite loss at step {step}", step=step,
@@ -792,14 +868,23 @@ def build_eval_form(tensors, bn_stats, steps: int) -> tuple:
 
 
 def helper_thread(model: Prior | DenoiserModel, rows: int):
-    """The helper of one call that runs the linears of ``model`` over ``rows`` rows (a
-    sampling call's M, a ``train`` call's batch size), as a context: a one-thread executor
-    when some linear ``_splits`` at ``rows`` rows and the process may run on at least two
-    CPUs, else a null context, whose value is None. The executor starts its thread at the
-    first task and joins it on exit."""
+    """The helper of one call that runs the linears of ``model`` over ``rows`` rows, as a
+    context: a one-thread executor when a split hands the helper enough work and the process
+    may run on at least two CPUs, else a null context, whose value is None. The executor
+    starts its thread at the first task and joins it on exit.
+
+    Sampling from a ``Prior`` (rows = M) takes one when some eval linear ``_splits`` at
+    ``rows`` rows. Training a ``DenoiserModel`` (rows = the batch size) takes one when the
+    helper's rows of a hidden-by-hidden weight gradient (``_grad_split``) come to more than
+    SPLIT_MADDS multiply-adds: a GEMM half runs faster per multiply-add than a row-by-row
+    eval product, so it must hand over more to pay for the handoff."""
     d, h = 3 * model.joints, model.hidden_dim
-    if len(os.sched_getaffinity(0)) < 2 or not any(
-            _splits(rows, k, n) for k, n in ((d, h), (h, h), (h, d))):
+    if isinstance(model, Prior):
+        pays = any(_splits(rows, k, n) for k, n in ((d, h), (h, h), (h, d)))
+    else:
+        mid = _grad_split(h)
+        pays = mid > 0 and (h - mid) * rows * h > SPLIT_MADDS
+    if len(os.sched_getaffinity(0)) < 2 or not pays:
         return contextlib.nullcontext()
     from concurrent.futures import ThreadPoolExecutor  # only a call that uses it imports it
     return ThreadPoolExecutor(1)

@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import json
+import math
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -504,8 +507,7 @@ class TestTrainStep:
         data = RngStream(45, 1).standard_normal((50, 3 * joints))
         draws, rng, ref_rng = RngStream(45, 2), RngStream(45, 3), RngStream(45, 3)
         grads = ParamGroup(model.params.shapes())
-        squares = np.empty(max(g.size for g in grads.values()))
-        pairs = [(g, squares[:g.size].reshape(g.shape)) for g in grads.values()]
+        sums = denoiser._SquareSums(grads)
         for _ in range(4):
             x0 = data[draws.integers(0, len(data), batch)]
             want_loss, want_grads, want_stats, want_norm = reference_train_step(
@@ -517,7 +519,7 @@ class TestTrainStep:
                 assert same_bits(grads[key], want_grads[key]), key
             for key in STAT_KEYS:
                 assert same_bits(model.bn_stats[key], want_stats[key]), key
-            assert same_bits(denoiser._grad_norm(pairs), want_norm)
+            assert same_bits(sums.norm(), want_norm)
             adam_step(model, grads, 1e-2)
             ema_update(model, 0.9)
         assert np.all(model.bn_stats.flat != np.repeat([0.0, 1.0] * 4, hidden))
@@ -752,12 +754,12 @@ class TestPanels:
 
 
 class TestTrainHelper:
-    """``train``'s helper thread (`denoiser.helper_thread`): whole weight-gradient
-    products and half of the Adam and EMA chunks, every bit kept."""
+    """``train``'s helper thread (`denoiser.helper_thread`): halves of the hidden-by-hidden
+    products, their gradients' squares and half of the Adam and EMA chunks, every bit kept."""
 
-    # `train` at hidden `argv[2]` in a child, pinned to one CPU when argv[1] is "1": writes
-    # the checkpoint to argv[3] and the loss lines to argv[4], and prints the number of
-    # tasks handed to a helper thread
+    # `train` at hidden argv[2] and batch argv[3] in a child, pinned to one CPU when argv[1]
+    # is "1": writes the checkpoint to argv[4] and the loss lines to argv[5], and prints the
+    # number of tasks handed to a helper thread
     TRAIN_CHILD = (
         "import os, sys\n"
         "from concurrent.futures import ThreadPoolExecutor\n"
@@ -775,28 +777,93 @@ class TestTrainHelper:
         "    17, int(sys.argv[2]), cosine_schedule(100, 0.008), RngStream(970, 0))\n"
         "poses = RngStream(970, 1).standard_normal((300, 51)) * 100.0\n"
         "lines = []\n"
-        "denoiser.train(model, poses, 3, 128, 1e-3, 0.99, RngStream(970, 2),\n"
+        "denoiser.train(model, poses, 3, int(sys.argv[3]), 1e-3, 0.99, RngStream(970, 2),\n"
         "               loss_log=lines.append)\n"
-        "dataio.save_checkpoint(model, sys.argv[3])\n"
-        "open(sys.argv[4], 'w').write('\\n'.join(lines))\n"
+        "dataio.save_checkpoint(model, sys.argv[4])\n"
+        "open(sys.argv[5], 'w').write('\\n'.join(lines))\n"
         "print(len(tasks))\n")
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs to compare one CPU against two")
     def test_bytes_do_not_depend_on_cpus_or_blas_threads(self, tmp_path):
-        # hidden 256 at B = 128 takes a helper unless pinned to one CPU: 6 weight-gradient
-        # products, one Adam half and one EMA half per step, 3 steps
-        outputs = {}
-        for cpus, threads in (("1", "1"), ("2", "1"), ("2", "2")):
-            ckpt, log = tmp_path / f"{cpus}-{threads}.ckpt", tmp_path / f"{cpus}-{threads}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-c", self.TRAIN_CHILD, cpus, "256", str(ckpt), str(log)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        default = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        for kernel, batch, tasks_per_step in (
+                # hidden 256 at B = 128: 6 forward and 5 input-gradient batch halves, 6
+                # weight-gradient row halves, 6 gradients squared, an Adam and an EMA half
+                (None, 128, 25),
+                ("Haswell", 128, 25),
+                # B = 96 is no multiple of 128, so the batch-row products stay whole
+                (None, 96, 14)):
+            env = default if kernel is None else {**default, "OPENBLAS_CORETYPE": kernel}
+            outputs = {}
+            for cpus, threads in (("1", "1"), ("2", "1"), ("2", "2")):
+                ckpt, log = tmp_path / f"{cpus}-{threads}.ckpt", tmp_path / f"{cpus}-{threads}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-c", self.TRAIN_CHILD, cpus, "256", str(batch), str(ckpt),
+                     str(log)],
+                    capture_output=True, text=True, env={**env, "OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout.split() == ["0" if cpus == "1" else str(3 * tasks_per_step)]
+                outputs[cpus, threads] = (ckpt.read_bytes(), log.read_bytes())
+            assert outputs["1", "1"] == outputs["2", "1"] == outputs["2", "2"], (kernel, batch)
+
+    # one `loss_and_grads` with a helper at each (batch, hidden) of argv[1:] in a child: for
+    # each, one [rows of a, columns of b, split, halves equal the whole np.matmul] per
+    # `_split_rows` call, and the operand shapes of every `_fork_join`
+    SPLIT_CHILD = (
+        "import json, sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import numpy as np\n"
+        "from poseprior import denoiser\n"
+        "from poseprior.numeric import RngStream\n"
+        "from poseprior.schedule import cosine_schedule\n"
+        "split_rows, fork_join, products, forks = denoiser._split_rows, denoiser._fork_join, [], []\n"
+        "def spy_rows(a, b, at, helper=None, out=None):\n"
+        "    whole = np.matmul(a, b)\n"
+        "    got = split_rows(a, b, at, helper, out)\n"
+        "    products.append([len(a), b.shape[1], bool(helper is not None and at),\n"
+        "                     got.tobytes() == whole.tobytes()])\n"
+        "    return got\n"
+        "def spy_fork(helper, fn, first, second):\n"
+        "    forks.append([np.shape(x) for x in first + second])\n"
+        "    return fork_join(helper, fn, first, second)\n"
+        "denoiser._split_rows, denoiser._fork_join = spy_rows, spy_fork\n"
+        "out = {}\n"
+        "with ThreadPoolExecutor(1) as helper:\n"
+        "    for case in sys.argv[1:]:\n"
+        "        batch, hidden = map(int, case.split(','))\n"
+        "        model = denoiser.DenoiserModel.initialize(\n"
+        "            17, hidden, cosine_schedule(100, 0.008), RngStream(973, hidden))\n"
+        "        x0 = RngStream(973, batch).standard_normal((batch, 51))\n"
+        "        products.clear(), forks.clear()\n"
+        "        denoiser.loss_and_grads(model, x0, RngStream(974, 0), helper=helper)\n"
+        "        out[case] = [list(products), list(forks)]\n"
+        "print(json.dumps(out))\n")
+
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"])
+    def test_split_rule_keeps_every_bit(self, kernel):
+        # B = 128 and 256 split every hidden-by-hidden product: the forward's 6 and the 5
+        # input gradients by batch rows, the 6 weight gradients by output rows. B = 96 and 129
+        # split only the weight gradients: batch halves there can differ (Haswell at 129 rows
+        # and two BLAS threads). The thin products with 3J = 51 columns or rows never split.
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        cases = {"128,128": 17, "128,256": 17, "256,192": 17, "96,256": 6, "129,256": 6}
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", self.SPLIT_CHILD, *cases],
+                                  capture_output=True, text=True,
+                                  env={**env, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.split() == ["0" if cpus == "1" else str(3 * 8)]
-            outputs[cpus, threads] = (ckpt.read_bytes(), log.read_bytes())
-        assert outputs["1", "1"] == outputs["2", "1"] == outputs["2", "2"]
+            for case, (products, forks) in json.loads(proc.stdout).items():
+                batch, hidden = map(int, case.split(","))
+                split = [p for p in products if p[2]]
+                assert len(products) == 17 and len(split) == cases[case], (case, threads)
+                assert all(equal for *_, equal in split), (case, threads)
+                if batch % 128:
+                    assert all(rows == hidden for rows, *_ in split), (case, threads)
+                assert len(forks) == len(split)
+                assert all(51 not in shape for shapes in forks for shape in shapes)
 
     @pytest.mark.parametrize("lr", [1e-3, 1e18], ids=["return", "divergence"])
     def test_train_joins_its_helper(self, lr, monkeypatch):
@@ -857,6 +924,35 @@ class TestTrainHelper:
                 run(helper)
         out = (model.adam_v if update == "adam" else model.ema_params).flat
         assert np.all(np.isinf(out[mid:])) and np.all(np.isfinite(out[:mid]))
+
+    def test_squares_on_the_helper_keep_the_norm(self, monkeypatch):
+        # the helper squares the hidden-by-hidden keys through the one scratch that the
+        # caller then uses for the other keys; the caller must wait for every key, whatever
+        # order they were started in. The helper's squares stay in the scratch for a while
+        # before their sum, so a caller that did not wait would corrupt a sum
+        square_sum = denoiser._square_sum
+
+        def slow_on_helper(g, scratch):
+            if threading.current_thread() is threading.main_thread():
+                return square_sum(g, scratch)
+            squares = np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))
+            time.sleep(0.002)
+            return float(np.add.reduce(squares, None))
+        monkeypatch.setattr(denoiser, "_square_sum", slow_on_helper)
+        grads = ParamGroup(denoiser.param_shapes(17, 64))
+        grads.flat[...] = RngStream(975, 0).standard_normal(grads.flat.size)
+        want = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(1) as helper:
+                sums = denoiser._SquareSums(grads, helper)
+                for _ in range(5):
+                    for key in ("te1_w", "te2_w", "b1_l1_w", "b1_l2_w", "b2_l1_w", "b2_l2_w"):
+                        sums.start(key)
+                    assert same_bits(sums.norm(), want)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSampleMoments:
