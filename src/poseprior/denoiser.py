@@ -20,12 +20,13 @@ folds each batch-norm layer into a (scale, shift) pair, and copies each
 weight once into column panels. ``DenoiserModel.prior()`` builds one; a
 checkpoint's sampling-state load streams its EMA tensors straight into
 one, never holding the float32 EMA weights. The eval forward,
-``make_eval_forward``, multiplies row by row, so rows are independent:
-a row's output does not depend on the other rows of its block. It runs
-every row over one panel before moving to the next, so a panel is read
-from cache by all rows of the block. Each row still runs its own
-product over the full inner dimension, and the panels keep every bit of
-the 2-D product (see ``_panels``).
+``make_eval_forward``, multiplies the block in fixed tiles of TILE_ROWS
+rows, the last padded with zero rows, and each tile by each panel is
+one call of the same shape (``_rowwise``). A GEMM kernel does not mix
+the rows of its call, so rows are independent: a row's output does not
+depend on the other rows of its block, and is that of its own
+zero-padded tile. It runs every tile over one panel before moving to
+the next, so a panel is read from cache by all tiles of the block.
 
 A call uses a second thread when a split hands it enough work and the
 process may run on at least two CPUs (``os.sched_getaffinity``); the
@@ -127,26 +128,39 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Columns per eval weight panel. A 1024-row panel is 512 KB and stays in
-# a 2 MB L2 while every row of a block uses it. One 1024 x 1024 linear
-# (2-vCPU Xeon, OpenBLAS 0.3.31, one thread, median ms): 0.50-0.62 at
-# M = 2 and 6.9-10.4 at M = 50, against 0.68-0.95 and 18-22 row by row
-# over the 2-D weight. Widths 32 and 128 performed the same; 256 was
-# slower at M = 2.
+# a 2 MB L2 while every tile of a block uses it. One 1024 x 1024 linear
+# in 1-row calls (2-vCPU Xeon, OpenBLAS 0.3.31, one thread, median ms):
+# 0.50-0.62 at M = 2 and 6.9-10.4 at M = 50, against 0.68-0.95 and 18-22
+# row by row over the 2-D weight. Widths 32 and 128 performed the same;
+# 256 was slower at M = 2.
 PANEL_COLS = 64
+
+# Rows per eval tile: each (panel, tile) product of ``_rowwise`` is one
+# (TILE_ROWS, K) @ (K, PANEL_COLS) call. One linear over panels (2-vCPU
+# Xeon, OpenBLAS 0.3.31, one thread, median us; 1-row calls, then tiles of
+# R = 2, 4, 8): 1024 x 1024 at M = 2: 453, 386, 429, 597; at M = 50: 7,070,
+# 3,916, 2,378, 2,528; 64 x 64 at M = 50: 13.6, 9.1, 10.3, 10.5. At M = 1
+# the padded tile costs more than a 1-row call: 414 against 340 at 1024 x
+# 1024, 3.7 against 2.6 at 64 x 64. R = 2 is the fastest at M = 2 and pads
+# no row at even M. One R serves every M: a row's bits depend on its call,
+# so 1-row calls below R would give a row other bits at M = 1 than at M = 2.
+TILE_ROWS = 2
 
 # Multiply-adds (rows x K x N) from which an eval product of more than
 # one panel splits its panels between the calling thread and a helper
 # thread (``_rowwise``); a handoff to the helper costs about 50 us. One
-# sampling step with the products from 2^20 split (2-vCPU Xeon, OpenBLAS
-# 0.3.31, one BLAS thread, median us, serial against split): h = 1024,
-# M = 1: 3,600 against 2,420; h = 512, M = 4: 1,062 against 1,174, but
-# split faster in 6 of 7 pairs; h = 256, M = 16: 880 against 837;
-# h = 128, M = 64: 1,713 against 1,541. With every product of more than
-# one panel split, h = 256 at M = 8 (2^19) took 803 against 578, and
-# h = 128 at M = 32 885 against 678. A ``train`` call holds the helper
-# when the helper's rows of a hidden-by-hidden weight gradient come to
-# more than SPLIT_MADDS (``helper_thread``); ms per step at B = 128, one
-# CPU against two: h = 1024: 218-267 against 162-189; h = 256: 14.6-20.7
+# eval forward over 2-row tiles with the products from 2^20 split (2-vCPU
+# Xeon, OpenBLAS 0.3.31, one BLAS thread, median us of 6 alternating
+# process pairs, one CPU against split, while a probe saw both CPUs
+# free): h = 1024, M = 1: 1,526 against 1,163; M = 2: 1,501 against 1,182;
+# M = 50: 15,714 against 8,899 (split faster in 6 of 6 pairs each); h =
+# 512, M = 4: 612 against 548 (5 of 6); h = 256, M = 16: 433 against 463
+# (2 of 6); h = 128, M = 64: 488 against 618 (0 of 6). In a window where
+# the second CPU was busy, the split lost in every row (h = 1024, M = 2:
+# 1,677 against 1,740). A ``train`` call holds the helper when the
+# helper's rows of a hidden-by-hidden weight gradient come to more than
+# SPLIT_MADDS (``helper_thread``); ms per step at B = 128, one CPU against
+# two: h = 1024: 218-267 against 162-189; h = 256: 14.6-20.7
 # against 12.7-14.4. At h = 128 the helper's rows are 2^20, and one
 # thread took 4.5-6.2 ms against 5.1-7.0 with a helper.
 SPLIT_MADDS = 1 << 20
@@ -315,9 +329,10 @@ class Prior:
     """What sampling reads of a trained denoiser, frozen: ``joints``, ``hidden_dim``, ``sched``,
     ``norm_mean``, ``norm_std`` and the eval form of the EMA weights and running statistics
     (``build_eval_form``), all float64. ``temb`` is the (T, h) table of projected step
-    embeddings, ``weights`` the six network linears' weights in column panels (``_panels``)
-    and their biases, keyed by PARAM_KEYS, and ``bn_pairs`` each batch-norm layer's folded
-    (scale, shift), keyed by layer ("b1_bn1", ...). It cannot be trained or saved.
+    embeddings, ``weights`` the six network linears' weights in column panels (``_panels``),
+    which the eval forward multiplies in row tiles (``_rowwise``), and their biases, keyed
+    by PARAM_KEYS, and ``bn_pairs`` each batch-norm layer's folded (scale, shift), keyed by
+    layer ("b1_bn1", ...). It cannot be trained or saved.
     """
 
     joints: int
@@ -429,11 +444,12 @@ def _panels(w):
     of column panels: C = PANEL_COLS when N is a multiple of PANEL_COLS
     larger than it, else one full-width panel (C = N).
 
-    The panels give ``_rowwise`` the bits of the 2-D product: each output
-    column is the same K-long dot product, computed by the same kernel
-    path. A split that leaves a narrow tail panel does not: with 2 or 3
-    columns left over (N = 66, 130, 1026) the tail columns came out
-    different, hence the multiple-of rule.
+    All panels of a weight have one width, so every (panel, tile) product
+    of ``_rowwise`` is a call of one shape; a narrow tail panel would be a
+    call of another. The panels are part of what the eval bits are: a
+    tile times the whole 2-D weight is another call too, and its bits
+    differed from the tiles over panels under SkylakeX and under Haswell
+    at two BLAS threads.
     """
     k, n = w.shape
     cols = _panel_cols(n)
@@ -447,26 +463,35 @@ def _splits(rows: int, k: int, n: int) -> bool:
 
 
 def _rowwise(a, w, helper=None):
-    """``a @ w`` computed one row at a time, so a row's result does not
-    depend on the other rows in the block (a GEMM over the block does).
+    """``a @ w`` in fixed tiles of TILE_ROWS rows, so a row's result does
+    not depend on the other rows in the block (a GEMM over the block does).
 
-    ``w`` is a panel stack from ``_panels``. numpy's matmul loops over the
-    panels outside and the rows inside, so each panel stays in cache while
-    every row multiplies it; the (panel, row) results are then put back in
-    (row, column) order. Where ``helper``, a one-thread executor, is given
-    and the product ``_splits``, the helper multiplies the second half of
-    the panels while this thread multiplies the first, in this thread's
-    context, so under its ``np.errstate``. Each (panel, row) product is the
-    same call either way, so the split keeps every bit.
+    ``w`` is a panel stack from ``_panels``. An M not a multiple of
+    TILE_ROWS gets zero rows at the end. Every tile is multiplied by every
+    panel as one (TILE_ROWS, K) @ (K, C) call: numpy's matmul loops over
+    the panels outside and the tiles inside, so each panel stays in cache
+    while every tile multiplies it, and the (panel, tile) results are then
+    put back in (row, column) order. Every call has the same shape and a
+    GEMM kernel does not mix the rows of its call, so each row's bits are
+    those of its own zero-padded tile. Where ``helper``, a one-thread
+    executor, is given and the product ``_splits``, the helper multiplies
+    the second half of the panels while this thread multiplies the first,
+    in this thread's context, so under its ``np.errstate``. Each (panel,
+    tile) product is the same call either way, so the split keeps every bit.
     """
-    rows = a[None, :, None, :]
-    if helper is not None and _splits(len(a), w.shape[2], len(w) * w.shape[3]):
+    m, k = a.shape
+    pad = -m % TILE_ROWS
+    if pad:
+        a = np.concatenate((a, np.zeros((pad, k))))
+    tiles = a.reshape(1, -1, TILE_ROWS, k)
+    if helper is not None and _splits(m, k, len(w) * w.shape[3]):
         half = len(w) // 2
-        out = np.empty((len(w), len(a), 1, w.shape[3]))
-        _fork_join(helper, np.matmul, (rows, w[:half], out[:half]), (rows, w[half:], out[half:]))
+        out = np.empty((len(w), tiles.shape[1], TILE_ROWS, w.shape[3]))
+        _fork_join(helper, np.matmul, (tiles, w[:half], out[:half]),
+                   (tiles, w[half:], out[half:]))
     else:
-        out = rows @ w
-    return out[:, :, 0, :].transpose(1, 0, 2).reshape(len(a), -1)
+        out = tiles @ w
+    return out.transpose(1, 2, 0, 3).reshape(m + pad, -1)[:m]
 
 
 def _project_temb(params, t_arr, matmul=np.matmul) -> tuple:
@@ -515,10 +540,11 @@ def _forward_core(params, bn_pairs, x, t_arr, train: bool, temb=None, helper=Non
     batch statistics (it ignores ``bn_pairs``) and keeps a cache for the
     backward pass: per hidden layer its input ``a``, zhat, inv_std and
     ReLU output, and the batch means and variances as one (8, h) array
-    in STAT_KEYS order. Eval multiplies row by row and returns no cache,
-    so each output row equals its own 1-row call bit for bit; it
-    normalizes in place on each product's buffer with ``bn_pairs``, the
-    folded (scale, shift) per batch-norm layer from ``build_eval_form``.
+    in STAT_KEYS order. Eval multiplies in row tiles (``_rowwise``) and
+    returns no cache, so each output row equals its own 1-row call bit
+    for bit; it normalizes in place on each product's buffer with
+    ``bn_pairs``, the folded (scale, shift) per batch-norm layer from
+    ``build_eval_form``.
     Training projects the step embedding from ``t_arr``; eval takes it
     precomputed as ``temb``. ``helper`` is the call's helper thread or
     None: training splits its six hidden-by-hidden products by batch rows
@@ -876,7 +902,7 @@ def helper_thread(model: Prior | DenoiserModel, rows: int):
     Sampling from a ``Prior`` (rows = M) takes one when some eval linear ``_splits`` at
     ``rows`` rows. Training a ``DenoiserModel`` (rows = the batch size) takes one when the
     helper's rows of a hidden-by-hidden weight gradient (``_grad_split``) come to more than
-    SPLIT_MADDS multiply-adds: a GEMM half runs faster per multiply-add than a row-by-row
+    SPLIT_MADDS multiply-adds: a GEMM half runs faster per multiply-add than a tiled
     eval product, so it must hand over more to pay for the handoff."""
     d, h = 3 * model.joints, model.hidden_dim
     if isinstance(model, Prior):
@@ -894,11 +920,12 @@ def make_eval_forward(prior: Prior, helper=None):
     """Eval forward for sampling loops: ``eval_fn(x, t)`` on an (M, 3J) block at step t.
 
     Reads the prior's eval form, which every closure of the prior shares.
-    The linears multiply row by row over the weight panels, which keep
-    every bit of the 2-D product, so each row's output equals that of
-    its own 1-row block bit for bit. ``helper`` is ``helper_thread``'s
-    value: with an executor, products large enough split their panels
-    with it (``_rowwise``), which keeps every bit too.
+    The linears multiply fixed tiles of TILE_ROWS rows by the weight
+    panels (``_rowwise``), so each row's output equals that of its own
+    1-row block bit for bit, and an M-row block is a prefix of a larger
+    one. ``helper`` is ``helper_thread``'s value: with an executor,
+    products large enough split their panels with it, which keeps every
+    bit too.
     """
     temb, weights, bn_pairs = prior.temb, prior.weights, prior.bn_pairs
 

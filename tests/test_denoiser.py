@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -555,17 +556,34 @@ class TestTrainStep:
         assert np.count_nonzero(stats.flat == 2.5) == stats["b2_bn1_v"].size
 
 
+def tile_product(a, w):
+    """``a @ w`` as the eval forward makes it: the rows of ``a`` in tiles of
+    ``denoiser.TILE_ROWS``, the last tile padded with zero rows, and each tile
+    times each column panel of the 2-D float64 weight ``w`` as one 2-D
+    product. The panels are PANEL_COLS wide when N is a multiple of
+    PANEL_COLS larger than it; else the one panel is the whole weight.
+    """
+    rows, (k, n) = denoiser.TILE_ROWS, w.shape
+    cols = denoiser.PANEL_COLS if n > denoiser.PANEL_COLS and n % denoiser.PANEL_COLS == 0 else n
+    padded = np.zeros((-(-len(a) // rows) * rows, k))
+    padded[:len(a)] = a
+    tiles = [padded[i:i + rows] for i in range(0, len(padded), rows)]
+    return np.concatenate([np.concatenate([tile @ w[:, c:c + cols] for c in range(0, n, cols)], 1)
+                           for tile in tiles])[:len(a)]
+
+
 def reference_eval_rows(model, block, emb):
     """The eval forward of each row of ``block`` on its own, from the unfolded formulas.
 
-    Each linear is a 1-row product over the 2-D float64 EMA weight, and
-    each batch norm is ``z * scale + (b - mean * scale)`` with
-    ``scale = g / sqrt(var + eps)`` from the model's running statistics.
+    Each linear is ``tile_product`` of the row alone, its tile padded with
+    zero rows, over the 2-D float64 EMA weight, and each batch norm is
+    ``z * scale + (b - mean * scale)`` with ``scale = g / sqrt(var + eps)``
+    from the model's running statistics.
     """
     ema = {key: value.astype(np.float64) for key, value in model.ema_params.items()}
 
     def linear(a, key):
-        return (a[:, None, :] @ ema[f"{key}_w"])[:, 0, :] + ema[f"{key}_b"]
+        return tile_product(a, ema[f"{key}_w"]) + ema[f"{key}_b"]
 
     rows = []
     for x in block:
@@ -708,7 +726,7 @@ class TestPanels:
                                 if split else (1, 1, k, n))
         for m in (1, 2, 5, 50, 1000):
             a = RngStream(28, m).standard_normal((m, k))
-            assert np.array_equal(denoiser._rowwise(a, panels), (a[:, None, :] @ w)[:, 0, :])
+            assert np.array_equal(denoiser._rowwise(a, panels), tile_product(a, w))
 
     @pytest.mark.parametrize("k, n", [(51, 1024), (1024, 1024), (1024, 1088), (128, 192),
                                       (1024, 51), (64, 64)])
@@ -751,6 +769,79 @@ class TestPanels:
             with np.errstate(over="ignore"):  # the caller's errstate holds in the helper
                 out = denoiser._rowwise(a, denoiser._panels(w), helper)
         assert np.all(out[:, 192:] == np.inf) and np.all(np.isfinite(out[:, :192]))
+
+    # tile_checks in a child, which prints [the kernel that ran, its failures]
+    TILE_CHILD = ("import json, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "import recipe, test_denoiser\n"
+                  "print(json.dumps([recipe.blas_kernel(), test_denoiser.tile_checks()]))\n")
+
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"])
+    def test_tiles_keep_rows_independent_under_every_kernel(self, kernel):
+        # the three output families this host runs, at one and two BLAS threads: a GEMM
+        # over a block need not be row-independent (Haswell at M = 3), so the tiles'
+        # row independence is checked under each, not taken on trust
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", self.TILE_CHILD, os.path.dirname(__file__)],
+                                  capture_output=True, text=True,
+                                  env={**env, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            ran, failures = json.loads(proc.stdout)
+            assert not failures, f"{ran} kernel at {threads} BLAS threads: {failures[:10]}"
+
+
+# the eval shapes of TestPanels, and those of hidden 16 and 32 (one panel each)
+TILE_SHAPES = ((51, 1024), (1024, 1024), (1024, 51), (64, 64), (128, 192), (100, 100),
+               (1024, 1088), (51, 16), (16, 16), (16, 51), (51, 32), (32, 32), (32, 51))
+
+
+def _raised(fn):
+    """``fn()`` and the RuntimeWarning messages it raises under ``np.errstate(all="warn")``."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        out = fn()
+    return out, sorted({str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)})
+
+
+def tile_checks():
+    """The failures of ``_rowwise``'s tiles over TILE_SHAPES at M in (1, 2, 3, 5, 50), each
+    [check, K, N, M]: the block must equal ``tile_product`` and raise no floating-point error,
+    padding rows included; each row must equal its own 1-row call; and at M = 2 and 3 a row of
+    NaN or of +-inf must leave the other rows as they were and raise what its own 1-row
+    product over the 2-D weight raises."""
+    failures = []
+    for k, n in TILE_SHAPES:
+        w = RngStream(32, k * 10000 + n).standard_normal((k, n))
+        panels = denoiser._panels(w)
+        for m in (1, 2, 3, 5, 50):
+            a = RngStream(33, m).standard_normal((m, k))
+            try:
+                with np.errstate(all="raise"):
+                    out = denoiser._rowwise(a, panels)
+            except FloatingPointError:
+                failures.append(["finite block raised", k, n, m])
+                continue
+            if not np.array_equal(out, tile_product(a, w)):
+                failures.append(["tile product", k, n, m])
+            alone = [denoiser._rowwise(a[i:i + 1], panels) for i in range(m)]
+            if not np.array_equal(out, np.concatenate(alone)):
+                failures.append(["row alone", k, n, m])
+            if m not in (2, 3):
+                continue
+            for i in range(m):
+                for bad in (np.nan, np.inf, -np.inf):
+                    b = a.copy()
+                    b[i] = bad
+                    got, raised = _raised(lambda: denoiser._rowwise(b, panels))
+                    others = np.arange(m) != i
+                    if not np.array_equal(got[others], out[others]):
+                        failures.append([f"row {i} = {bad} moved another row", k, n, m])
+                    if raised != _raised(lambda: b[i:i + 1] @ w)[1]:
+                        failures.append([f"row {i} = {bad} raised {raised}", k, n, m])
+    return failures
 
 
 class TestTrainHelper:
